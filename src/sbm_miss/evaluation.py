@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .network import CovariateSet, PartialAdjacency, Partition, as_rng
 from .sampling import SamplingDesign, observe_network
 from .sbm import SbmParams, sample_network
@@ -150,6 +150,9 @@ def _sweep_replicate(args):
     if mi.size == 0:
         row["flag"] = "no-missing-dyads"
         return row
+    if observed.n_observed == 0:
+        row["flag"] = "no-observed-dyads"
+        return row
     truth = adj.matrix[mi, mj]
     if truth.min() == truth.max():
         row["flag"] = "single-class-truth"
@@ -166,7 +169,8 @@ def run_auc_sweep(spec: ExperimentSpec) -> list[dict]:
 
     The planted network is drawn once from the spec generator; each replicate
     redraws the design parameters and the observation mask.  Replicates with
-    nothing to impute are kept as flagged rows without an AUC.
+    nothing to impute or nothing observed are kept as flagged rows without an
+    AUC.
     """
     adj, draw = sample_network(spec.params, spec.n_nodes,
                                rng_seed=derive_seed(spec.base_seed, 0))
@@ -185,8 +189,9 @@ def compare_designs(adj: PartialAdjacency, designs: Sequence[str],
                     covariates: Optional[CovariateSet] = None) -> list[dict]:
     """ICL table over candidate sampling designs (long format: design, Q, ICL).
 
-    A design that fails to fit contributes a single row with missing values
-    instead of aborting the comparison.
+    A design that fails to fit (bad input or a numerical failure)
+    contributes a single row with missing values instead of aborting the
+    comparison; any other exception propagates.
     """
     control = control or ControlOptions()
     rows = []
@@ -194,7 +199,7 @@ def compare_designs(adj: PartialAdjacency, designs: Sequence[str],
         try:
             collection = estimate_miss_sbm(adj, v_blocks, tag,
                                            covariates=covariates, control=control)
-        except Exception as exc:  # isolate per-design failures
+        except (InputError, NumericalError, np.linalg.LinAlgError) as exc:
             rows.append({"design": tag, "Q": None, "ICL": None, "error": str(exc)})
             continue
         for fit in collection.models:

@@ -3,13 +3,17 @@
 The latent variables are the block memberships and, for MNAR designs, the
 missing dyads themselves.  The variational family factorizes completely:
 multinomial rows tau for memberships, independent Bernoulli means nu for the
-missing dyads.  The VE step runs a fixed-point update of (tau, nu); tau rows
-are updated sequentially (each row update is an exact coordinate maximizer of
-the bound, which keeps the ELBO monotone), nu jointly (the bound separates
-over missing dyads for every design except degree sampling, whose coupled
-update is safeguarded by backtracking).  The M step has closed forms for
-(alpha, pi) and the block/rate designs, and damped Newton fits for the
-logistic ones.
+missing dyads.  The VE step runs a fixed-point update of (tau, nu).  Each
+round updates all tau rows at once, by the mean-field fixed point of the
+classical SBM VEM (row-softmax of log alpha plus the design's block-node
+terms plus the node-coupling gradient P(tau), computed with whole-matrix
+products).  A backtracking safeguard takes the longest step towards that
+proposal, halving it as needed, that does not lower the bound at fixed
+parameters and nu, so the ELBO stays monotone.  nu is then updated jointly
+(the bound separates over missing dyads for every design except degree
+sampling, whose coupled update is safeguarded by backtracking).  The M step
+has closed forms for (alpha, pi) and the block/rate designs, and damped
+Newton fits for the logistic ones.
 
 Under MAR designs the missing dyads drop from the objective: the SBM factor
 restricts to observed dyads and nu is only materialized on demand for
@@ -64,6 +68,8 @@ from .sbm import (
 
 INIT_SOFTENING = 1e-3
 ELBO_SLACK = 1e-8
+VE_MAX_HALVINGS = 10    # step lengths tried by the VE safeguard: 1, 1/2, ..., 1/512
+VE_GAIN_SLACK = 1e-12   # rounding allowance on the gain of one VE round
 
 
 def derive_seed(base: int, *keys: int) -> np.random.SeedSequence:
@@ -200,6 +206,7 @@ class _Engine:
         self.covariates_raw = covariates
         self.covariates = transfer_covariates(covariates) if covariates is not None else None
         self.sbm_covariates = self.covariates if use_cov else None
+        self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
 
     # -- initialization ------------------------------------------------------
 
@@ -247,68 +254,116 @@ class _Engine:
                 state: VariationalState, rounds: int) -> VariationalState:
         tau = np.array(state.tau)
         nu = np.array(state.nu) if state.nu is not None else None
-        n, q = tau.shape
-        log_alpha = safe_log(params.alpha)
-        static = tau_static_terms(design, self.event, n) if design is not None else None
-        pair_logs = tau_pairwise_logs(design) if design is not None else None
-        plain = params.variant == "plain"
-        if plain:
-            la = safe_log(params.pi)
-            lb = np.log1p(-clamp_prob(params.pi))
-            cov_effect = None
-        else:
-            cov_effect = dyad_covariate_effect(params, self.sbm_covariates)
-
+        linear, tables, cov_effect = self._ve_terms(params, design)
+        y = None if self.mnar else self.adj.filled(0.0)
+        grad = None
         for _ in range(rounds):
-            y = self.adj.filled(nu) if self.mnar else self.adj.filled(0.0)
-            m1 = self.w * y
-            for i in range(n):
-                if plain:
-                    u1 = m1[i] @ tau
-                    uw = self.w[i] @ tau
-                    s = log_alpha + la @ u1 + lb @ (uw - u1)
-                    if self.directed:
-                        u1c = m1[:, i] @ tau
-                        uwc = self.w[:, i] @ tau
-                        s = s + la.T @ u1c + lb.T @ (uwc - u1c)
-                else:
-                    s = log_alpha + self._covariate_row_terms(params, cov_effect, tau, m1, i)
-                if pair_logs is not None:
-                    lpsi, lpsic = pair_logs
-                    ur = self.r[i] @ tau
-                    uoff = self.off[i] @ tau
-                    s = s + lpsi @ ur + lpsic @ (uoff - ur)
-                    if self.directed:
-                        urc = self.r[:, i] @ tau
-                        uoffc = self.off[:, i] @ tau
-                        s = s + lpsi.T @ urc + lpsic.T @ (uoffc - urc)
-                if static is not None:
-                    s = s + static[i]
-                if not np.isfinite(s).all():
-                    raise NumericalError(f"non-finite membership update at node {i}")
-                s -= s.max()
-                e = np.exp(s)
-                tau[i] = e / e.sum()
+            if self.mnar:
+                y = self.adj.filled(nu)
+                grad = None
+            if grad is None:
+                grad = self._coupling(params, tables, cov_effect, y, tau)
+            s = linear + grad
+            if not np.isfinite(s).all():
+                raise NumericalError("non-finite membership update")
+            s -= s.max(axis=1, keepdims=True)
+            proposal = np.exp(s)
+            proposal /= proposal.sum(axis=1, keepdims=True)
+            # longest step towards the proposal that does not lower the
+            # bound; P is linear, so P(tau + t step) = grad + t grad_step
+            step = proposal - tau
+            grad_step = self._coupling(params, tables, cov_effect, y, step)
+            t = 1.0
+            for _ in range(VE_MAX_HALVINGS):
+                if self._tau_gain(linear, grad, tau, step, grad_step, t) >= -VE_GAIN_SLACK:
+                    break
+                t *= 0.5
+            else:
+                t = 0.0
+            if t < 1.0:
+                self.damped_rounds += 1
+            tau = tau + t * step
+            grad = grad + t * grad_step
             if self.mnar and self.mi.size:
                 nu = self._nu_update(params, design, tau, nu, cov_effect)
         return VariationalState(tau=tau, nu=nu)
 
-    def _covariate_row_terms(self, params, cov_effect, tau, m1, i):
-        # eta[q, l, j] = gamma[q, l] + beta . x_ij, row i against all nodes j
-        q = params.q
-        eta = params.gamma[:, :, None] + cov_effect[i][None, None, :]
-        loga = log_expit(eta)
-        logb = log_expit(-eta)
-        p1 = tau.T * m1[i][None, :]                       # (q, n): tau_jl * w_ij y_ij
-        p0 = tau.T * (self.w[i] - m1[i])[None, :]
-        s = np.tensordot(loga, p1, axes=([1, 2], [0, 1])) + np.tensordot(logb, p0, axes=([1, 2], [0, 1]))
-        if self.directed:
-            eta_in = params.gamma.T[:, :, None] + cov_effect[:, i][None, None, :]
-            p1c = tau.T * m1[:, i][None, :]
-            p0c = tau.T * (self.w[:, i] - m1[:, i])[None, :]
-            s = s + np.tensordot(log_expit(eta_in), p1c, axes=([1, 2], [0, 1])) \
-                + np.tensordot(log_expit(-eta_in), p0c, axes=([1, 2], [0, 1]))
-        return s
+    def _ve_terms(self, params, design):
+        """Per-call pieces of the tau update.
+
+        Returns the linear term (log alpha plus the block-node terms), the
+        Q x Q log tables that weight the pair matrices y, R and the all-ones
+        matrix off the diagonal (None where a matrix does not enter), and
+        beta . x for the covariate SBM.  Under MNAR the SBM weights w are the
+        all-ones matrix and y = filled(nu) has a zero diagonal, so w * y is y.
+        """
+        linear = safe_log(params.alpha)[None, :]
+        static = tau_static_terms(design, self.event, self.n) if design is not None else None
+        if static is not None:
+            linear = linear + static
+        r_table = off_table = cov_effect = None
+        if params.variant == "covariate":
+            cov_effect = dyad_covariate_effect(params, self.sbm_covariates)
+            y_table = params.gamma
+        else:
+            la = safe_log(params.pi)
+            lb = np.log1p(-clamp_prob(params.pi))
+            y_table = la - lb
+            if self.mnar:
+                off_table = lb
+            else:
+                r_table = lb
+        pair_logs = tau_pairwise_logs(design) if design is not None else None
+        if pair_logs is not None:   # block-dyad sampling, always MNAR
+            lpsi, lpsic = pair_logs
+            r_table = lpsi - lpsic
+            off_table = lpsic if off_table is None else off_table + lpsic
+        return linear, (y_table, r_table, off_table), cov_effect
+
+    def _coupling(self, params, tables, cov_effect, y, t):
+        """n x Q matrix P(t): the gradient in tau of the terms of the bound
+        that couple pairs of nodes, evaluated at t.
+
+        P is linear in t, and those terms equal sum(tau * P(tau)) / 2 up to a
+        constant.  A pair matrix m with log table L adds
+        scale * sum_ij m_ij t_i' L t_j to the bound; m is symmetric when the
+        network is undirected.
+        """
+        out = np.zeros_like(t)
+        for m, table in zip((y, self.r, None), tables):
+            if table is None:
+                continue
+            rows = t.sum(axis=0) - t if m is None else m @ t
+            cols = m.T @ t if self.directed and m is not None else rows
+            out += self.scale * (rows @ table.T + cols @ table)
+        if cov_effect is not None:
+            # kernel of block pair (a, b): w * log sigma(-gamma_ab - beta.x);
+            # with the y * gamma term it gives the logistic dyad term up to
+            # y * beta.x, which does not depend on tau
+            kernel = np.empty_like(cov_effect)
+            for a in range(params.q):
+                for b in range(params.q):
+                    np.subtract(-params.gamma[a, b], cov_effect, out=kernel)
+                    log_expit(kernel, out=kernel)
+                    kernel *= self.w
+                    out[:, a] += self.scale * (kernel @ t[:, b])
+                    out[:, b] += self.scale * (kernel.T @ t[:, a])
+        return out
+
+    @staticmethod
+    def _tau_gain(linear, grad, tau, step, grad_step, t) -> float:
+        """F(tau + t step) - F(tau), where grad = P(tau) and grad_step = P(step).
+
+        F(tau) = sum(tau * (linear + P(tau) / 2)) + H(tau) is the
+        tau-dependent part of the bound at fixed parameters and nu.  Taken as
+        a difference, the gain does not cancel against the size of F.  A
+        step towards the row-softmax of linear + P(tau) is an ascent
+        direction, so some t > 0 has a positive gain.
+        """
+        cand = tau + t * step
+        slope = float(np.sum(step * (linear + grad)))
+        curvature = 0.5 * float(np.sum(step * grad_step))
+        return t * slope + t * t * curvature - float(np.sum(xlogy(cand, cand) - xlogy(tau, tau)))
 
     def _nu_update(self, params, design, tau, nu, cov_effect):
         mi, mj = self.mi, self.mj
@@ -566,8 +621,11 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
         elbo_trace, vexpec_trace = [current], [vexpec]
         converged = False
         for it in range(1, control.max_iter + 1):
+            damped = eng.damped_rounds
             state = eng.ve_step(params, design, state, control.fix_point_iter)
             new_params, design, flags = eng.m_step(state, params, design)
+            if eng.damped_rounds > damped:
+                flags = ("VE step damped",) + flags
             delta = _param_delta(params, new_params)
             params = new_params
             value, vexpec, s_ll = eng.elbo_parts(params, design, state)

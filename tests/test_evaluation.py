@@ -18,6 +18,7 @@ from sbm_miss import (
     SamplingDesign,
 )
 
+from sbm_miss import evaluation
 from sbm_miss.evaluation import _draw_sweep_design
 from util import planted_params
 
@@ -139,6 +140,7 @@ class TestAucSweep:
     def test_zero_observation_leaves_every_dyad_missing(self):
         rows = run_auc_sweep(self.make_spec(rate_range=(0.0, 0.0), replicates=2))
         assert all(r["rate"] == 0.0 for r in rows)
+        assert all(r["flag"] == "no-observed-dyads" and r["auc"] is None for r in rows)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 1000))
     def test_block_node_dyad_rates_stay_in_range(self, a, b, seed):
@@ -191,3 +193,12 @@ class TestCompareDesigns:
         good = [r for r in rows if r["design"] == "dyad"]
         assert len(bad) == 1 and bad[0]["ICL"] is None and bad[0]["error"]
         assert len(good) == 1 and good[0]["ICL"] is not None
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the fitting code")
+
+        monkeypatch.setattr(evaluation, "estimate_miss_sbm", broken)
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 20, rng_seed=8)
+        with pytest.raises(TypeError, match="bug in the fitting code"):
+            compare_designs(adj, ["dyad"], [2], control=ControlOptions(rng_seed=9))

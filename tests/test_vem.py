@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
 from sbm_miss import (
+    AVAILABLE_SAMPLINGS,
     ControlOptions,
+    CovariateSet,
     InputError,
     PartialAdjacency,
     Partition,
@@ -28,7 +30,8 @@ from sbm_miss import (
     spectral_init,
     ve_step,
 )
-from sbm_miss.vem import fit_from_json
+from sbm_miss.sampling import make_default_design
+from sbm_miss.vem import _Engine, fit_from_json
 
 from util import adjacency_from_edges, elbo_is_monotone, planted_params
 
@@ -100,6 +103,88 @@ class TestVeStep:
         with_nu = ve_step(observed, design, params,
                           VariationalState(tau=tau, nu=np.full(observed.n_missing, 0.9)))
         np.testing.assert_array_equal(without.tau, with_nu.tau)
+
+
+def tau_objective_gain(eng, params, design, nu, tau, new):
+    """F(new) - F(tau) as the VE safeguard computes it, at fixed params and nu."""
+    linear, tables, cov_effect = eng._ve_terms(params, design)
+    y = eng.adj.filled(nu if eng.mnar else 0.0)
+
+    def coupling(t):
+        return eng._coupling(params, tables, cov_effect, y, t)
+
+    step = new - tau
+    return eng._tau_gain(linear, coupling(tau), tau, step, coupling(step), 1.0)
+
+
+class TestVeSafeguard:
+    @pytest.mark.parametrize("use_cov", [False, True], ids=["plain", "covariate"])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("tag", AVAILABLE_SAMPLINGS)
+    def test_objective_differences_match_elbo(self, tag, directed, use_cov):
+        # pins the 1/2 on the coupling terms, the transposed terms of directed
+        # networks, the block-dyad channels and the covariate kernel
+        rng = np.random.default_rng([AVAILABLE_SAMPLINGS.index(tag), directed, use_cov])
+        n, q = 24, 3
+        cov = CovariateSet.from_nodal([rng.random(n)])
+        if use_cov:
+            gamma = rng.normal(size=(q, q))
+            gamma = gamma if directed else 0.5 * (gamma + gamma.T)
+            params = SbmParams(alpha=np.full(q, 1.0 / q), gamma=gamma, beta=np.array([1.3]),
+                               directed=directed)
+        else:
+            params = planted_params(q, 0.6, 0.1, directed=directed)
+        adj, draw = sample_network(params, n, covariates=cov, rng_seed=1)
+        design = make_default_design(tag, q, n_covariates=1)
+        if tag == "block-dyad":
+            psi = rng.uniform(0.3, 0.9, size=(q, q))
+            design = SamplingDesign(tag, psi if directed else 0.5 * (psi + psi.T))
+        elif tag == "block-node":
+            design = SamplingDesign(tag, rng.uniform(0.3, 0.9, size=q))
+        observed = observe_network(adj, design, clusters=Partition.from_labels(draw.labels, q),
+                                   covariates=cov, rng_seed=2)
+        eng = _Engine(observed, tag, cov, use_cov)
+        nu = rng.random(observed.n_missing) if eng.mnar else None
+        tau_a = rng.dirichlet(np.ones(q), size=n)
+        tau_b = rng.dirichlet(np.ones(q), size=n)
+        elbo_a = eng.elbo_parts(params, design, VariationalState(tau=tau_a, nu=nu))[0]
+        elbo_b = eng.elbo_parts(params, design, VariationalState(tau=tau_b, nu=nu))[0]
+        gain = tau_objective_gain(eng, params, design, nu, tau_a, tau_b)
+        assert gain == pytest.approx(elbo_b - elbo_a, rel=1e-9)
+
+    def test_overshooting_step_is_damped(self):
+        # complete graph, disassortative pi, identical rows: the full step
+        # sends every node to block 1 together, which lowers the bound
+        n = 20
+        mat = np.ones((n, n))
+        np.fill_diagonal(mat, np.nan)
+        adj = PartialAdjacency(mat)
+        params = SbmParams(alpha=np.array([0.5, 0.5]), pi=np.array([[0.01, 0.99], [0.99, 0.01]]))
+        state = VariationalState(tau=np.tile([0.9, 0.1], (n, 1)))
+        eng = _Engine(adj, None, None, False)
+        before = eng.elbo_parts(params, None, state)[0]
+        damped = eng.ve_step(params, None, state, 1)
+        assert eng.damped_rounds == 1
+        assert eng.elbo_parts(params, None, damped)[0] > before
+        linear, tables, _ = eng._ve_terms(params, None)
+        grad = eng._coupling(params, tables, None, adj.filled(0.0), state.tau)
+        proposal = softmax(linear + grad, axis=1)
+        assert np.all(proposal[:, 1] > 0.99)
+        assert eng.elbo_parts(params, None, VariationalState(tau=proposal))[0] < before
+
+    def test_damped_rounds_are_flagged(self):
+        params = planted_params(3, 0.5, 0.05)
+        design = SamplingDesign("block-node", [0.9, 0.75, 0.6])
+        flagged = 0
+        for seed in (17, 20, 37):
+            adj, draw = sample_network(params, 30, rng_seed=seed)
+            observed = observe_network(adj, design, clusters=Partition.from_labels(draw.labels, 3),
+                                       rng_seed=seed + 1)
+            for q in (2, 3):
+                fit = fit_single(observed, q, "block-node", control=ControlOptions(rng_seed=seed))
+                assert elbo_is_monotone(fit)
+                flagged += sum("VE step damped" in row.flags for row in fit.monitoring)
+        assert flagged > 0
 
 
 class TestMStep:
