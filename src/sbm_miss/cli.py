@@ -19,7 +19,7 @@ from . import io
 from .errors import InputError, NumericalError
 from .evaluation import ExperimentSpec, ari, auc, compare_designs, run_auc_sweep
 from .network import CovariateSet, PartialAdjacency, Partition
-from .sampling import AVAILABLE_SAMPLINGS, SamplingDesign, observe_network
+from .sampling import AVAILABLE_SAMPLINGS, SamplingDesign, design_spec, observe_network
 from .sbm import SbmParams, sample_network
 from .vem import ControlOptions, estimate_miss_sbm, fit_from_json, impute
 
@@ -198,13 +198,9 @@ def parse_parameters(tag: str, text: str, intercept: float = 0.0, waves: int = 1
             values = np.array([float(t) for t in text.split(",")], dtype=float)
         except ValueError:
             raise InputError(f"cannot parse parameters {text!r}") from None
-    if tag in ("dyad", "node", "snowball"):
-        if values.size != 1:
-            raise InputError(f"{tag} sampling takes a single rate")
-        return SamplingDesign(tag, values.reshape(())[()], waves=waves)
-    if tag in ("covar-dyad", "covar-node"):
-        return SamplingDesign(tag, np.concatenate([[intercept], values.ravel()]))
-    return SamplingDesign(tag, values)
+    if design_spec(tag).needs == "covariates":
+        values = np.concatenate([[intercept], values.ravel()])
+    return SamplingDesign(tag, values, waves=waves)
 
 
 def _load_network(args) -> PartialAdjacency:

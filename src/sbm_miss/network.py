@@ -137,9 +137,6 @@ class PartialAdjacency:
         v = self._matrix[i, j]
         return None if np.isnan(v) else int(v)
 
-    def is_missing(self, i: int, j: int) -> bool:
-        return self.entry(i, j) is None
-
     def dyads(self) -> Iterator[tuple[int, int]]:
         """Canonical dyad order."""
         n = self.n

@@ -1,16 +1,33 @@
 """The nine network observation processes (sampling designs).
 
-Dyad-centered designs decide observation dyad by dyad; node-centered designs
-draw a set of observed nodes, and observing a node reveals every dyad
-involving it.  Each design provides four behaviors used by the estimation
-engine: mask generation from a fully observed network, the variational
-expectation of its log-likelihood, the M-step update of its parameters, and
-its free-parameter count for the model-selection penalty.
+Every design observes a network through a Bernoulli mask.  Dyad-centered
+designs decide each dyad on its own; node-centered designs draw a set of
+observed nodes, and observing a node reveals every dyad involving it.  The
+table ``DESIGNS`` states, once per design, its missingness mechanism (MCAR,
+MAR or MNAR), its centering, what it needs besides the network (a clustering
+or covariates) and the layout of its parameter vector psi.  Everything else
+follows from two likelihood families:
+
+* rate designs hold one observation rate per stratum (everything, edge
+  value, block or block pair).  ``_rate_counts`` gives the expected observed
+  and total unit counts of each stratum; the log-likelihood is
+  sum(obs log psi + (total - obs) log(1 - psi)) and the M step is
+  obs / total.
+* logistic designs observe unit u with probability logistic(x_u . psi).
+  ``_features`` gives the units' covariates: dyad covariates on canonical
+  dyads, or nodal covariates or expected degrees on nodes.  The M step is a
+  damped Newton fit.
+
+Unknown dyad values enter through their imputation means nu, block strata
+through the membership probabilities tau.  The estimation engine uses the
+log-likelihood, the psi update, the free-parameter count for the ICL penalty
+and the VE/nu terms defined here; ``observe_network`` draws the mask from the
+same unit probabilities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,70 +39,67 @@ from .network import (
     PartialAdjacency,
     Partition,
     clamp_prob,
-    degrees,
     fit_logistic,
     logistic,
     safe_log,
     transfer_covariates,
 )
 
-AVAILABLE_SAMPLINGS = (
-    "dyad",
-    "covar-dyad",
-    "node",
-    "covar-node",
-    "block-node",
-    "block-dyad",
-    "double-standard",
-    "degree",
-    "snowball",
-)
 
-DYAD_CENTERED = frozenset({"dyad", "double-standard", "block-dyad", "covar-dyad"})
-NODE_CENTERED = frozenset({"node", "snowball", "degree", "block-node", "covar-node"})
+@dataclass(frozen=True)
+class DesignSpec:
+    """What a sampling design is, as opposed to its parameter values."""
 
-MISSINGNESS_CLASS = {
-    "dyad": "MCAR",
-    "node": "MCAR",
-    "covar-dyad": "MAR",
-    "covar-node": "MAR",
-    "snowball": "MAR",
-    "double-standard": "MNAR",
-    "block-dyad": "MNAR",
-    "degree": "MNAR",
-    "block-node": "MNAR",
+    mechanism: str          # MCAR, MAR or MNAR
+    centering: str          # dyad-centered or node-centered
+    needs: Optional[str]    # clusters, covariates or nothing
+    family: str             # rate or logistic
+    psi: str                # psi layout, a key of _LAYOUT_TEXT
+
+
+DESIGNS = {
+    # tag:             DesignSpec(mechanism, centering, needs, family, psi layout)
+    "dyad":            DesignSpec("MCAR", "dyad-centered", None,         "rate",     "rate"),
+    "covar-dyad":      DesignSpec("MAR",  "dyad-centered", "covariates", "logistic", "coefficients"),
+    "node":            DesignSpec("MCAR", "node-centered", None,         "rate",     "rate"),
+    "covar-node":      DesignSpec("MAR",  "node-centered", "covariates", "logistic", "coefficients"),
+    "block-node":      DesignSpec("MNAR", "node-centered", "clusters",   "rate",     "block"),
+    "block-dyad":      DesignSpec("MNAR", "dyad-centered", "clusters",   "rate",     "block pair"),
+    "double-standard": DesignSpec("MNAR", "dyad-centered", None,         "rate",     "pair"),
+    "degree":          DesignSpec("MNAR", "node-centered", None,         "logistic", "pair"),
+    "snowball":        DesignSpec("MAR",  "node-centered", None,         "rate",     "rate"),
+}
+
+AVAILABLE_SAMPLINGS = tuple(DESIGNS)
+NODE_CENTERED = frozenset(t for t, spec in DESIGNS.items() if spec.centering == "node-centered")
+MISSINGNESS_CLASS = {t: spec.mechanism for t, spec in DESIGNS.items()}
+
+# what each psi layout holds, as error messages name it
+_LAYOUT_TEXT = {
+    "rate": "a single rate",
+    "pair": "two values",
+    "block": "one rate per block",
+    "block pair": "a Q x Q rate matrix",
+    "coefficients": "(intercept, slopes...)",
 }
 
 
-def centering(tag: str) -> str:
-    if tag in DYAD_CENTERED:
-        return "dyad-centered"
-    if tag in NODE_CENTERED:
-        return "node-centered"
-    raise InputError(f"unknown sampling design {tag!r}")
-
-
-def needs_clusters(tag: str) -> bool:
-    return tag in ("block-dyad", "block-node")
-
-
-def needs_covariates(tag: str) -> bool:
-    return tag in ("covar-dyad", "covar-node")
+def design_spec(tag: str) -> DesignSpec:
+    try:
+        return DESIGNS[tag]
+    except KeyError:
+        raise InputError(f"unknown sampling design {tag!r}") from None
 
 
 @dataclass(frozen=True)
 class SamplingDesign:
     """One observation process with its parameter vector psi.
 
-    psi layout by tag:
-      dyad, node, snowball   scalar observation rate in [0, 1]
-      double-standard        (rho1, rho0): keep rates for edges / non-edges
-      block-dyad             Q x Q matrix of dyad rates by block pair
-      block-node             length-Q vector of node rates by block
-      covar-dyad             (intercept, kappa_1..kappa_m), logistic on dyad covariates
-      covar-node             (intercept, eta_1..eta_m), logistic on nodal covariates
-      degree                 (a, b), node rate logistic(a + b * degree)
-    Snowball additionally carries its wave count (first batch included).
+    psi follows the layout of the design's ``DESIGNS`` entry.  The pairs are
+    ordered: (rho1, rho0), the keep rates of edges and non-edges, for
+    double-standard; (a, b), node rate logistic(a + b * degree), for degree.
+    ``waves`` is the snowball wave count (first batch included); every other
+    design has a single wave.
     """
 
     tag: str
@@ -93,97 +107,60 @@ class SamplingDesign:
     waves: int = 1
 
     def __post_init__(self):
-        if self.tag not in AVAILABLE_SAMPLINGS:
-            raise InputError(f"unknown sampling design {self.tag!r}")
-        psi = np.array(self.psi, dtype=float)
-        if self.tag in ("dyad", "node", "snowball"):
+        spec = design_spec(self.tag)
+        try:
+            psi = np.array(self.psi, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError(f"{self.tag}: psi must be numeric") from None
+        if spec.psi == "rate" and psi.size == 1:
             psi = psi.reshape(())
-            _check_unit(psi, self.tag)
-        elif self.tag == "double-standard":
-            if psi.shape != (2,):
-                raise InputError("double-standard expects (rho1, rho0)")
-            _check_unit(psi, self.tag)
-        elif self.tag == "block-dyad":
-            if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
-                raise InputError("block-dyad expects a Q x Q rate matrix")
-            _check_unit(psi, self.tag)
-        elif self.tag == "block-node":
-            if psi.ndim != 1 or psi.size < 1:
-                raise InputError("block-node expects a length-Q rate vector")
-            _check_unit(psi, self.tag)
-        elif self.tag == "degree":
-            if psi.shape != (2,):
-                raise InputError("degree expects (a, b)")
-        else:  # covar-dyad / covar-node
-            if psi.ndim != 1 or psi.size < 2:
-                raise InputError(f"{self.tag} expects (intercept, slopes...)")
+        if not _fits_layout(psi, spec.psi):
+            raise InputError(f"{self.tag} expects {_LAYOUT_TEXT[spec.psi]}")
         if not np.isfinite(psi).all():
             raise InputError(f"{self.tag}: psi entries must be finite")
-        if self.tag == "snowball" and self.waves < 1:
-            raise InputError("snowball needs at least one wave")
+        if spec.family == "rate" and (np.any(psi < 0.0) or np.any(psi > 1.0)):
+            raise InputError(f"{self.tag}: rates must lie in [0, 1]")
+        if self.waves < 1 or (self.waves > 1 and self.tag != "snowball"):
+            raise InputError("waves must be 1, or at least 1 for snowball sampling")
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
 
-    @property
-    def missingness_class(self) -> str:
-        return MISSINGNESS_CLASS[self.tag]
 
-    @property
-    def centering(self) -> str:
-        return centering(self.tag)
-
-    @property
-    def is_mnar(self) -> bool:
-        return self.missingness_class == "MNAR"
-
-    @property
-    def node_centered(self) -> bool:
-        return self.tag in NODE_CENTERED
-
-    def df(self, q: int, directed: bool = False) -> int:
-        return design_df(self, q, directed=directed)
-
-
-def _check_unit(values, tag):
-    arr = np.asarray(values, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise InputError(f"{tag}: rates must lie in [0, 1]")
+def _fits_layout(psi: np.ndarray, layout: str) -> bool:
+    if layout == "rate":
+        return psi.shape == ()
+    if layout == "pair":
+        return psi.shape == (2,)
+    if layout == "block":
+        return psi.ndim == 1 and psi.size >= 1
+    if layout == "block pair":
+        return psi.ndim == 2 and psi.shape[0] == psi.shape[1]
+    return psi.ndim == 1 and psi.size >= 2
 
 
 def design_df(design: SamplingDesign, q: int, directed: bool = False) -> int:
     """Number K of free sampling parameters entering the ICL penalty."""
     if q < 1:
         raise InputError("block count must be >= 1")
-    tag = design.tag
-    if tag in ("dyad", "node", "snowball"):
-        return 1
-    if tag in ("double-standard", "degree"):
-        return 2
-    if tag == "block-dyad":
+    layout = DESIGNS[design.tag].psi
+    if layout == "block pair":
         return q * q if directed else q * (q + 1) // 2
-    if tag == "block-node":
+    if layout == "block":
         return q
-    # covar designs: intercept + one slope per covariate
     return int(design.psi.size)
 
 
-def make_default_design(tag: str, q: int, n_covariates: int = 0, waves: int = 1) -> SamplingDesign:
-    """Neutral starting parameters for the first M-step of a fit."""
-    if tag in ("dyad", "node"):
-        return SamplingDesign(tag, np.float64(0.5))
-    if tag == "snowball":
-        return SamplingDesign(tag, np.float64(0.5), waves=waves)
-    if tag == "double-standard":
-        return SamplingDesign(tag, np.array([0.5, 0.5]))
-    if tag == "block-dyad":
-        return SamplingDesign(tag, np.full((q, q), 0.5))
-    if tag == "block-node":
-        return SamplingDesign(tag, np.full(q, 0.5))
-    if tag == "degree":
-        return SamplingDesign(tag, np.zeros(2))
-    if tag in ("covar-dyad", "covar-node"):
-        return SamplingDesign(tag, np.zeros(1 + n_covariates))
-    raise InputError(f"unknown sampling design {tag!r}")
+def make_default_design(tag: str, q: int, covariates: Optional[CovariateSet] = None,
+                        waves: int = 1) -> SamplingDesign:
+    """Neutral starting parameters for the first M-step of a fit: rates at 1/2,
+    logistic coefficients at 0 with one slope per covariate of the design's units."""
+    spec = design_spec(tag)
+    m = 0
+    if spec.needs == "covariates":
+        m = covariates.m_nodal if spec.centering == "node-centered" else covariates.m
+    shape = {"rate": (), "pair": (2,), "block": (q,), "block pair": (q, q),
+             "coefficients": (1 + m,)}[spec.psi]
+    return SamplingDesign(tag, np.full(shape, 0.5 if spec.family == "rate" else 0.0), waves=waves)
 
 
 @dataclass(frozen=True)
@@ -223,6 +200,83 @@ class ObservationEvent:
 
 
 # ---------------------------------------------------------------------------
+# Units of observation
+# ---------------------------------------------------------------------------
+
+def _canonical_pairs(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    if directed:
+        keep = ~np.eye(n, dtype=bool)
+    else:
+        keep = np.triu(np.ones((n, n), dtype=bool), 1)
+    return np.nonzero(keep)
+
+
+def _expected_network(adj: PartialAdjacency, nu) -> np.ndarray:
+    """The network with its missing dyads at their imputation means nu."""
+    if adj.fully_observed:
+        return adj.filled()
+    if nu is None:
+        raise InputError("MNAR computation needs imputation probabilities for missing dyads")
+    return adj.filled(nu)
+
+
+def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
+              covariates: Optional[CovariateSet]) -> np.ndarray:
+    """Design matrix of a logistic design, one row per unit, intercept first.
+
+    The units are the canonical dyads with their dyad covariates, or the
+    nodes with their nodal covariates or, for degree sampling, their
+    expected degrees (row sums under nu).
+    """
+    if design.tag == "covar-dyad":
+        rows, cols = _canonical_pairs(adj.n, adj.directed)
+        x = [xk[rows, cols] for xk in transfer_covariates(covariates).dyadic_stack()]
+    elif design.tag == "covar-node":
+        x = [covariates.nodal_matrix()]
+    else:
+        x = [_expected_network(adj, nu).sum(axis=1)]
+    x = np.column_stack([np.ones(x[0].shape[0])] + x)
+    if x.shape[1] != design.psi.size:
+        raise InputError(f"{design.tag} slope count does not match the covariates")
+    return x
+
+
+def _logistic_data(design, event, state, adj, covariates) -> tuple[np.ndarray, np.ndarray]:
+    """Features and 0/1 responses (node or canonical-dyad indicators)."""
+    x = _features(design, adj, state.nu, covariates)
+    if design.tag in NODE_CENTERED:
+        return x, event.nodes
+    return x, event.mask[_canonical_pairs(adj.n, adj.directed)]
+
+
+def _rate_counts(design, event, state, adj) -> tuple[np.ndarray, np.ndarray]:
+    """Expected observed and total unit counts per stratum, shaped like psi.
+
+    Nodes or canonical dyads, counted whole or weighted by the expected edge
+    value y = filled(nu) and 1 - y (double-standard), by tau (block-node) or
+    by tau_ia tau_jb (block-dyad).
+    """
+    tag = design.tag
+    if tag in ("node", "snowball"):
+        return event.nodes.sum(), adj.n
+    if tag == "block-node":
+        return state.tau.T @ event.nodes, state.tau.sum(axis=0)
+    scale = 1.0 if adj.directed else 0.5
+    r = event.mask
+    if tag == "dyad":
+        return scale * r.sum(), adj.n_dyads
+    if tag == "double-standard":
+        y = _expected_network(adj, state.nu)
+        rc = 1.0 - r
+        np.fill_diagonal(rc, 0.0)
+        split = (y, 1.0 - y)
+        obs = scale * np.array([np.sum(r * w) for w in split])
+        return obs, obs + scale * np.array([np.sum(rc * w) for w in split])
+    tau = state.tau
+    return scale * (tau.T @ r @ tau), scale * (tau.T @ (1.0 - np.eye(adj.n)) @ tau)
+
+
+# ---------------------------------------------------------------------------
 # Mask generation
 # ---------------------------------------------------------------------------
 
@@ -238,83 +292,48 @@ def observe_network(adj: PartialAdjacency, design: SamplingDesign,
     """
     if not adj.fully_observed:
         raise InputError("observe_network needs a fully observed network")
-    tag = design.tag
-    if needs_clusters(tag) and clusters is None:
-        raise InputError(f"{tag} sampling requires a clustering")
-    if needs_covariates(tag) and covariates is None:
-        raise InputError(f"{tag} sampling requires covariates")
+    spec = DESIGNS[design.tag]
+    if spec.needs and {"clusters": clusters, "covariates": covariates}[spec.needs] is None:
+        raise InputError(f"{design.tag} sampling requires {spec.needs}")
     rng = as_rng(rng_seed)
     n = adj.n
-
-    if tag in NODE_CENTERED:
-        v = _draw_nodes(adj, design, clusters, covariates, rng)
-        keep = (v[:, None] + v[None, :]) > 0
-        return adj.mask_where(keep)
-
+    rate = _unit_rates(design, adj, clusters, covariates)
+    if design.tag in NODE_CENTERED:
+        v = rng.random(n) < rate
+        for _ in range(design.waves - 1):   # each snowball wave adds the neighbors
+            v |= (adj.filled() @ v) > 0
+        return adj.mask_where(v[:, None] | v[None, :])
     # dyad-centered: decide each canonical dyad independently
-    rate = _dyad_rates(adj, design, clusters, covariates)
     u = rng.random((n, n))
-    if not adj.directed:
-        u = np.triu(u) + np.triu(u, 1).T
-    keep = u < rate
-    return adj.mask_where(keep)
+    rows, cols = _canonical_pairs(n, adj.directed)
+    keep = np.zeros((n, n), dtype=bool)
+    keep[rows, cols] = u[rows, cols] < rate
+    return adj.mask_where(keep if adj.directed else keep | keep.T)
 
 
-def _dyad_rates(adj, design, clusters, covariates) -> np.ndarray:
-    tag = design.tag
-    n = adj.n
-    if tag == "dyad":
-        return np.full((n, n), float(design.psi))
-    if tag == "double-standard":
-        rho1, rho0 = design.psi
-        y = adj.filled()
-        return np.where(y > 0, rho1, rho0)
-    if tag == "block-dyad":
+def _unit_rates(design, adj, clusters, covariates) -> np.ndarray:
+    """Observation probability of each unit of a complete network: nodes for
+    node-centered designs, canonical dyads for dyad-centered ones."""
+    spec = DESIGNS[design.tag]
+    if spec.family == "logistic":
+        return logistic(_features(design, adj, None, covariates) @ design.psi)
+    rate = design.psi
+    if spec.needs == "clusters":
+        if rate.shape[0] != clusters.q:
+            raise InputError(f"{design.tag} rates do not match the clustering")
+        if rate.ndim == 2 and not adj.directed and not np.array_equal(rate, rate.T):
+            raise InputError(f"{design.tag} rates must be symmetric on an undirected network")
         z = clusters.labels
-        if design.psi.shape[0] != clusters.q:
-            raise InputError("block-dyad rate matrix does not match the clustering")
-        return design.psi[np.ix_(z, z)]
-    if tag == "covar-dyad":
-        x = transfer_covariates(covariates).dyadic_stack()
-        if x.shape[0] != design.psi.size - 1:
-            raise InputError("covar-dyad slope count does not match the covariates")
-        intercept, kappa = design.psi[0], design.psi[1:]
-        return logistic(intercept + np.tensordot(kappa, x, axes=1))
-    raise InputError(f"{tag} is not dyad-centered")
-
-
-def _draw_nodes(adj, design, clusters, covariates, rng) -> np.ndarray:
-    tag = design.tag
-    n = adj.n
-    if tag == "node":
-        return (rng.random(n) < float(design.psi)).astype(float)
-    if tag == "block-node":
-        z = clusters.labels
-        if design.psi.size != clusters.q:
-            raise InputError("block-node rate vector does not match the clustering")
-        return (rng.random(n) < design.psi[z]).astype(float)
-    if tag == "covar-node":
-        x = covariates.nodal_matrix()
-        if x.shape[1] != design.psi.size - 1:
-            raise InputError("covar-node slope count does not match the covariates")
-        rate = logistic(design.psi[0] + x @ design.psi[1:])
-        return (rng.random(n) < rate).astype(float)
-    if tag == "degree":
-        a, b = design.psi
-        rate = logistic(a + b * degrees(adj))
-        return (rng.random(n) < rate).astype(float)
-    if tag == "snowball":
-        v = (rng.random(n) < float(design.psi)).astype(float)
-        y = adj.filled()
-        for _ in range(design.waves - 1):
-            reached = (y @ v) > 0
-            v = np.maximum(v, reached.astype(float))
-        return v
-    raise InputError(f"{tag} is not node-centered")
+        rate = rate[z] if rate.ndim == 1 else rate[np.ix_(z, z)]
+    elif design.tag == "double-standard":
+        rate = np.where(adj.filled() > 0, rate[0], rate[1])
+    if design.tag in NODE_CENTERED:
+        return np.broadcast_to(rate, adj.n)
+    return np.broadcast_to(rate, (adj.n, adj.n))[_canonical_pairs(adj.n, adj.directed)]
 
 
 # ---------------------------------------------------------------------------
-# Variational expectation of the sampling log-likelihood
+# Variational expectation of the sampling log-likelihood, and the M step
 # ---------------------------------------------------------------------------
 
 def sampling_loglik(design: SamplingDesign, event: ObservationEvent, state,
@@ -323,191 +342,40 @@ def sampling_loglik(design: SamplingDesign, event: ObservationEvent, state,
 
     Unknown dyad values are replaced by their imputation probabilities nu;
     block designs average over the membership probabilities tau.
+    Probabilities are clamped away from 0 and 1 before the logs.
     """
-    tag = design.tag
-    scale = 1.0 if adj.directed else 0.5
-    r = event.mask
-    n = adj.n
+    if DESIGNS[design.tag].family == "rate":
+        obs, total = _rate_counts(design, event, state, adj)
+        psi = clamp_prob(design.psi)
+        return float(np.sum(obs * np.log(psi) + (total - obs) * np.log1p(-psi)))
+    x, r = _logistic_data(design, event, state, adj, covariates)
+    p = clamp_prob(logistic(x @ design.psi))
+    return float(np.sum(r * np.log(p) + (1.0 - r) * np.log1p(-p)))
 
-    if tag == "dyad":
-        n_obs = scale * r.sum()
-        n_miss = adj.n_dyads - n_obs
-        psi = clamp_prob(float(design.psi))
-        return float(n_obs * np.log(psi) + n_miss * np.log1p(-psi))
-
-    if tag in ("node", "snowball"):
-        v = event.nodes
-        psi = clamp_prob(float(design.psi))
-        return float(v.sum() * np.log(psi) + (n - v.sum()) * np.log1p(-psi))
-
-    if tag == "double-standard":
-        rho1, rho0 = clamp_prob(design.psi)
-        y = adj.filled(0.0) if adj.fully_observed else adj.filled(_nu_of(state, adj))
-        obs = scale * np.sum(r * (y * np.log(rho1) + (1.0 - y) * np.log(rho0)))
-        rc = _offdiag_complement(r)
-        miss = scale * np.sum(rc * (y * np.log1p(-rho1) + (1.0 - y) * np.log1p(-rho0)))
-        return float(obs + miss)
-
-    if tag == "block-dyad":
-        tau = state.tau
-        lp = safe_log(design.psi)
-        lq = np.log1p(-clamp_prob(design.psi))
-        s1 = tau @ lp @ tau.T
-        s0 = tau @ lq @ tau.T
-        rc = _offdiag_complement(r)
-        return float(scale * np.sum(r * s1 + rc * s0))
-
-    if tag == "block-node":
-        tau = state.tau
-        v = event.nodes
-        lp = safe_log(design.psi)
-        lq = np.log1p(-clamp_prob(design.psi))
-        return float(np.sum(tau * (v[:, None] * lp[None, :] + (1.0 - v)[:, None] * lq[None, :])))
-
-    if tag == "covar-dyad":
-        x = transfer_covariates(covariates).dyadic_stack()
-        eta = design.psi[0] + np.tensordot(design.psi[1:], x, axes=1)
-        p = clamp_prob(logistic(eta))
-        rc = _offdiag_complement(r)
-        return float(scale * np.sum(r * np.log(p) + rc * np.log1p(-p)))
-
-    if tag == "covar-node":
-        x = covariates.nodal_matrix()
-        v = event.nodes
-        p = clamp_prob(logistic(design.psi[0] + x @ design.psi[1:]))
-        return float(np.sum(v * np.log(p) + (1.0 - v) * np.log1p(-p)))
-
-    if tag == "degree":
-        a, b = design.psi
-        v = event.nodes
-        d = _expected_degrees(adj, state)
-        p = clamp_prob(logistic(a + b * d))
-        return float(np.sum(v * np.log(p) + (1.0 - v) * np.log1p(-p)))
-
-    raise InputError(f"unknown sampling design {tag!r}")
-
-
-def _offdiag_complement(r: np.ndarray) -> np.ndarray:
-    out = 1.0 - r
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def _nu_of(state, adj):
-    nu = getattr(state, "nu", None)
-    if nu is None and adj.n_missing:
-        raise InputError("MNAR computation needs imputation probabilities for missing dyads")
-    return nu
-
-
-def _expected_degrees(adj, state) -> np.ndarray:
-    if adj.fully_observed:
-        return degrees(adj)
-    return degrees(adj, impute=_nu_of(state, adj))
-
-
-# ---------------------------------------------------------------------------
-# M-step updates of psi
-# ---------------------------------------------------------------------------
 
 def update_psi(design: SamplingDesign, event: ObservationEvent, state,
                adj: PartialAdjacency, covariates: Optional[CovariateSet] = None
                ) -> tuple[SamplingDesign, tuple[str, ...]]:
     """Maximize the expected sampling log-likelihood in psi.
 
-    Closed forms everywhere except the logistic designs, which run a damped
-    Newton fit warm-started at the current parameters.  Components with an
-    empty denominator keep their previous value; the returned flags name
-    them for the fit monitoring.
+    Rates have the closed form obs / total; a stratum with no mass
+    keeps its previous rate, and the returned flags name the design for the
+    fit monitoring.  Block-pair rates are symmetrized on undirected networks.
+    The logistic designs run a damped Newton fit warm-started at the current
+    parameters.  The snowball rate is the observed-node proportion: wave
+    labels are not recoverable from the mask (MAR, so theta is unaffected).
     """
-    tag = design.tag
-    r = event.mask
-    n = adj.n
-    flags: tuple[str, ...] = ()
-
-    if tag == "dyad":
-        scale = 1.0 if adj.directed else 0.5
-        return SamplingDesign(tag, np.float64(scale * r.sum() / adj.n_dyads)), flags
-
-    if tag in ("node", "snowball"):
-        # Wave labels are not recoverable from the mask, so the snowball rate
-        # falls back to the observed-node proportion (MAR: theta unaffected).
-        rate = np.float64(event.nodes.sum() / n)
-        return SamplingDesign(tag, rate, waves=design.waves), flags
-
-    if tag == "double-standard":
-        y = adj.filled(0.0) if adj.fully_observed else adj.filled(_nu_of(state, adj))
-        rc = _offdiag_complement(r)
-        # r and rc carry a zero diagonal, so the (1 - y) terms never count self-dyads
-        obs_edge = np.sum(r * y)
-        obs_non = np.sum(r * (1.0 - y))
-        miss_edge = np.sum(rc * y)
-        miss_non = np.sum(rc * (1.0 - y))
-        rho1, rho0 = design.psi
-        if obs_edge + miss_edge > 0:
-            rho1 = obs_edge / (obs_edge + miss_edge)
-        else:
-            flags += ("double-standard: no edge mass, rho1 kept",)
-        if obs_non + miss_non > 0:
-            rho0 = obs_non / (obs_non + miss_non)
-        else:
-            flags += ("double-standard: no non-edge mass, rho0 kept",)
-        return SamplingDesign(tag, np.array([rho1, rho0])), flags
-
-    if tag == "block-dyad":
-        tau = state.tau
-        off = np.ones((n, n)) - np.eye(n)
-        num = tau.T @ r @ tau
-        den = tau.T @ off @ tau
-        psi = np.array(design.psi)
-        psi = np.where(den > 0, np.divide(num, den, out=np.zeros_like(num), where=den > 0), psi)
-        if not adj.directed:
-            psi = 0.5 * (psi + psi.T)
-        psi = np.clip(psi, 0.0, 1.0)
-        if np.any(den <= 0):
-            flags += ("block-dyad: empty block pair, rate kept",)
-        return SamplingDesign(tag, psi), flags
-
-    if tag == "block-node":
-        tau = state.tau
-        v = event.nodes
-        num = tau.T @ v
-        den = tau.sum(axis=0)
-        psi = np.array(design.psi)
-        psi = np.where(den > 0, np.divide(num, den, out=np.zeros_like(num), where=den > 0), psi)
-        psi = np.clip(psi, 0.0, 1.0)
-        if np.any(den <= 0):
-            flags += ("block-node: empty block, rate kept",)
-        return SamplingDesign(tag, psi), flags
-
-    if tag == "covar-dyad":
-        x = transfer_covariates(covariates).dyadic_stack()
-        rows, cols = _canonical_pairs(n, adj.directed)
-        design_mat = np.column_stack([np.ones(rows.size)] + [xk[rows, cols] for xk in x])
-        coef, _ = fit_logistic(design_mat, r[rows, cols], start=design.psi)
-        return SamplingDesign(tag, coef), flags
-
-    if tag == "covar-node":
-        x = covariates.nodal_matrix()
-        design_mat = np.column_stack([np.ones(n), x])
-        coef, _ = fit_logistic(design_mat, event.nodes, start=design.psi)
-        return SamplingDesign(tag, coef), flags
-
-    if tag == "degree":
-        d = _expected_degrees(adj, state)
-        design_mat = np.column_stack([np.ones(n), d])
-        coef, _ = fit_logistic(design_mat, event.nodes, start=design.psi)
-        return SamplingDesign(tag, coef), flags
-
-    raise InputError(f"unknown sampling design {tag!r}")
-
-
-def _canonical_pairs(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
-    if directed:
-        keep = ~np.eye(n, dtype=bool)
-    else:
-        keep = np.triu(np.ones((n, n), dtype=bool), 1)
-    return np.nonzero(keep)
+    if DESIGNS[design.tag].family == "logistic":
+        x, r = _logistic_data(design, event, state, adj, covariates)
+        coef, _ = fit_logistic(x, r, start=design.psi)
+        return replace(design, psi=coef), ()
+    obs, total = _rate_counts(design, event, state, adj)
+    psi = np.divide(obs, total, out=np.array(design.psi), where=total > 0)
+    if psi.ndim == 2 and not adj.directed:
+        psi = 0.5 * (psi + psi.T)
+    psi = np.clip(psi, 0.0, 1.0)   # block sums can round obs past total
+    flags = (f"{design.tag}: stratum without mass, rate kept",) if np.any(total <= 0) else ()
+    return replace(design, psi=psi), flags
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +416,8 @@ def nu_logit_correction(design: SamplingDesign, event: ObservationEvent,
         rho1, rho0 = clamp_prob(design.psi)
         return float(np.log1p(-rho1) - np.log1p(-rho0))
     if tag == "degree":
-        a, b = design.psi
-        d = degrees(adj, impute=nu) if adj.n_missing else degrees(adj)
-        g = logistic(a + b * d)
+        g = logistic(_features(design, adj, nu, None) @ design.psi)
         mi, mj = adj.missing_pairs
         v = event.nodes
-        return b * ((v[mi] - g[mi]) + (v[mj] - g[mj]))
+        return design.psi[1] * ((v[mi] - g[mi]) + (v[mj] - g[mj]))
     return 0.0

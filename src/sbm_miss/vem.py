@@ -43,13 +43,11 @@ from .network import (
 )
 from .sampling import (
     AVAILABLE_SAMPLINGS,
-    MISSINGNESS_CLASS,
+    DESIGNS,
     ObservationEvent,
     SamplingDesign,
-    centering,
     design_df,
     make_default_design,
-    needs_covariates,
     nu_logit_correction,
     sampling_loglik,
     tau_pairwise_logs,
@@ -110,11 +108,6 @@ class VariationalState:
 
     def memberships(self) -> np.ndarray:
         return self.tau.argmax(axis=1)
-
-    def nu_map(self, adj: PartialAdjacency) -> dict[tuple[int, int], float]:
-        if self.nu is None:
-            return {}
-        return dict(zip(adj.missing_dyads(), self.nu.tolist()))
 
 
 @dataclass
@@ -186,7 +179,7 @@ class _Engine:
                  covariates: Optional[CovariateSet], use_cov: bool):
         if tag is not None and tag not in AVAILABLE_SAMPLINGS:
             raise InputError(f"unknown sampling design {tag!r}")
-        if tag is not None and needs_covariates(tag) and covariates is None:
+        if tag is not None and DESIGNS[tag].needs == "covariates" and covariates is None:
             raise InputError(f"{tag} sampling requires covariates")
         if use_cov and covariates is None:
             raise InputError("use_cov requires covariates")
@@ -195,7 +188,7 @@ class _Engine:
         self.n = adj.n
         self.directed = adj.directed
         self.scale = 1.0 if adj.directed else 0.5
-        self.mnar = tag is not None and MISSINGNESS_CLASS[tag] == "MNAR"
+        self.mnar = tag is not None and DESIGNS[tag].mechanism == "MNAR"
         self.event = ObservationEvent.from_adjacency(adj, tag) if tag is not None else \
             ObservationEvent(mask=adj.observed_mask)
         self.r = np.array(adj.observed_mask)
@@ -378,24 +371,18 @@ class _Engine:
         # Degree sampling couples the missing dyads through the expected
         # degrees; accept the fixed-point proposal only if it does not lower
         # the nu-dependent part of the bound.
-        current = self._nu_objective(base, nu, design)
+        current = self._nu_objective(base, tau, nu, design)
         step = 1.0
         for _ in range(6):
             cand = nu + step * (proposed - nu)
-            if self._nu_objective(base, cand, design) >= current - 1e-12:
+            if self._nu_objective(base, tau, cand, design) >= current - 1e-12:
                 return cand
             step *= 0.5
         return nu
 
-    def _nu_objective(self, base, nu, design) -> float:
-        from .network import degrees as _degrees
-
-        a, b = design.psi
-        d = _degrees(self.adj, impute=nu)
-        g = clamp_prob(logistic(a + b * d))
-        v = self.event.nodes
+    def _nu_objective(self, base, tau, nu, design) -> float:
         value = float(base @ nu)
-        value += float(np.sum(v * np.log(g) + (1.0 - v) * np.log1p(-g)))
+        value += sampling_loglik(design, self.event, VariationalState(tau=tau, nu=nu), self.adj)
         value += float(-(xlogy(nu, nu) + xlogy(1.0 - nu, 1.0 - nu)).sum())
         return value
 
@@ -609,12 +596,7 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     try:
         state = eng.initial_state(init, q)
         if start_design is None and tag is not None:
-            n_cov = 0
-            if tag == "covar-node":
-                n_cov = covariates.m_nodal
-            elif tag == "covar-dyad":
-                n_cov = eng.covariates.m
-            start_design = make_default_design(tag, q, n_covariates=n_cov, waves=waves)
+            start_design = make_default_design(tag, q, covariates=covariates, waves=waves)
         params, design, flags = eng.m_step(state, None, start_design)
         current, vexpec, s_ll = eng.elbo_parts(params, design, state)
         monitoring = [MonitorRow(0, current, math.inf, flags)]
@@ -646,7 +628,7 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
 
     if tag is not None:
         k = design_df(design, q, directed=adj.directed)
-        centering_kind = centering(tag)
+        centering_kind = DESIGNS[tag].centering
     else:
         k = 0
         centering_kind = "dyad-centered"
@@ -688,11 +670,8 @@ def fit_from_json(adj: PartialAdjacency, data: dict,
                                beta=np.array(sbm["beta"]), directed=directed)
         design = None
         if data.get("design") is not None:
-            tag = data["design"]["tag"]
-            psi = np.array(data["design"]["psi"], dtype=float)
-            if tag in ("dyad", "node", "snowball"):
-                psi = psi.reshape(-1)[0]
-            design = SamplingDesign(tag, psi, waves=int(data["design"].get("waves", 1)))
+            design = SamplingDesign(data["design"]["tag"], data["design"]["psi"],
+                                    waves=int(data["design"].get("waves", 1)))
         tau = np.array(data["tau"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed fit JSON: {exc}") from None

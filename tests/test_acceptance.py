@@ -273,7 +273,9 @@ def test_covariate_scenarios():
     icl_ok = 0
     psi_exact = True
     for seed in range(20):
-        rng = np.random.default_rng(seed)
+        # x from its own child seed: sample_network(rng_seed=seed) below
+        # starts from the same seed and would draw labels equal to x
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         n = 100
         x = (rng.random(n) < 0.5).astype(float)
         cov = CovariateSet.from_nodal([x])

@@ -116,6 +116,17 @@ def test_input_errors_exit_2(tmp_path):
                "--out", tmp_path / "f.json") == 2
     assert run("observe", "--input", net, "--sampling", "dyad", "--parameters", "zebra",
                "--out", tmp_path / "o.csv") == 2
+    obs = tmp_path / "obs.csv"
+    assert run("observe", "--input", net, "--sampling", "dyad", "--parameters", "0.6",
+               "--seed", 1, "--out", obs) == 0
+    fit = tmp_path / "fit.json"
+    assert run("fit", "--input", obs, "--blocks", "1", "--sampling", "dyad",
+               "--out", fit) == 0
+    data = json.loads(fit.read_text())
+    for psi in ([], [0.3, 0.9], "abc"):
+        data["models"][0]["design"]["psi"] = psi
+        fit.write_text(json.dumps(data))
+        assert run("impute", "--input", obs, "--fit", fit, "--out", tmp_path / "i.csv") == 2
 
 
 def test_numerical_failures_exit_3(tmp_path, monkeypatch):

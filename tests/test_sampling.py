@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
@@ -16,6 +18,7 @@ from sbm_miss import (
     sampling_loglik,
     update_psi,
 )
+from sbm_miss.network import PROB_CLAMP
 from sbm_miss.sampling import MISSINGNESS_CLASS, NODE_CENTERED
 
 from util import adjacency_from_edges, planted_params
@@ -99,6 +102,12 @@ class TestObserveNetworkTrivia:
     def test_block_design_needs_clusters(self):
         with pytest.raises(InputError):
             observe_network(self.adj, SamplingDesign("block-node", [0.5, 0.5]), rng_seed=1)
+
+    def test_block_dyad_rates_symmetric_on_undirected(self):
+        clusters = Partition.from_labels(self.draw.labels, 2)
+        with pytest.raises(InputError):
+            observe_network(self.adj, SamplingDesign("block-dyad", [[0.9, 0.2], [0.5, 0.6]]),
+                            clusters=clusters, rng_seed=1)
 
     def test_covar_design_needs_covariates(self):
         with pytest.raises(InputError):
@@ -326,6 +335,93 @@ class TestSamplingLoglik:
         assert ds == pytest.approx(dy, abs=1e-9)
 
 
+REFERENCE_DESIGNS = [
+    ("dyad", 0.6),
+    ("covar-dyad", [0.2, 1.5]),
+    ("double-standard", [0.8, 0.4]),
+    ("block-dyad", [[0.9, 0.4, 0.2], [0.3, 0.6, 0.5], [0.1, 0.7, 0.8]]),
+    ("node", 0.5),
+    ("snowball", 0.15),
+    ("covar-node", [-0.3, 1.2]),
+    ("block-node", [0.7, 0.3, 0.5]),
+    ("degree", [-1.0, 0.3]),
+]
+
+
+def _reference_loglik(tag, psi, adj, event, tau, nu, x):
+    """E[log p(R)] written as explicit loops over the observation units.
+
+    Dyad-centered designs sum E[R log p + (1 - R) log(1 - p)] over canonical
+    dyads, node-centered ones E[V log g + (1 - V) log(1 - g)] over nodes; the
+    expectation runs over tau (block designs) and over nu (unknown dyad
+    values).  Probabilities are clamped as in the code, and degree sampling
+    plugs in the expected degrees.
+    """
+    def term(obs, p):
+        p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+        return obs * math.log(p) + (1.0 - obs) * math.log1p(-p)
+
+    missing = {d: k for k, d in enumerate(adj.missing_dyads())}
+
+    def edge_mean(i, j):
+        value = adj.entry(i, j)
+        if value is not None:
+            return value
+        return nu[missing[(i, j) if adj.directed or i < j else (j, i)]]
+
+    q = tau.shape[1]
+    total = 0.0
+    if tag in NODE_CENTERED:
+        for i in range(adj.n):
+            v = event.nodes[i]
+            if tag in ("node", "snowball"):
+                total += term(v, psi)
+            elif tag == "block-node":
+                total += sum(tau[i, a] * term(v, psi[a]) for a in range(q))
+            elif tag == "covar-node":
+                total += term(v, logistic(psi[0] + psi[1] * x[i]))
+            else:
+                d = sum(edge_mean(i, j) for j in range(adj.n) if j != i)
+                total += term(v, logistic(psi[0] + psi[1] * d))
+        return total
+    for i, j in adj.dyads():
+        r = event.mask[i, j]
+        if tag == "dyad":
+            total += term(r, psi)
+        elif tag == "covar-dyad":
+            total += term(r, logistic(psi[0] - psi[1] * abs(x[i] - x[j])))
+        elif tag == "double-standard":
+            y = edge_mean(i, j)
+            total += y * term(r, psi[0]) + (1.0 - y) * term(r, psi[1])
+        else:
+            total += sum(tau[i, a] * tau[j, b] * term(r, psi[a][b])
+                         for a in range(q) for b in range(q))
+    return total
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("tag,psi", REFERENCE_DESIGNS)
+def test_sampling_loglik_matches_unit_loops(tag, psi, directed):
+    n = 12
+    rng = np.random.default_rng(31)
+    adj, draw = sample_network(planted_params(3, 0.4, 0.05, directed=directed), n, rng_seed=32)
+    x = rng.normal(size=n)
+    cov = CovariateSet.from_nodal([x])
+    if tag == "block-dyad" and not directed:
+        psi = (np.array(psi) + np.array(psi).T) / 2
+    design = SamplingDesign(tag, psi, waves=2 if tag == "snowball" else 1)
+    out = observe_network(adj, design, clusters=Partition.from_labels(draw.labels, 3),
+                          covariates=cov, rng_seed=33)
+    assert out.n_missing > 0
+    event = ObservationEvent.from_adjacency(out, tag)
+    tau = rng.dirichlet(np.ones(3), size=n)
+    nu = rng.uniform(size=out.n_missing)
+    state = VariationalState(tau=tau, nu=nu)
+    value = sampling_loglik(design, event, state, out, cov)
+    expected = _reference_loglik(tag, np.array(psi).tolist(), out, event, tau, nu, x)
+    assert value == pytest.approx(expected, rel=1e-10)
+
+
 class TestUpdatePsi:
     def test_dyad_empirical_proportion(self):
         adj, _ = sample_network(planted_params(2, 0.6, 0.1), 10, rng_seed=19)
@@ -370,6 +466,7 @@ class TestUpdatePsi:
         ("double-standard", [0.6, 0.4], None),
         ("block-dyad", np.full((2, 2), 0.5), "clusters"),
         ("block-node", [0.5, 0.5], "clusters"),
+        ("snowball", 0.5, None),
     ])
     def test_update_is_a_maximizer(self, tag, psi, needs):
         adj, draw = sample_network(planted_params(2, 0.6, 0.15), 24, rng_seed=23)
@@ -423,8 +520,12 @@ def test_design_validation():
     with pytest.raises(InputError):
         SamplingDesign("dyad", 1.5)
     with pytest.raises(InputError):
+        SamplingDesign("dyad", [0.5, 0.6])
+    with pytest.raises(InputError):
         SamplingDesign("double-standard", [0.5])
     with pytest.raises(InputError):
         SamplingDesign("unknown", 0.5)
     with pytest.raises(InputError):
         SamplingDesign("snowball", 0.5, waves=0)
+    with pytest.raises(InputError):
+        SamplingDesign("node", 0.5, waves=2)

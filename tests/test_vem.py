@@ -135,7 +135,7 @@ class TestVeSafeguard:
         else:
             params = planted_params(q, 0.6, 0.1, directed=directed)
         adj, draw = sample_network(params, n, covariates=cov, rng_seed=1)
-        design = make_default_design(tag, q, n_covariates=1)
+        design = make_default_design(tag, q, covariates=cov)
         if tag == "block-dyad":
             psi = rng.uniform(0.3, 0.9, size=(q, q))
             design = SamplingDesign(tag, psi if directed else 0.5 * (psi + psi.T))
@@ -443,16 +443,34 @@ class TestImpute:
         r = observed.observed_mask.astype(bool)
         np.testing.assert_array_equal(out[r], observed.filled(0.0)[r])
 
-    def test_fit_json_round_trip_reproduces_imputation(self):
-        adj, _ = sample_network(planted_params(2, 0.7, 0.15), 30, rng_seed=57)
-        observed = observe_network(adj, SamplingDesign("double-standard", [0.9, 0.5]), rng_seed=58)
-        fit = fit_single(observed, 2, "double-standard",
+    ROUND_TRIP_PSI = {
+        "dyad": 0.7,
+        "covar-dyad": [0.5, 2.0],
+        "double-standard": [0.9, 0.5],
+        "block-dyad": [[0.9, 0.5], [0.5, 0.7]],
+        "node": 0.6,
+        "snowball": 0.3,
+        "covar-node": [0.0, 1.5],
+        "block-node": [0.9, 0.5],
+        "degree": [-1.0, 0.3],
+    }
+
+    @pytest.mark.parametrize("tag", ROUND_TRIP_PSI)
+    def test_fit_json_round_trip_reproduces_imputation(self, tag):
+        psi = self.ROUND_TRIP_PSI[tag]
+        adj, draw = sample_network(planted_params(2, 0.7, 0.15), 30, rng_seed=57)
+        clusters = Partition.from_labels(draw.labels, 2)
+        cov = CovariateSet.from_nodal([(np.arange(30) % 2).astype(float)])
+        observed = observe_network(adj, SamplingDesign(tag, psi), clusters=clusters,
+                                   covariates=cov, rng_seed=58)
+        fit = fit_single(observed, 2, tag, covariates=cov,
                          control=ControlOptions(rng_seed=59, threshold=1e-6, max_iter=200))
-        rebuilt = fit_from_json(observed, json.loads(json.dumps(fit.to_json())))
+        rebuilt = fit_from_json(observed, json.loads(json.dumps(fit.to_json())), covariates=cov)
         # stored nu predates the final M step; the rebuild sits at the exact
         # fixed point of the final parameters, so they agree to threshold order
         np.testing.assert_allclose(impute(rebuilt), impute(fit), atol=1e-4)
         np.testing.assert_array_equal(rebuilt.state.tau, fit.state.tau)
+        np.testing.assert_array_equal(rebuilt.design.psi, fit.design.psi)
 
 
 def test_monitoring_and_traces_align():
