@@ -336,14 +336,7 @@ def _cmd_eval_auc(args):
 
 
 def _cmd_sweep_auc(args):
-    if args.params:
-        params = SbmParams.from_json(json.loads(Path(args.params).read_text()))
-    else:
-        q = args.blocks
-        alpha = (np.array([float(t) for t in args.alpha.split(",")])
-                 if args.alpha else np.full(q, 1.0 / q))
-        pi = np.full((q, q), args.pi_between) + (args.pi_within - args.pi_between) * np.eye(q)
-        params = SbmParams(alpha=alpha, pi=pi)
+    params = _generator_params(args)
     spec = ExperimentSpec(
         params=params, n_nodes=args.nodes, design=args.sampling,
         rate_range=(args.rate_min, args.rate_max), fit_blocks=params.q,

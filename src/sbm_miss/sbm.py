@@ -5,6 +5,16 @@ alpha, and a dyad between blocks (q, l) is an edge with probability pi[q, l].
 Covariate variant: the edge probability becomes
 logistic(gamma[q, l] + beta . x_ij), so blocks describe the connectivity
 heterogeneity left over once the covariate effect is removed.
+
+Every covariate computation runs through one block-pair kernel.  With
+eta_ab = gamma_ab + beta . x and the identity
+y log sigma(eta) + (1 - y) log sigma(-eta) = y eta + log sigma(-eta), the
+expected dyad log-likelihood under weights w and memberships tau is
+
+    gamma : tau' (w * y) tau  +  sum(w * y * beta . x)
+          + sum_ab tau_a' (w * log sigma(-eta_ab)) tau_b,
+
+so only the last term needs an n x n pass per block pair.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import log_expit
+from scipy.special import expit, log_expit
 
 from .errors import InputError, NumericalError
 from .network import (
@@ -104,12 +114,15 @@ class SbmParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "SbmParams":
+        """Read what to_json writes, or the sbm object of a fit JSON: the
+        variant is plain exactly when "pi" is present."""
         try:
-            if data.get("variant", "plain") == "plain":
+            directed = bool(data.get("directed", False))
+            if "pi" in data:
                 return cls(alpha=np.array(data["alpha"]), pi=np.array(data["pi"]),
-                           directed=bool(data.get("directed", False)))
+                           directed=directed)
             return cls(alpha=np.array(data["alpha"]), gamma=np.array(data["gamma"]),
-                       beta=np.array(data["beta"]), directed=bool(data.get("directed", False)))
+                       beta=np.array(data["beta"]), directed=directed)
         except KeyError as exc:
             raise InputError(f"SBM parameter object misses field {exc}") from None
 
@@ -173,6 +186,40 @@ def _dyad_weight(adj: PartialAdjacency, state) -> tuple[np.ndarray, np.ndarray, 
     return w, y, scale
 
 
+def _block_pair_etas(gamma: np.ndarray, c: np.ndarray):
+    """Yield (a, b, eta) with eta = gamma[a, b] + c for every block pair.
+
+    eta is one n x n buffer, refilled for each pair; the caller may overwrite
+    it between pairs.  This is the only loop over block pairs of n x n arrays.
+    """
+    q = gamma.shape[0]
+    eta = np.empty_like(c)
+    for a in range(q):
+        for b in range(q):
+            np.add(gamma[a, b], c, out=eta)
+            yield a, b, eta
+
+
+def _log_sigmoid_kernels(gamma: np.ndarray, c: np.ndarray, w: np.ndarray):
+    """Yield (a, b, w * log sigma(-eta_ab)) for every block pair, in the
+    reused buffer of :func:`_block_pair_etas`."""
+    for a, b, eta in _block_pair_etas(gamma, c):
+        np.negative(eta, out=eta)
+        log_expit(eta, out=eta)
+        eta *= w
+        yield a, b, eta
+
+
+def _covariate_dyad_loglik(gamma, c, w, y, tau) -> float:
+    """sum_ij w_ij sum_ab tau_ia tau_jb log p(y_ij | eta_ab,ij) over ordered
+    pairs, by the kernel identity of the module docstring."""
+    wy = w * y
+    total = float(np.sum(gamma * (tau.T @ wy @ tau))) + float(np.sum(wy * c))
+    for a, b, kernel in _log_sigmoid_kernels(gamma, c, w):
+        total += float(tau[:, a] @ kernel @ tau[:, b])
+    return total
+
+
 def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
                         covariates: Optional[CovariateSet] = None) -> float:
     """Variational expectation of the complete-data SBM log-likelihood.
@@ -194,11 +241,7 @@ def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
         total += scale * float(np.sum(w * (y * s1 + (1.0 - y) * s0)))
     else:
         c = dyad_covariate_effect(params, covariates)
-        for qi in range(params.q):
-            for li in range(params.q):
-                eta = params.gamma[qi, li] + c
-                wql = np.outer(tau[:, qi], tau[:, li]) * w
-                total += scale * float(np.sum(wql * (y * log_expit(eta) + (1.0 - y) * log_expit(-eta))))
+        total += scale * _covariate_dyad_loglik(params.gamma, c, w, y, tau)
     return total
 
 
@@ -211,9 +254,8 @@ def predict_probabilities(params: SbmParams, state,
     else:
         c = dyad_covariate_effect(params, covariates)
         out = np.zeros_like(c)
-        for qi in range(params.q):
-            for li in range(params.q):
-                out += np.outer(tau[:, qi], tau[:, li]) * logistic(params.gamma[qi, li] + c)
+        for a, b, eta in _block_pair_etas(params.gamma, c):
+            out += np.outer(tau[:, a], tau[:, b]) * expit(eta, out=eta)
     np.fill_diagonal(out, np.nan)
     return out
 
@@ -311,67 +353,47 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state,
     Returns the updated (gamma, beta).
     """
     tau = state.tau
-    n, q = tau.shape
+    q = tau.shape[1]
     w, y, _ = _dyad_weight(adj, state)
     x = transfer_covariates(covariates).dyadic_stack()
     m = x.shape[0]
-    if adj.directed:
-        gamma_index = [(a, b) for a in range(q) for b in range(q)]
-    else:
-        gamma_index = [(a, b) for a in range(q) for b in range(a, q)]
-    pos = {pair: idx for idx, pair in enumerate(gamma_index)}
-    n_gamma = len(gamma_index)
-    p = n_gamma + m
-
-    if start is None:
-        gamma0 = np.zeros((q, q))
-        beta0 = np.zeros(m)
-    else:
-        gamma0, beta0 = np.array(start[0]), np.array(start[1])
-    theta = np.concatenate([[gamma0[a, b] for a, b in gamma_index], beta0])
-    x_cols = x.reshape(m, -1).T  # (n*n, m)
-    w_flat_mask = w.reshape(-1)
-    y_flat = y.reshape(-1)
+    x_rows = x.reshape(m, -1)
+    # theta = (free intercepts, beta); row a * q + b of pool picks the free
+    # intercept of block pair (a, b), which (b, a) shares when undirected
+    keys = np.arange(q * q).reshape(q, q)
+    if not adj.directed:
+        keys = np.minimum(keys, keys.T)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    n_gamma = first.size
+    pool = np.eye(n_gamma)[inverse.reshape(-1)]
+    gamma0, beta0 = (np.zeros((q, q)), np.zeros(m)) if start is None else start
+    theta = np.concatenate([np.ravel(gamma0)[first], beta0])
 
     def unpack(vec):
-        gamma = np.zeros((q, q))
-        for idx, (a, b) in enumerate(gamma_index):
-            gamma[a, b] = vec[idx]
-            if not adj.directed:
-                gamma[b, a] = vec[idx]
-        return gamma, vec[n_gamma:]
+        return (pool @ vec[:n_gamma]).reshape(q, q), vec[n_gamma:]
 
     def objective(vec):
         gamma, beta = unpack(vec)
-        c = np.tensordot(beta, x, axes=1)
-        total = 0.0
-        for a in range(q):
-            for b in range(q):
-                eta = gamma[a, b] + c
-                wab = np.outer(tau[:, a], tau[:, b]) * w
-                total += float(np.sum(wab * (y * log_expit(eta) + (1.0 - y) * log_expit(-eta))))
-        return total
+        return _covariate_dyad_loglik(gamma, np.tensordot(beta, x, axes=1), w, y, tau)
 
     current = objective(theta)
     for _ in range(max_iter):
         gamma, beta = unpack(theta)
-        c = np.tensordot(beta, x, axes=1)
-        grad = np.zeros(p)
-        hess = np.zeros((p, p))
-        for a in range(q):
-            for b in range(q):
-                idx = pos[(a, b)] if (a, b) in pos else pos[(b, a)]
-                mu = logistic(gamma[a, b] + c)
-                wab = np.outer(tau[:, a], tau[:, b]) * w
-                resid = (wab * (y - mu)).reshape(-1)
-                curv = (wab * mu * (1.0 - mu)).reshape(-1)
-                grad[idx] += resid.sum()
-                grad[n_gamma:] += x_cols.T @ resid
-                hess[idx, idx] += curv.sum()
-                cross = x_cols.T @ curv
-                hess[idx, n_gamma:] += cross
-                hess[n_gamma:, idx] += cross
-                hess[n_gamma:, n_gamma:] += (x_cols * curv[:, None]).T @ x_cols
+        # residuals and curvatures weighted by tau_a tau_b' * w per block
+        # pair; the beta terms apply x once, to their sums over pairs
+        resid, curv, per_pair = np.zeros_like(w), np.zeros_like(w), []
+        for a, b, eta in _block_pair_etas(gamma, np.tensordot(beta, x, axes=1)):
+            mu = logistic(eta)
+            wab = np.outer(tau[:, a], tau[:, b]) * w
+            resid_ab = wab * (y - mu)
+            curv_ab = wab * mu * (1.0 - mu)
+            resid += resid_ab
+            curv += curv_ab
+            per_pair.append([resid_ab.sum(), curv_ab.sum(), *(x_rows @ curv_ab.reshape(-1))])
+        per_gamma = pool.T @ np.array(per_pair)   # columns: gradient, curvature, cross terms
+        grad = np.concatenate([per_gamma[:, 0], x_rows @ resid.reshape(-1)])
+        hess = np.block([[np.diag(per_gamma[:, 1]), per_gamma[:, 2:]],
+                         [per_gamma[:, 2:].T, (x_rows * curv.reshape(-1)) @ x_rows.T]])
         hess[np.diag_indices_from(hess)] += 1e-10
         try:
             step = np.linalg.solve(hess, grad)
@@ -380,19 +402,16 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state,
         if not np.isfinite(step).all():
             raise NumericalError("non-finite Newton step in covariate connectivity fit")
         scale_step = 1.0
-        accepted = current
         for _ in range(20):
             cand = theta + scale_step * step
             value = objective(cand)
             if value >= current - 1e-12:
-                accepted = value
                 break
             scale_step *= 0.5
         else:
             break
         moved = np.max(np.abs(scale_step * step))
-        theta, current = cand, accepted
+        theta, current = cand, value
         if moved < 1e-8:
             break
-    gamma, beta = unpack(theta)
-    return gamma, beta
+    return unpack(theta)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import log_expit, xlogy
+from scipy.special import xlogy
 
 from .errors import InputError, NumericalError
 from .network import (
@@ -56,6 +56,7 @@ from .sampling import (
 )
 from .sbm import (
     SbmParams,
+    _log_sigmoid_kernels,
     dyad_covariate_effect,
     expected_loglik_sbm,
     fit_covariate_connectivity,
@@ -66,6 +67,7 @@ from .sbm import (
 
 INIT_SOFTENING = 1e-3
 ELBO_SLACK = 1e-8
+ICL_TIE_TOL = 1e-10     # relative ICL gain an exploration candidate must beat
 VE_MAX_HALVINGS = 10    # step lengths tried by the VE safeguard: 1, 1/2, ..., 1/512
 VE_GAIN_SLACK = 1e-12   # rounding allowance on the gain of one VE round
 
@@ -333,14 +335,9 @@ class _Engine:
             # kernel of block pair (a, b): w * log sigma(-gamma_ab - beta.x);
             # with the y * gamma term it gives the logistic dyad term up to
             # y * beta.x, which does not depend on tau
-            kernel = np.empty_like(cov_effect)
-            for a in range(params.q):
-                for b in range(params.q):
-                    np.subtract(-params.gamma[a, b], cov_effect, out=kernel)
-                    log_expit(kernel, out=kernel)
-                    kernel *= self.w
-                    out[:, a] += self.scale * (kernel @ t[:, b])
-                    out[:, b] += self.scale * (kernel.T @ t[:, a])
+            for a, b, kernel in _log_sigmoid_kernels(params.gamma, cov_effect, self.w):
+                out[:, a] += self.scale * (kernel @ t[:, b])
+                out[:, b] += self.scale * (kernel.T @ t[:, a])
         return out
 
     @staticmethod
@@ -658,16 +655,9 @@ def fit_from_json(adj: PartialAdjacency, data: dict,
     recomputed at their fixed point given the stored tau and parameters.
     """
     try:
-        sbm = dict(data["sbm"])
         q = int(data["Q"])
-        directed = bool(data.get("directed", False))
         use_cov = bool(data.get("use_cov", False))
-        if "pi" in sbm:
-            params = SbmParams(alpha=np.array(sbm["alpha"]), pi=np.array(sbm["pi"]),
-                               directed=directed)
-        else:
-            params = SbmParams(alpha=np.array(sbm["alpha"]), gamma=np.array(sbm["gamma"]),
-                               beta=np.array(sbm["beta"]), directed=directed)
+        params = SbmParams.from_json({**data["sbm"], "directed": bool(data.get("directed", False))})
         design = None
         if data.get("design") is not None:
             design = SamplingDesign(data["design"]["tag"], data["design"]["psi"],
@@ -790,7 +780,9 @@ def explore(collection: FitCollection, direction: str,
     Forward walks the block counts upward, refitting each from every
     single-block split of its (Q-1)-neighbor; backward walks downward with
     every pairwise merge of the (Q+1)-neighbor, closest connectivity rows
-    first.  The best ICL always wins, so no entry can get worse.
+    first.  A candidate replaces the entry only if its ICL is lower by more
+    than ICL_TIE_TOL relative, so no entry can get worse and rounding-level
+    ties keep the current fit.
     """
     control = control or collection.control
     if direction not in ("forward", "backward"):
@@ -805,12 +797,15 @@ def explore(collection: FitCollection, direction: str,
         base = models[neighbor]
         candidates = (_split_candidates(base, q, control) if direction == "forward"
                       else _merge_candidates(base, q))
+        design = models[q].design
         for labels in candidates:
             candidate = fit_single(collection.adj, q, collection.sampling,
                                    covariates=collection.covariates,
                                    init=Partition(labels=labels, q=q),
-                                   control=control)
-            if candidate.icl < models[q].icl:
+                                   control=control,
+                                   waves=design.waves if design is not None else 1)
+            # an ICL lower only by rounding (say, a relabelled copy) is a tie
+            if candidate.icl < models[q].icl - ICL_TIE_TOL * abs(models[q].icl):
                 models[q] = candidate
     return FitCollection(models=[models[q] for q in qs], adj=collection.adj,
                          sampling=collection.sampling, covariates=collection.covariates,

@@ -8,9 +8,11 @@ their wall-clock budget.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,9 +354,14 @@ def test_runtime_bound():
 
 def test_cli_determinism(tmp_path):
     """Byte-identical outputs across repeated runs and worker counts."""
+    # the package runs from the source tree, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(*args):
         proc = subprocess.run([sys.executable, "-m", "sbm_miss", *map(str, args)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc
 

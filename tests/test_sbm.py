@@ -4,15 +4,19 @@ import pytest
 from sbm_miss import (
     CovariateSet,
     InputError,
+    SamplingDesign,
     SbmParams,
     VariationalState,
     ari,
     expected_loglik_sbm,
     logistic,
+    observe_network,
     predict_probabilities,
     sample_network,
     spectral_init,
 )
+from sbm_miss.network import fit_logistic
+from sbm_miss.sbm import fit_covariate_connectivity
 
 from util import adjacency_from_edges, planted_params
 
@@ -31,6 +35,39 @@ def counting_loglik(adj, labels, alpha, pi):
         p = pi[labels[i], labels[j]]
         total += np.log(p) if y else np.log(1.0 - p)
     return total
+
+
+def covariate_case(directed, mnar, n=12, q=3, seed=0):
+    """Partially observed covariate-SBM network with two dyadic covariates, a
+    diffuse tau and, for an MNAR state, random imputation means nu."""
+    rng = np.random.default_rng([seed, directed, mnar])
+    x = rng.normal(size=(2, n, n))
+    if not directed:
+        x = 0.5 * (x + x.transpose(0, 2, 1))
+    cov = CovariateSet.from_dyadic(list(x))
+    gamma = rng.normal(size=(q, q))
+    gamma = gamma if directed else 0.5 * (gamma + gamma.T)
+    params = SbmParams(alpha=rng.dirichlet(np.ones(q)), gamma=gamma,
+                       beta=np.array([0.8, -0.6]), directed=directed)
+    adj, _ = sample_network(params, n, covariates=cov, rng_seed=seed)
+    observed = observe_network(adj, SamplingDesign("dyad", 0.7), rng_seed=seed + 1)
+    nu = rng.random(observed.n_missing) if mnar else None
+    state = VariationalState(tau=rng.dirichlet(np.ones(q), size=n), nu=nu)
+    return observed, cov, x, params, state
+
+
+def dyad_values(adj, state):
+    """{dyad: value} over the dyads in play: observed ones, plus the missing
+    ones at their imputation means when the state carries them."""
+    values = {d: adj.entry(*d) for d in adj.dyads() if adj.entry(*d) is not None}
+    if state.nu is not None:
+        values.update(zip(adj.missing_dyads(), state.nu))
+    return values
+
+
+COVARIATE_CASES = [(d, m) for d in (False, True) for m in (False, True)]
+COVARIATE_IDS = [f"{'directed' if d else 'undirected'}-{'mnar' if m else 'mar'}"
+                 for d, m in COVARIATE_CASES]
 
 
 class TestSampleNetwork:
@@ -158,6 +195,19 @@ class TestExpectedLoglik:
             VariationalState(tau=tau[:, perm]))
         assert value == pytest.approx(permuted, abs=1e-9)
 
+    @pytest.mark.parametrize("directed,mnar", COVARIATE_CASES, ids=COVARIATE_IDS)
+    def test_covariate_variant_matches_dyad_loop(self, directed, mnar):
+        adj, cov, x, params, state = covariate_case(directed, mnar)
+        tau, q = state.tau, params.q
+        oracle = float(np.sum(tau @ np.log(params.alpha)))
+        for (i, j), y in dyad_values(adj, state).items():
+            for a in range(q):
+                for b in range(q):
+                    p = logistic(params.gamma[a, b] + params.beta @ x[:, i, j])
+                    oracle += tau[i, a] * tau[j, b] * (y * np.log(p) + (1 - y) * np.log(1 - p))
+        value = expected_loglik_sbm(params, adj, state, cov)
+        assert value == pytest.approx(oracle, rel=1e-12)
+
 
 class TestPredictProbabilities:
     def test_hard_tau_looks_up_pi(self):
@@ -195,6 +245,49 @@ class TestPredictProbabilities:
         off = ~np.eye(10, dtype=bool)
         assert np.all(out[off] >= 0) and np.all(out[off] <= 1)
         np.testing.assert_allclose(out[off], out.T[off])
+
+    @pytest.mark.parametrize("directed,mnar", COVARIATE_CASES, ids=COVARIATE_IDS)
+    def test_covariate_variant_matches_loop(self, directed, mnar):
+        adj, cov, x, params, state = covariate_case(directed, mnar)
+        tau, q, n = state.tau, params.q, adj.n
+        oracle = np.full((n, n), np.nan)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    oracle[i, j] = sum(tau[i, a] * tau[j, b]
+                                       * logistic(params.gamma[a, b] + params.beta @ x[:, i, j])
+                                       for a in range(q) for b in range(q))
+        np.testing.assert_allclose(predict_probabilities(params, state, cov), oracle,
+                                   rtol=1e-13, atol=0)
+
+
+class TestFitCovariateConnectivity:
+    @pytest.mark.parametrize("directed,mnar", COVARIATE_CASES, ids=COVARIATE_IDS)
+    def test_matches_logistic_fit_on_expanded_data(self, directed, mnar):
+        # each dyad (i, j) becomes one row per block pair (a, b) with weight
+        # tau_ia tau_jb: one indicator column per intercept gamma_ab (shared
+        # by (a, b) and (b, a) when undirected) plus the covariates x_ij
+        adj, cov, x, params, state = covariate_case(directed, mnar)
+        tau, q = state.tau, params.q
+        pairs = [(a, b) for a in range(q) for b in range(q) if directed or a <= b]
+        column = {pair: k for k, pair in enumerate(pairs)}
+        rows, ys, weights = [], [], []
+        for (i, j), y in dyad_values(adj, state).items():
+            for a in range(q):
+                for b in range(q):
+                    onehot = np.zeros(len(pairs))
+                    onehot[column.get((a, b), column.get((b, a)))] = 1.0
+                    # an undirected dyad enters the objective in both orientations
+                    for u, v in ((i, j),) if directed else ((i, j), (j, i)):
+                        rows.append(np.concatenate([onehot, x[:, u, v]]))
+                        ys.append(y)
+                        weights.append(tau[u, a] * tau[v, b])
+        coef, _ = fit_logistic(np.array(rows), np.array(ys), weights=np.array(weights))
+        gamma, beta = fit_covariate_connectivity(adj, state, cov)
+        expected_gamma = np.array([[coef[column.get((a, b), column.get((b, a)))]
+                                    for b in range(q)] for a in range(q)])
+        np.testing.assert_allclose(gamma, expected_gamma, atol=1e-6)
+        np.testing.assert_allclose(beta, coef[len(pairs):], atol=1e-6)
 
 
 class TestSpectralInit:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -30,8 +31,9 @@ from sbm_miss import (
     spectral_init,
     ve_step,
 )
+from sbm_miss import vem
 from sbm_miss.sampling import make_default_design
-from sbm_miss.vem import _Engine, fit_from_json
+from sbm_miss.vem import ICL_TIE_TOL, _Engine, fit_from_json
 
 from util import adjacency_from_edges, elbo_is_monotone, planted_params
 
@@ -418,6 +420,29 @@ class TestEstimateAndExplore:
         finals = [fit.elbo for fit in coll.models]
         assert all(b >= a - 1e-6 for a, b in zip(finals, finals[1:]))
 
+    def test_exploration_keeps_snowball_waves(self):
+        adj, _ = sample_network(planted_params(3, 0.5, 0.05), 45, rng_seed=9)
+        observed = observe_network(adj, SamplingDesign("snowball", 0.2, waves=2),
+                                   rng_seed=10)
+        coll = estimate_miss_sbm(observed, [1, 2, 3, 4], "snowball", waves=2,
+                                 control=ControlOptions(rng_seed=11))
+        assert [fit.design.waves for fit in coll.models] == [2] * 4
+
+    def test_rounding_level_icl_gain_is_a_tie(self, monkeypatch):
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=62)
+        control = ControlOptions(rng_seed=63, exploration="none")
+        coll = estimate_miss_sbm(adj, [1, 2], "dyad", control=control)
+        current = coll.model_for(2)
+        relabelled = fit_single(adj, 2, "dyad", control=control,
+                                init=Partition(labels=1 - current.memberships, q=2))
+        assert ari(relabelled.memberships, current.memberships) == 1.0
+        for gain, accepted in ((4 * np.spacing(abs(current.icl)), False),
+                               (10 * ICL_TIE_TOL * abs(current.icl), True)):
+            candidate = dataclasses.replace(relabelled, icl=current.icl - gain)
+            monkeypatch.setattr(vem, "fit_single", lambda *args, **kwargs: candidate)
+            kept = explore(coll, "forward", control).model_for(2)
+            assert kept is (candidate if accepted else current)
+
 
 class TestImpute:
     def test_fully_observed_identity(self):
@@ -455,8 +480,12 @@ class TestImpute:
         "degree": [-1.0, 0.3],
     }
 
-    @pytest.mark.parametrize("tag", ROUND_TRIP_PSI)
-    def test_fit_json_round_trip_reproduces_imputation(self, tag):
+    ROUND_TRIP_CASES = [(tag, False) for tag in ROUND_TRIP_PSI] + [("covar-node", True)]
+
+    @pytest.mark.parametrize("tag,use_cov", ROUND_TRIP_CASES,
+                             ids=[tag + ("-use_cov" if use_cov else "")
+                                  for tag, use_cov in ROUND_TRIP_CASES])
+    def test_fit_json_round_trip_reproduces_imputation(self, tag, use_cov):
         psi = self.ROUND_TRIP_PSI[tag]
         adj, draw = sample_network(planted_params(2, 0.7, 0.15), 30, rng_seed=57)
         clusters = Partition.from_labels(draw.labels, 2)
@@ -464,13 +493,15 @@ class TestImpute:
         observed = observe_network(adj, SamplingDesign(tag, psi), clusters=clusters,
                                    covariates=cov, rng_seed=58)
         fit = fit_single(observed, 2, tag, covariates=cov,
-                         control=ControlOptions(rng_seed=59, threshold=1e-6, max_iter=200))
+                         control=ControlOptions(rng_seed=59, threshold=1e-6, max_iter=200,
+                                                use_cov=use_cov))
         rebuilt = fit_from_json(observed, json.loads(json.dumps(fit.to_json())), covariates=cov)
         # stored nu predates the final M step; the rebuild sits at the exact
         # fixed point of the final parameters, so they agree to threshold order
         np.testing.assert_allclose(impute(rebuilt), impute(fit), atol=1e-4)
         np.testing.assert_array_equal(rebuilt.state.tau, fit.state.tau)
         np.testing.assert_array_equal(rebuilt.design.psi, fit.design.psi)
+        np.testing.assert_array_equal(rebuilt.params.connectivity, fit.params.connectivity)
 
 
 def test_monitoring_and_traces_align():
