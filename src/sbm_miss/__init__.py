@@ -18,7 +18,6 @@ from .network import (
 )
 from .sampling import (
     AVAILABLE_SAMPLINGS,
-    ObservationEvent,
     SamplingDesign,
     design_df,
     observe_network,
@@ -53,7 +52,6 @@ __all__ = [
     "InputError",
     "MembershipDraw",
     "NumericalError",
-    "ObservationEvent",
     "PartialAdjacency",
     "Partition",
     "SamplingDesign",

@@ -234,7 +234,7 @@ def _control(args) -> ControlOptions:
 
 def _generator_params(args) -> SbmParams:
     if args.params:
-        return SbmParams.from_json(json.loads(Path(args.params).read_text()))
+        return SbmParams.from_json(io.read_json(args.params))
     if args.blocks is None:
         raise InputError("provide --params or --blocks with --pi-within/--pi-between")
     q = args.blocks
@@ -301,10 +301,12 @@ def _cmd_fit(args):
 def _cmd_impute(args):
     adj = _load_network(args)
     covariates = _load_covariates(args)
-    data = json.loads(Path(args.fit).read_text())
-    if "models" in data:
-        best_q = data["bestQ"]
-        data = next(m for m in data["models"] if m["Q"] == best_q)
+    data = io.read_json(args.fit)
+    if isinstance(data, dict) and isinstance(data.get("models"), list):
+        best = [m for m in data["models"] if isinstance(m, dict) and m.get("Q") == data.get("bestQ")]
+        if not best:
+            raise InputError(f"{args.fit}: bestQ names no model of the collection")
+        data = best[0]
     fit = fit_from_json(adj, data, covariates=covariates)
     io.write_float_matrix(args.out, impute(fit))
 

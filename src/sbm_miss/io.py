@@ -9,6 +9,7 @@ requested.  Real numbers are always written with 17 significant digits.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -235,8 +236,19 @@ def write_float_matrix(path, matrix: np.ndarray) -> None:
 
 
 def read_float_matrix(path) -> np.ndarray:
-    rows = [[float(t) for t in line.split(",")] for line in Path(path).read_text().strip().splitlines()]
-    return np.array(rows, dtype=float)
+    lines = Path(path).read_text().strip().splitlines()
+    try:
+        return np.array([[float(t) for t in line.split(",")] for line in lines], dtype=float)
+    except ValueError:
+        raise InputError(f"{path}: expected rows of real numbers, all of one length") from None
+
+
+def read_json(path):
+    """Parsed contents of a JSON file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc})") from None
 
 
 def write_csv_rows(path, fieldnames, rows) -> None:

@@ -41,6 +41,33 @@ def clamp_prob(p):
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
+def rate_loglik(obs, total, rate) -> float:
+    """Bernoulli log-likelihood of per-stratum rates from expected counts:
+    sum(obs log rate + (total - obs) log(1 - rate)), rates clamped."""
+    rate = clamp_prob(rate)
+    return float(np.sum(obs * np.log(rate) + (total - obs) * np.log1p(-rate)))
+
+
+def rate_update(obs, total, prev, directed: bool) -> tuple[np.ndarray, bool]:
+    """Maximizer obs / total of :func:`rate_loglik`, and whether a stratum
+    without mass kept its rate from ``prev``.
+
+    Q x Q rates are symmetrized on undirected networks, and every rate is
+    clipped to [0, 1], since sums over blocks can round obs past total.
+    """
+    rate = np.divide(obs, total, out=np.array(prev, dtype=float), where=total > 0)
+    if rate.ndim == 2 and not directed:
+        rate = 0.5 * (rate + rate.T)
+    return np.clip(rate, 0.0, 1.0), bool(np.any(total <= 0))
+
+
+def pair_mass(tau) -> np.ndarray:
+    """tau' (1 - I) tau, the block-pair mass of all ordered pairs of distinct
+    nodes, as s s' - tau' tau with s the column sums of tau."""
+    s = tau.sum(axis=0)
+    return np.outer(s, s) - tau.T @ tau
+
+
 def safe_log(p):
     """log of a probability, clamped so degenerate 0/1 values stay finite."""
     return np.log(clamp_prob(p))
@@ -153,6 +180,19 @@ class PartialAdjacency:
         return r
 
     @cached_property
+    def observed_nodes(self) -> np.ndarray:
+        """V: 1 for a node whose dyads are all observed (its row, and on
+        directed networks its column as well), 0 otherwise."""
+        nan = np.isnan(self._matrix)
+        np.fill_diagonal(nan, False)
+        full = ~nan.any(axis=1)
+        if self.directed:
+            full &= ~nan.any(axis=0)
+        v = full.astype(float)
+        v.flags.writeable = False
+        return v
+
+    @cached_property
     def missing_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (rows, cols) of missing dyads in canonical order."""
         nan = np.isnan(self._matrix)
@@ -180,15 +220,16 @@ class PartialAdjacency:
     def fully_observed(self) -> bool:
         return self.n_missing == 0
 
+    @cached_property
+    def n_edges(self) -> float:
+        """Number of observed dyads with value 1."""
+        edges = float(np.nansum(self._matrix))
+        return edges if self.directed else edges / 2
+
     @property
     def observed_density(self) -> float:
         """Edge frequency among observed dyads (0.5 fallback when none)."""
-        r = self.observed_mask
-        total = r.sum()
-        if total == 0:
-            return 0.5
-        edges = np.nansum(self._matrix * r)
-        return float(edges / total)
+        return self.n_edges / self.n_observed if self.n_observed else 0.5
 
     # -- derived matrices ----------------------------------------------------
 
@@ -375,14 +416,9 @@ def degrees(adj: PartialAdjacency, impute=None, observed_only: bool = False) -> 
     nu = getattr(impute, "nu", impute)
     if nu is None and adj.n_missing and not observed_only:
         raise InputError("missing dyads present: supply imputation values or request observed-only degrees")
-    if observed_only and nu is None:
-        fill = 0.0
-    elif isinstance(nu, Mapping):
-        fill = np.array([nu[d] for d in adj.missing_dyads()]) if adj.n_missing else None
-    else:
-        fill = nu if adj.n_missing else None
-    filled = adj.filled(fill) if adj.n_missing else adj.filled()
-    return filled.sum(axis=1)
+    if isinstance(nu, Mapping):
+        nu = np.array([nu[d] for d in adj.missing_dyads()])
+    return adj.filled(0.0 if nu is None else nu).sum(axis=1)
 
 
 def fit_logistic(x: np.ndarray, y: np.ndarray, weights=None, start=None,

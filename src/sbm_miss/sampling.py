@@ -10,14 +10,17 @@ follows from two likelihood families:
 
 * rate designs hold one observation rate per stratum (everything, edge
   value, block or block pair).  ``_rate_counts`` gives the expected observed
-  and total unit counts of each stratum; the log-likelihood is
-  sum(obs log psi + (total - obs) log(1 - psi)) and the M step is
-  obs / total.
+  and total unit counts of each stratum; the log-likelihood and the M step
+  obs / total are ``network.rate_loglik`` and ``network.rate_update``, the
+  same pair that fits the SBM connectivity pi.
 * logistic designs observe unit u with probability logistic(x_u . psi).
   ``_features`` gives the units' covariates: dyad covariates on canonical
   dyads, or nodal covariates or expected degrees on nodes.  The M step is a
   damped Newton fit.
 
+The observation itself, the mask R and the observed nodes V, is read from
+the partially observed network (``PartialAdjacency.observed_mask`` and
+``observed_nodes``): a node counts as observed when all its dyads are.
 Unknown dyad values enter through their imputation means nu, block strata
 through the membership probabilities tau.  The estimation engine uses the
 log-likelihood, the psi update, the free-parameter count for the ICL penalty
@@ -39,8 +42,12 @@ from .network import (
     PartialAdjacency,
     Partition,
     clamp_prob,
+    degrees,
     fit_logistic,
     logistic,
+    pair_mass,
+    rate_loglik,
+    rate_update,
     safe_log,
     transfer_covariates,
 )
@@ -163,42 +170,6 @@ def make_default_design(tag: str, q: int, covariates: Optional[CovariateSet] = N
     return SamplingDesign(tag, np.full(shape, 0.5 if spec.family == "rate" else 0.0), waves=waves)
 
 
-@dataclass(frozen=True)
-class ObservationEvent:
-    """Realized observation pattern: the 0/1 mask R, plus node indicators V.
-
-    ``nodes`` is only defined for node-centered designs, where observing a
-    node reveals all dyads involving it, so R_ij = 1 whenever V_i or V_j.
-    When reconstructed from data, a node counts as observed iff every dyad
-    involving it is observed.
-    """
-
-    mask: np.ndarray
-    nodes: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=float)
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
-        if self.nodes is not None:
-            nodes = np.asarray(self.nodes, dtype=float)
-            nodes.flags.writeable = False
-            object.__setattr__(self, "nodes", nodes)
-
-    @classmethod
-    def from_adjacency(cls, adj: PartialAdjacency, tag: str) -> "ObservationEvent":
-        mask = adj.observed_mask
-        nodes = None
-        if tag in NODE_CENTERED:
-            off = ~np.eye(adj.n, dtype=bool)
-            full_row = np.array([mask[i][off[i]].all() for i in range(adj.n)])
-            if adj.directed:
-                full_col = np.array([mask[:, i][off[:, i]].all() for i in range(adj.n)])
-                full_row &= full_col
-            nodes = full_row.astype(float)
-        return cls(mask=mask, nodes=nodes)
-
-
 # ---------------------------------------------------------------------------
 # Units of observation
 # ---------------------------------------------------------------------------
@@ -209,15 +180,6 @@ def _canonical_pairs(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
     else:
         keep = np.triu(np.ones((n, n), dtype=bool), 1)
     return np.nonzero(keep)
-
-
-def _expected_network(adj: PartialAdjacency, nu) -> np.ndarray:
-    """The network with its missing dyads at their imputation means nu."""
-    if adj.fully_observed:
-        return adj.filled()
-    if nu is None:
-        raise InputError("MNAR computation needs imputation probabilities for missing dyads")
-    return adj.filled(nu)
 
 
 def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
@@ -234,46 +196,44 @@ def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
     elif design.tag == "covar-node":
         x = [covariates.nodal_matrix()]
     else:
-        x = [_expected_network(adj, nu).sum(axis=1)]
+        x = [degrees(adj, nu)]
     x = np.column_stack([np.ones(x[0].shape[0])] + x)
     if x.shape[1] != design.psi.size:
         raise InputError(f"{design.tag} slope count does not match the covariates")
     return x
 
 
-def _logistic_data(design, event, state, adj, covariates) -> tuple[np.ndarray, np.ndarray]:
+def _logistic_data(design, state, adj, covariates) -> tuple[np.ndarray, np.ndarray]:
     """Features and 0/1 responses (node or canonical-dyad indicators)."""
     x = _features(design, adj, state.nu, covariates)
     if design.tag in NODE_CENTERED:
-        return x, event.nodes
-    return x, event.mask[_canonical_pairs(adj.n, adj.directed)]
+        return x, adj.observed_nodes
+    return x, adj.observed_mask[_canonical_pairs(adj.n, adj.directed)]
 
 
-def _rate_counts(design, event, state, adj) -> tuple[np.ndarray, np.ndarray]:
+def _rate_counts(design, state, adj) -> tuple[np.ndarray, np.ndarray]:
     """Expected observed and total unit counts per stratum, shaped like psi.
 
-    Nodes or canonical dyads, counted whole or weighted by the expected edge
-    value y = filled(nu) and 1 - y (double-standard), by tau (block-node) or
-    by tau_ia tau_jb (block-dyad).
+    Nodes or canonical dyads, counted whole, split by edge value
+    (double-standard: observed edges and non-edges, then the missing dyads
+    at their imputation means nu), or weighted by tau (block-node) or by
+    tau_ia tau_jb (block-dyad).
     """
     tag = design.tag
     if tag in ("node", "snowball"):
-        return event.nodes.sum(), adj.n
+        return adj.observed_nodes.sum(), adj.n
     if tag == "block-node":
-        return state.tau.T @ event.nodes, state.tau.sum(axis=0)
-    scale = 1.0 if adj.directed else 0.5
-    r = event.mask
+        return state.tau.T @ adj.observed_nodes, state.tau.sum(axis=0)
     if tag == "dyad":
-        return scale * r.sum(), adj.n_dyads
+        return adj.n_observed, adj.n_dyads
     if tag == "double-standard":
-        y = _expected_network(adj, state.nu)
-        rc = 1.0 - r
-        np.fill_diagonal(rc, 0.0)
-        split = (y, 1.0 - y)
-        obs = scale * np.array([np.sum(r * w) for w in split])
-        return obs, obs + scale * np.array([np.sum(rc * w) for w in split])
-    tau = state.tau
-    return scale * (tau.T @ r @ tau), scale * (tau.T @ (1.0 - np.eye(adj.n)) @ tau)
+        if state.nu is None and adj.n_missing:
+            raise InputError("MNAR computation needs imputation probabilities for missing dyads")
+        obs = np.array([adj.n_edges, adj.n_observed - adj.n_edges])
+        nu_sum = float(np.sum(state.nu)) if adj.n_missing else 0.0
+        return obs, obs + np.array([nu_sum, adj.n_missing - nu_sum])
+    tau, scale = state.tau, (1.0 if adj.directed else 0.5)
+    return scale * (tau.T @ adj.observed_mask @ tau), scale * pair_mass(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +296,8 @@ def _unit_rates(design, adj, clusters, covariates) -> np.ndarray:
 # Variational expectation of the sampling log-likelihood, and the M step
 # ---------------------------------------------------------------------------
 
-def sampling_loglik(design: SamplingDesign, event: ObservationEvent, state,
-                    adj: PartialAdjacency, covariates: Optional[CovariateSet] = None) -> float:
+def sampling_loglik(design: SamplingDesign, state, adj: PartialAdjacency,
+                    covariates: Optional[CovariateSet] = None) -> float:
     """E[log p(R | .)] under the variational state.
 
     Unknown dyad values are replaced by their imputation probabilities nu;
@@ -345,16 +305,14 @@ def sampling_loglik(design: SamplingDesign, event: ObservationEvent, state,
     Probabilities are clamped away from 0 and 1 before the logs.
     """
     if DESIGNS[design.tag].family == "rate":
-        obs, total = _rate_counts(design, event, state, adj)
-        psi = clamp_prob(design.psi)
-        return float(np.sum(obs * np.log(psi) + (total - obs) * np.log1p(-psi)))
-    x, r = _logistic_data(design, event, state, adj, covariates)
+        return rate_loglik(*_rate_counts(design, state, adj), design.psi)
+    x, r = _logistic_data(design, state, adj, covariates)
     p = clamp_prob(logistic(x @ design.psi))
     return float(np.sum(r * np.log(p) + (1.0 - r) * np.log1p(-p)))
 
 
-def update_psi(design: SamplingDesign, event: ObservationEvent, state,
-               adj: PartialAdjacency, covariates: Optional[CovariateSet] = None
+def update_psi(design: SamplingDesign, state, adj: PartialAdjacency,
+               covariates: Optional[CovariateSet] = None
                ) -> tuple[SamplingDesign, tuple[str, ...]]:
     """Maximize the expected sampling log-likelihood in psi.
 
@@ -366,15 +324,11 @@ def update_psi(design: SamplingDesign, event: ObservationEvent, state,
     labels are not recoverable from the mask (MAR, so theta is unaffected).
     """
     if DESIGNS[design.tag].family == "logistic":
-        x, r = _logistic_data(design, event, state, adj, covariates)
+        x, r = _logistic_data(design, state, adj, covariates)
         coef, _ = fit_logistic(x, r, start=design.psi)
         return replace(design, psi=coef), ()
-    obs, total = _rate_counts(design, event, state, adj)
-    psi = np.divide(obs, total, out=np.array(design.psi), where=total > 0)
-    if psi.ndim == 2 and not adj.directed:
-        psi = 0.5 * (psi + psi.T)
-    psi = np.clip(psi, 0.0, 1.0)   # block sums can round obs past total
-    flags = (f"{design.tag}: stratum without mass, rate kept",) if np.any(total <= 0) else ()
+    psi, kept = rate_update(*_rate_counts(design, state, adj), design.psi, adj.directed)
+    flags = (f"{design.tag}: stratum without mass, rate kept",) if kept else ()
     return replace(design, psi=psi), flags
 
 
@@ -382,14 +336,14 @@ def update_psi(design: SamplingDesign, event: ObservationEvent, state,
 # VE-step ingredients
 # ---------------------------------------------------------------------------
 
-def tau_static_terms(design: SamplingDesign, event: ObservationEvent, n: int) -> Optional[np.ndarray]:
+def tau_static_terms(design: SamplingDesign, adj: PartialAdjacency) -> Optional[np.ndarray]:
     """n x Q additive log terms for the tau update that do not couple nodes.
 
     Only block-node sampling contributes: V_i log psi_q + (1-V_i) log(1-psi_q).
     """
     if design.tag != "block-node":
         return None
-    v = event.nodes
+    v = adj.observed_nodes
     lp = safe_log(design.psi)
     lq = np.log1p(-clamp_prob(design.psi))
     return v[:, None] * lp[None, :] + (1.0 - v)[:, None] * lq[None, :]
@@ -402,8 +356,7 @@ def tau_pairwise_logs(design: SamplingDesign) -> Optional[tuple[np.ndarray, np.n
     return safe_log(design.psi), np.log1p(-clamp_prob(design.psi))
 
 
-def nu_logit_correction(design: SamplingDesign, event: ObservationEvent,
-                        adj: PartialAdjacency, nu: np.ndarray):
+def nu_logit_correction(design: SamplingDesign, adj: PartialAdjacency, nu: np.ndarray):
     """Additive logit-scale correction for the imputation update of missing dyads.
 
     Double-standard sampling shifts every missing dyad by
@@ -418,6 +371,6 @@ def nu_logit_correction(design: SamplingDesign, event: ObservationEvent,
     if tag == "degree":
         g = logistic(_features(design, adj, nu, None) @ design.psi)
         mi, mj = adj.missing_pairs
-        v = event.nodes
+        v = adj.observed_nodes
         return design.psi[1] * ((v[mi] - g[mi]) + (v[mj] - g[mj]))
     return 0.0

@@ -6,6 +6,11 @@ Covariate variant: the edge probability becomes
 logistic(gamma[q, l] + beta . x_ij), so blocks describe the connectivity
 heterogeneity left over once the covariate effect is removed.
 
+The dyads in play are all dyads, missing ones at their imputation means,
+when the variational state carries nu, and the observed ones otherwise.
+Plain pi is a rate per block pair, fitted from ``block_pair_counts`` by
+``network.rate_loglik`` and ``rate_update`` as the rate sampling designs are.
+
 Every covariate computation runs through one block-pair kernel.  With
 eta_ab = gamma_ab + beta . x and the identity
 y log sigma(eta) + (1 - y) log sigma(-eta) = y eta + log sigma(-eta), the
@@ -32,8 +37,9 @@ from .network import (
     PartialAdjacency,
     Partition,
     as_rng,
-    clamp_prob,
     logistic,
+    pair_mass,
+    rate_loglik,
     safe_log,
     transfer_covariates,
 )
@@ -117,14 +123,14 @@ class SbmParams:
         """Read what to_json writes, or the sbm object of a fit JSON: the
         variant is plain exactly when "pi" is present."""
         try:
+            fields = ("alpha", "pi") if "pi" in data else ("alpha", "gamma", "beta")
+            values = {key: np.array(data[key], dtype=float) for key in fields}
             directed = bool(data.get("directed", False))
-            if "pi" in data:
-                return cls(alpha=np.array(data["alpha"]), pi=np.array(data["pi"]),
-                           directed=directed)
-            return cls(alpha=np.array(data["alpha"]), gamma=np.array(data["gamma"]),
-                       beta=np.array(data["beta"]), directed=directed)
         except KeyError as exc:
             raise InputError(f"SBM parameter object misses field {exc}") from None
+        except (TypeError, ValueError):
+            raise InputError("SBM parameters must be numeric arrays") from None
+        return cls(**values, directed=directed)
 
 
 @dataclass(frozen=True)
@@ -169,21 +175,29 @@ def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet]
     return PartialAdjacency(mat, directed=params.directed), MembershipDraw(labels=z)
 
 
-def _dyad_weight(adj: PartialAdjacency, state) -> tuple[np.ndarray, np.ndarray, float]:
-    """(weights W over the dyad set in play, filled values, pair scale).
+def _dyad_values(adj: PartialAdjacency, state) -> np.ndarray:
+    """Expected edge values: observed dyads as they are, missing ones at nu
+    when the state carries it and at 0 otherwise; zero diagonal."""
+    return adj.filled(0.0 if state.nu is None else state.nu)
 
-    Missing dyads enter with their imputation probabilities when the state
-    carries them; otherwise the sums restrict to observed dyads.
-    """
+
+def _dyad_weight(adj: PartialAdjacency, all_dyads: bool) -> np.ndarray:
+    """0/1 weights of the dyads in play, for the covariate kernels."""
+    if all_dyads:
+        return np.ones((adj.n, adj.n)) - np.eye(adj.n)
+    return adj.observed_mask
+
+
+def block_pair_counts(adj: PartialAdjacency, state) -> tuple[np.ndarray, np.ndarray]:
+    """Q x Q expected edge and dyad counts per block pair over the dyads in
+    play, with unordered pairs counted once on undirected networks."""
+    tau = state.tau
     scale = 1.0 if adj.directed else 0.5
-    nu = getattr(state, "nu", None)
-    if nu is not None:
-        w = np.ones((adj.n, adj.n)) - np.eye(adj.n)
-        y = adj.filled(nu)
+    if state.nu is None:
+        dyads = tau.T @ adj.observed_mask @ tau
     else:
-        w = np.array(adj.observed_mask)
-        y = adj.filled(0.0)
-    return w, y, scale
+        dyads = pair_mass(tau)
+    return scale * (tau.T @ _dyad_values(adj, state) @ tau), scale * dyads
 
 
 def _block_pair_etas(gamma: np.ndarray, c: np.ndarray):
@@ -232,17 +246,12 @@ def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
     if tau.shape != (adj.n, params.q):
         raise InputError("tau shape does not match the network / block count")
     total = float(np.sum(tau @ safe_log(params.alpha)))
-    w, y, scale = _dyad_weight(adj, state)
     if params.variant == "plain":
-        la = safe_log(params.pi)
-        lb = np.log1p(-clamp_prob(params.pi))
-        s1 = tau @ la @ tau.T
-        s0 = tau @ lb @ tau.T
-        total += scale * float(np.sum(w * (y * s1 + (1.0 - y) * s0)))
-    else:
-        c = dyad_covariate_effect(params, covariates)
-        total += scale * _covariate_dyad_loglik(params.gamma, c, w, y, tau)
-    return total
+        return total + rate_loglik(*block_pair_counts(adj, state), params.pi)
+    c = dyad_covariate_effect(params, covariates)
+    w = _dyad_weight(adj, state.nu is not None)
+    scale = 1.0 if adj.directed else 0.5
+    return total + scale * _covariate_dyad_loglik(params.gamma, c, w, _dyad_values(adj, state), tau)
 
 
 def predict_probabilities(params: SbmParams, state,
@@ -354,7 +363,8 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state,
     """
     tau = state.tau
     q = tau.shape[1]
-    w, y, _ = _dyad_weight(adj, state)
+    w = _dyad_weight(adj, state.nu is not None)
+    y = _dyad_values(adj, state)
     x = transfer_covariates(covariates).dyadic_stack()
     m = x.shape[0]
     x_rows = x.reshape(m, -1)

@@ -11,13 +11,16 @@ products).  A backtracking safeguard takes the longest step towards that
 proposal, halving it as needed, that does not lower the bound at fixed
 parameters and nu, so the ELBO stays monotone.  nu is then updated jointly
 (the bound separates over missing dyads for every design except degree
-sampling, whose coupled update is safeguarded by backtracking).  The M step
-has closed forms for (alpha, pi) and the block/rate designs, and damped
-Newton fits for the logistic ones.
+sampling, whose coupled update is safeguarded by backtracking).  In the M
+step, pi and the psi of the rate designs are one rate family: expected
+counts per stratum, then ``network.rate_update``.  The logistic designs take
+damped Newton fits.  The mask R and the observed nodes V come from the
+network itself.
 
 Under MAR designs the missing dyads drop from the objective: the SBM factor
 restricts to observed dyads and nu is only materialized on demand for
-imputation.
+imputation.  ``_Engine.sbm_state`` makes that choice for the M step and the
+bound alike.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .network import (
     Partition,
     clamp_prob,
     logistic,
+    rate_update,
     safe_log,
     safe_logit,
     transfer_covariates,
@@ -44,7 +48,6 @@ from .network import (
 from .sampling import (
     AVAILABLE_SAMPLINGS,
     DESIGNS,
-    ObservationEvent,
     SamplingDesign,
     design_df,
     make_default_design,
@@ -56,7 +59,9 @@ from .sampling import (
 )
 from .sbm import (
     SbmParams,
+    _dyad_weight,
     _log_sigmoid_kernels,
+    block_pair_counts,
     dyad_covariate_effect,
     expected_loglik_sbm,
     fit_covariate_connectivity,
@@ -95,7 +100,7 @@ class VariationalState:
         object.__setattr__(self, "tau", tau)
         if tau.ndim != 2:
             raise InputError("tau must be an n x Q matrix")
-        if np.any(tau < 0) or np.max(np.abs(tau.sum(axis=1) - 1.0)) > 1e-8:
+        if not np.isfinite(tau).all() or np.any(tau < 0) or np.max(np.abs(tau.sum(axis=1) - 1.0)) > 1e-8:
             raise InputError("tau rows must be probability vectors")
         if self.nu is not None:
             nu = np.asarray(self.nu, dtype=float)
@@ -187,15 +192,11 @@ class _Engine:
             raise InputError("use_cov requires covariates")
         self.adj = adj
         self.tag = tag
-        self.n = adj.n
         self.directed = adj.directed
         self.scale = 1.0 if adj.directed else 0.5
+        # nu enters the SBM factor only under MNAR designs (see sbm_state)
         self.mnar = tag is not None and DESIGNS[tag].mechanism == "MNAR"
-        self.event = ObservationEvent.from_adjacency(adj, tag) if tag is not None else \
-            ObservationEvent(mask=adj.observed_mask)
-        self.r = np.array(adj.observed_mask)
-        self.off = np.ones((self.n, self.n)) - np.eye(self.n)
-        self.w = self.off if self.mnar else self.r
+        self.w = _dyad_weight(adj, self.mnar) if use_cov else None
         self.mi, self.mj = adj.missing_pairs
         self.use_cov = use_cov
         self.covariates_raw = covariates
@@ -212,34 +213,30 @@ class _Engine:
             nu = np.full(self.mi.size, float(clamp_prob(self.adj.observed_density)))
         return VariationalState(tau=tau, nu=nu)
 
+    def sbm_state(self, state: VariationalState) -> VariationalState:
+        """The state as the SBM factor sees it: without nu unless MNAR."""
+        return state if self.mnar else VariationalState(tau=state.tau)
+
     # -- M step ---------------------------------------------------------------
 
     def m_step(self, state: VariationalState, prev: Optional[SbmParams],
                design: Optional[SamplingDesign]):
-        tau = state.tau
-        q = tau.shape[1]
-        alpha = tau.mean(axis=0)
+        alpha = state.tau.mean(axis=0)
+        sbm_state = self.sbm_state(state)
         flags: tuple[str, ...] = ()
         if self.use_cov:
             start = (prev.gamma, prev.beta) if prev is not None and prev.variant == "covariate" else None
-            gamma, beta = fit_covariate_connectivity(self.adj, state, self.covariates, start=start)
+            gamma, beta = fit_covariate_connectivity(self.adj, sbm_state, self.covariates, start=start)
             params = SbmParams(alpha=alpha, gamma=gamma, beta=beta, directed=self.directed)
         else:
-            y = self.adj.filled(state.nu) if self.mnar else self.adj.filled(0.0)
-            num = tau.T @ (self.w * y) @ tau
-            den = tau.T @ self.w @ tau
-            fallback = prev.pi if prev is not None else np.full((q, q), self.adj.observed_density)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                pi = np.where(den > 0, num / np.where(den > 0, den, 1.0), fallback)
-            if np.any(den <= 0):
+            fallback = prev.pi if prev is not None else np.full((alpha.size,) * 2, self.adj.observed_density)
+            pi, kept = rate_update(*block_pair_counts(self.adj, sbm_state), fallback, self.directed)
+            if kept:
                 flags += ("empty block pair: pi entry kept",)
-            if not self.directed:
-                pi = 0.5 * (pi + pi.T)
-            pi = np.clip(pi, 0.0, 1.0)
             params = SbmParams(alpha=alpha, pi=pi, directed=self.directed)
         new_design = design
         if self.tag is not None:
-            new_design, psi_flags = update_psi(design, self.event, state, self.adj, self.covariates_raw)
+            new_design, psi_flags = update_psi(design, state, self.adj, self.covariates_raw)
             flags += psi_flags
         return params, new_design, flags
 
@@ -293,7 +290,7 @@ class _Engine:
         all-ones matrix and y = filled(nu) has a zero diagonal, so w * y is y.
         """
         linear = safe_log(params.alpha)[None, :]
-        static = tau_static_terms(design, self.event, self.n) if design is not None else None
+        static = tau_static_terms(design, self.adj) if design is not None else None
         if static is not None:
             linear = linear + static
         r_table = off_table = cov_effect = None
@@ -325,7 +322,7 @@ class _Engine:
         network is undirected.
         """
         out = np.zeros_like(t)
-        for m, table in zip((y, self.r, None), tables):
+        for m, table in zip((y, self.adj.observed_mask, None), tables):
             if table is None:
                 continue
             rows = t.sum(axis=0) - t if m is None else m @ t
@@ -361,7 +358,7 @@ class _Engine:
             base = ((tau[mi] @ safe_logit(params.pi)) * tau[mj]).sum(axis=1)
         else:
             base = ((tau[mi] @ params.gamma) * tau[mj]).sum(axis=1) + cov_effect[mi, mj]
-        corr = nu_logit_correction(design, self.event, self.adj, nu)
+        corr = nu_logit_correction(design, self.adj, nu)
         proposed = logistic(base + corr)
         if design.tag != "degree":
             return proposed
@@ -379,7 +376,7 @@ class _Engine:
 
     def _nu_objective(self, base, tau, nu, design) -> float:
         value = float(base @ nu)
-        value += sampling_loglik(design, self.event, VariationalState(tau=tau, nu=nu), self.adj)
+        value += sampling_loglik(design, VariationalState(tau=tau, nu=nu), self.adj)
         value += float(-(xlogy(nu, nu) + xlogy(1.0 - nu, 1.0 - nu)).sum())
         return value
 
@@ -388,14 +385,14 @@ class _Engine:
     def elbo_parts(self, params: SbmParams, design: Optional[SamplingDesign],
                    state: VariationalState) -> tuple[float, float, float]:
         """(elbo, SBM expectation, sampling expectation)."""
-        sbm_state = state if self.mnar else VariationalState(tau=state.tau, nu=None)
+        sbm_state = self.sbm_state(state)
         vexpec = expected_loglik_sbm(params, self.adj, sbm_state, self.sbm_covariates)
         s_ll = 0.0
         if design is not None:
-            s_ll = sampling_loglik(design, self.event, state, self.adj, self.covariates_raw)
+            s_ll = sampling_loglik(design, state, self.adj, self.covariates_raw)
         ent = float(-xlogy(state.tau, state.tau).sum())
-        if self.mnar and state.nu is not None and state.nu.size:
-            nu = state.nu
+        nu = sbm_state.nu
+        if nu is not None and nu.size:
             ent += float(-(xlogy(nu, nu) + xlogy(1.0 - nu, 1.0 - nu)).sum())
         return vexpec + s_ll + ent, vexpec, s_ll
 
@@ -456,10 +453,13 @@ class FitResult:
     sampling_ll: float
     penalty: float
     icl: float
-    elbo_trace: list[float]
-    vexpec_trace: list[float]
     monitoring: list[MonitorRow]
     converged: bool
+
+    @property
+    def elbo_trace(self) -> list[float]:
+        """The bound after each iteration, initial M step first."""
+        return [row.elbo for row in self.monitoring]
 
     @property
     def memberships(self) -> np.ndarray:
@@ -597,7 +597,6 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
         params, design, flags = eng.m_step(state, None, start_design)
         current, vexpec, s_ll = eng.elbo_parts(params, design, state)
         monitoring = [MonitorRow(0, current, math.inf, flags)]
-        elbo_trace, vexpec_trace = [current], [vexpec]
         converged = False
         for it in range(1, control.max_iter + 1):
             damped = eng.damped_rounds
@@ -609,8 +608,6 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
             params = new_params
             value, vexpec, s_ll = eng.elbo_parts(params, design, state)
             monitoring.append(MonitorRow(it, value, delta, flags))
-            elbo_trace.append(value)
-            vexpec_trace.append(vexpec)
             if not math.isfinite(value):
                 raise NumericalError(f"bound diverged at iteration {it}")
             if control.trace:
@@ -636,9 +633,7 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
         q=q, adj=adj, design=design, params=params, state=state,
         covariates=covariates, use_cov=control.use_cov,
         elbo=current, vexpec=vexpec, sampling_ll=s_ll,
-        penalty=penalty, icl=icl,
-        elbo_trace=elbo_trace, vexpec_trace=vexpec_trace,
-        monitoring=monitoring, converged=converged,
+        penalty=penalty, icl=icl, monitoring=monitoring, converged=converged,
     )
 
 
@@ -663,7 +658,9 @@ def fit_from_json(adj: PartialAdjacency, data: dict,
             design = SamplingDesign(data["design"]["tag"], data["design"]["psi"],
                                     waves=int(data["design"].get("waves", 1)))
         tau = np.array(data["tau"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        penalty = float(data.get("penalty", 0.0))
+        stored_icl = None if data.get("icl") is None else float(data["icl"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed fit JSON: {exc}") from None
     if tau.shape != (adj.n, q):
         raise InputError("fit JSON does not match the network dimensions")
@@ -682,14 +679,12 @@ def fit_from_json(adj: PartialAdjacency, data: dict,
                 break
     state = VariationalState(tau=tau, nu=nu)
     value, vexpec, s_ll = eng.elbo_parts(params, design, state)
-    penalty = float(data.get("penalty", 0.0))
-    icl_value = float(data.get("icl", -2.0 * (vexpec + s_ll) + penalty))
+    icl_value = -2.0 * (vexpec + s_ll) + penalty if stored_icl is None else stored_icl
     return FitResult(
         q=q, adj=adj, design=design, params=params, state=state,
         covariates=covariates, use_cov=use_cov,
         elbo=value, vexpec=vexpec, sampling_ll=s_ll,
         penalty=penalty, icl=icl_value,
-        elbo_trace=[value], vexpec_trace=[vexpec],
         monitoring=[MonitorRow(0, value, math.inf)], converged=bool(data.get("converged", True)),
     )
 

@@ -23,7 +23,6 @@ from sbm_miss import (
     ControlOptions,
     CovariateSet,
     ExperimentSpec,
-    ObservationEvent,
     Partition,
     SamplingDesign,
     ari,
@@ -295,7 +294,7 @@ def test_covariate_scenarios():
             fits[name] = coll.best_model
         sign_ok += fits["i"].design.psi[1] > 0 and fits["ii"].design.psi[1] > 0
         icl_ok += fits["i"].icl < fits["iii"].icl and fits["ii"].icl < fits["iv"].icl
-        v = ObservationEvent.from_adjacency(observed, "node").nodes
+        v = observed.observed_nodes
         empirical = v.sum() / n
         psi_exact &= float(fits["iii"].design.psi) == empirical
         psi_exact &= float(fits["iv"].design.psi) == empirical

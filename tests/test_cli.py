@@ -127,6 +127,23 @@ def test_input_errors_exit_2(tmp_path):
         data["models"][0]["design"]["psi"] = psi
         fit.write_text(json.dumps(data))
         assert run("impute", "--input", obs, "--fit", fit, "--out", tmp_path / "i.csv") == 2
+    # malformed JSON inputs: not JSON, a bestQ without a model, non-numeric fields
+    good = json.loads(fit.read_text())
+    good["models"][0]["design"]["psi"] = 0.6
+    broken = [{**good, "bestQ": 5},
+              {**good, "bestQ": "one", "models": [{**good["models"][0], "Q": "one"}]},
+              {**good, "models": [{**good["models"][0], "tau": [["x"]] * 10}]},
+              {**good, "models": [{**good["models"][0], "tau": [[float("nan")]] * 10}]}]
+    for bad_fit in ["{not json"] + [json.dumps(d) for d in broken]:
+        fit.write_text(bad_fit)
+        assert run("impute", "--input", obs, "--fit", fit, "--out", tmp_path / "i.csv") == 2
+    params = tmp_path / "params.json"
+    for bad_params in ("[0.5,", json.dumps({"alpha": [1.0], "pi": [["high"]]})):
+        params.write_text(bad_params)
+        assert run("generate", "--nodes", 10, "--params", params, "--out", net) == 2
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join(",".join(["0.5"] * 10) for _ in range(9)) + "\n0.5" + ",x" * 9 + "\n")
+    assert run("eval-auc", "--full", net, "--observed", obs, "--imputed", scores) == 2
 
 
 def test_numerical_failures_exit_3(tmp_path, monkeypatch):

@@ -131,6 +131,26 @@ class TestPartialAdjacency:
         expected = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
         np.testing.assert_array_equal(adj.observed_mask, expected)
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_observed_nodes_match_node_loop(self, directed):
+        n = 8
+        mat = (np.random.default_rng(3).random((n, n)) < 0.4).astype(float)
+        if not directed:
+            mat = np.triu(mat, 1) + np.triu(mat, 1).T
+        seen = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
+        mat[~(seen[:, None] | seen[None, :])] = np.nan
+        mat[5, 2] = np.nan   # row 2 stays fully observed; when directed, column 2 does not
+        if not directed:
+            mat[2, 5] = np.nan
+        adj = PartialAdjacency(mat, directed=directed)
+        expected = [all(adj.entry(i, j) is not None and adj.entry(j, i) is not None
+                        for j in range(n) if j != i) for i in range(n)]
+        np.testing.assert_array_equal(adj.observed_nodes, np.array(expected, dtype=float))
+        assert adj.observed_nodes[2] == 0.0 and adj.observed_nodes.sum() == 3
+        if directed:
+            assert all(adj.entry(2, j) is not None for j in range(n) if j != 2)
+        assert not adj.observed_nodes.flags.writeable
+
     def test_missing_pairs_canonical(self):
         adj = adjacency_from_edges(4, [], missing=[(2, 3), (0, 2)])
         assert adj.missing_dyads() == [(0, 2), (2, 3)]

@@ -7,7 +7,6 @@ from scipy.stats import chi2_contingency
 from sbm_miss import (
     CovariateSet,
     InputError,
-    ObservationEvent,
     Partition,
     SamplingDesign,
     VariationalState,
@@ -123,9 +122,8 @@ def test_node_expansion_invariant():
     adj, _ = sample_network(planted_params(2, 0.6, 0.1), 25, rng_seed=3)
     for tag, psi in [("node", 0.5), ("degree", [0.0, 0.2]), ("snowball", 0.3)]:
         out = observe_network(adj, SamplingDesign(tag, psi), rng_seed=4)
-        event = ObservationEvent.from_adjacency(out, tag)
-        v = event.nodes
-        r = event.mask
+        v = out.observed_nodes
+        r = out.observed_mask
         expand = np.maximum(v[:, None], v[None, :])
         np.fill_diagonal(expand, 0.0)
         assert np.all(r >= expand)
@@ -203,7 +201,7 @@ class TestGenerationFrequencies:
         hits = total = 0
         for rep in range(300):
             out = observe_network(adj, SamplingDesign("node", 0.55), rng_seed=rep)
-            v = ObservationEvent.from_adjacency(out, "node").nodes
+            v = out.observed_nodes
             hits += int(v.sum())
             total += adj.n
         assert self.within_3se(hits, total, 0.55)
@@ -217,7 +215,7 @@ class TestGenerationFrequencies:
         for rep in range(200):
             out = observe_network(adj, SamplingDesign("block-node", psi),
                                   clusters=clusters, rng_seed=rep)
-            v = ObservationEvent.from_adjacency(out, "block-node").nodes
+            v = out.observed_nodes
             for b in range(2):
                 hits[b] += v[draw.labels == b].sum()
                 total[b] += (draw.labels == b).sum()
@@ -233,7 +231,7 @@ class TestGenerationFrequencies:
         total = {0.0: 0, 1.0: 0}
         for rep in range(200):
             out = observe_network(adj, design, covariates=cov, rng_seed=rep)
-            v = ObservationEvent.from_adjacency(out, "covar-node").nodes
+            v = out.observed_nodes
             for value in (0.0, 1.0):
                 hits[value] += v[x == value].sum()
                 total[value] += int((x == value).sum())
@@ -248,7 +246,7 @@ class TestGenerationFrequencies:
         hits = expected = variance = 0.0
         for rep in range(200):
             out = observe_network(adj, SamplingDesign("degree", [-2.0, 0.2]), rng_seed=rep)
-            v = ObservationEvent.from_adjacency(out, "degree").nodes
+            v = out.observed_nodes
             hits += v.sum()
             expected += rates.sum()
             variance += (rates * (1 - rates)).sum()
@@ -259,7 +257,7 @@ class TestGenerationFrequencies:
         hits = total = 0
         for rep in range(300):
             out = observe_network(adj, SamplingDesign("snowball", 0.3, waves=1), rng_seed=rep)
-            hits += int(ObservationEvent.from_adjacency(out, "snowball").nodes.sum())
+            hits += int(out.observed_nodes.sum())
             total += adj.n
         se = np.sqrt(0.3 * 0.7 / total)
         assert abs(hits / total - 0.3) <= 3 * se
@@ -271,7 +269,7 @@ class TestSnowballWaves:
         nodes = []
         for waves in (1, 2, 3):
             out = observe_network(adj, SamplingDesign("snowball", 0.2, waves=waves), rng_seed=5)
-            nodes.append(ObservationEvent.from_adjacency(out, "snowball").nodes)
+            nodes.append(out.observed_nodes)
         assert np.all(nodes[1] >= nodes[0]) and np.all(nodes[2] >= nodes[1])
 
     def test_waves_cover_connected_graph(self):
@@ -279,7 +277,7 @@ class TestSnowballWaves:
         n = 12
         adj = adjacency_from_edges(n, [(i, i + 1) for i in range(n - 1)])
         out = observe_network(adj, SamplingDesign("snowball", 0.2, waves=n), rng_seed=8)
-        v = ObservationEvent.from_adjacency(out, "snowball").nodes
+        v = out.observed_nodes
         if v.sum() > 0:
             assert v.sum() == n
 
@@ -311,27 +309,24 @@ class TestSamplingLoglik:
 
         adj = PartialAdjacency(mat)
         design = SamplingDesign("dyad", 2 / 3)
-        event = ObservationEvent.from_adjacency(adj, "dyad")
         state = hard_state(np.zeros(10, dtype=int), 1)
         expected = 30 * np.log(2 / 3) + 15 * np.log(1 / 3)
-        value = sampling_loglik(design, event, state, adj)
+        value = sampling_loglik(design, state, adj)
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_block_node_certain_rates_give_zero(self):
         adj, draw = sample_network(planted_params(2, 0.6, 0.1), 12, rng_seed=16)
         design = SamplingDesign("block-node", [1.0, 1.0])
-        event = ObservationEvent.from_adjacency(adj, "block-node")
         state = hard_state(draw.labels, 2)
-        assert sampling_loglik(design, event, state, adj) == pytest.approx(0.0, abs=1e-9)
+        assert sampling_loglik(design, state, adj) == pytest.approx(0.0, abs=1e-9)
 
     def test_double_standard_collapses_to_dyad(self):
         adj, draw = sample_network(planted_params(2, 0.6, 0.1), 15, rng_seed=17)
         out = observe_network(adj, SamplingDesign("dyad", 0.7), rng_seed=18)
         state = hard_state(draw.labels, 2, n_missing=out.n_missing, nu_value=0.3)
-        event = ObservationEvent.from_adjacency(out, "dyad")
         rho = 0.7
-        ds = sampling_loglik(SamplingDesign("double-standard", [rho, rho]), event, state, out)
-        dy = sampling_loglik(SamplingDesign("dyad", rho), event, state, out)
+        ds = sampling_loglik(SamplingDesign("double-standard", [rho, rho]), state, out)
+        dy = sampling_loglik(SamplingDesign("dyad", rho), state, out)
         assert ds == pytest.approx(dy, abs=1e-9)
 
 
@@ -348,7 +343,7 @@ REFERENCE_DESIGNS = [
 ]
 
 
-def _reference_loglik(tag, psi, adj, event, tau, nu, x):
+def _reference_loglik(tag, psi, adj, tau, nu, x):
     """E[log p(R)] written as explicit loops over the observation units.
 
     Dyad-centered designs sum E[R log p + (1 - R) log(1 - p)] over canonical
@@ -373,7 +368,8 @@ def _reference_loglik(tag, psi, adj, event, tau, nu, x):
     total = 0.0
     if tag in NODE_CENTERED:
         for i in range(adj.n):
-            v = event.nodes[i]
+            v = float(all(adj.entry(i, j) is not None and adj.entry(j, i) is not None
+                          for j in range(adj.n) if j != i))
             if tag in ("node", "snowball"):
                 total += term(v, psi)
             elif tag == "block-node":
@@ -385,7 +381,7 @@ def _reference_loglik(tag, psi, adj, event, tau, nu, x):
                 total += term(v, logistic(psi[0] + psi[1] * d))
         return total
     for i, j in adj.dyads():
-        r = event.mask[i, j]
+        r = float(adj.entry(i, j) is not None)
         if tag == "dyad":
             total += term(r, psi)
         elif tag == "covar-dyad":
@@ -413,12 +409,11 @@ def test_sampling_loglik_matches_unit_loops(tag, psi, directed):
     out = observe_network(adj, design, clusters=Partition.from_labels(draw.labels, 3),
                           covariates=cov, rng_seed=33)
     assert out.n_missing > 0
-    event = ObservationEvent.from_adjacency(out, tag)
     tau = rng.dirichlet(np.ones(3), size=n)
     nu = rng.uniform(size=out.n_missing)
     state = VariationalState(tau=tau, nu=nu)
-    value = sampling_loglik(design, event, state, out, cov)
-    expected = _reference_loglik(tag, np.array(psi).tolist(), out, event, tau, nu, x)
+    value = sampling_loglik(design, state, out, cov)
+    expected = _reference_loglik(tag, np.array(psi).tolist(), out, tau, nu, x)
     assert value == pytest.approx(expected, rel=1e-10)
 
 
@@ -426,9 +421,8 @@ class TestUpdatePsi:
     def test_dyad_empirical_proportion(self):
         adj, _ = sample_network(planted_params(2, 0.6, 0.1), 10, rng_seed=19)
         out = observe_network(adj, SamplingDesign("dyad", 0.6), rng_seed=20)
-        event = ObservationEvent.from_adjacency(out, "dyad")
         state = hard_state(np.zeros(10, dtype=int), 1, n_missing=out.n_missing)
-        new, flags = update_psi(SamplingDesign("dyad", 0.5), event, state, out)
+        new, flags = update_psi(SamplingDesign("dyad", 0.5), state, out)
         assert float(new.psi) == out.n_observed / out.n_dyads
         assert flags == ()
 
@@ -445,9 +439,8 @@ class TestUpdatePsi:
         from sbm_miss import PartialAdjacency
 
         adj = PartialAdjacency(mat)
-        event = ObservationEvent.from_adjacency(adj, "double-standard")
         state = hard_state(np.zeros(6, dtype=int), 1, n_missing=5, nu_value=1.0)
-        new, _ = update_psi(SamplingDesign("double-standard", [0.5, 0.5]), event, state, adj)
+        new, _ = update_psi(SamplingDesign("double-standard", [0.5, 0.5]), state, adj)
         assert new.psi[0] == pytest.approx(10 / 15, abs=1e-12)
 
     def test_block_node_fully_observed_block(self):
@@ -455,9 +448,8 @@ class TestUpdatePsi:
         clusters = Partition.from_labels(draw.labels, 2)
         out = observe_network(adj, SamplingDesign("block-node", [1.0, 0.4]),
                               clusters=clusters, rng_seed=22)
-        event = ObservationEvent.from_adjacency(out, "block-node")
         state = hard_state(draw.labels, 2, n_missing=out.n_missing)
-        new, _ = update_psi(SamplingDesign("block-node", [0.5, 0.5]), event, state, out)
+        new, _ = update_psi(SamplingDesign("block-node", [0.5, 0.5]), state, out)
         assert new.psi[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("tag,psi,needs", [
@@ -472,19 +464,18 @@ class TestUpdatePsi:
         adj, draw = sample_network(planted_params(2, 0.6, 0.15), 24, rng_seed=23)
         clusters = Partition.from_labels(draw.labels, 2) if needs else None
         out = observe_network(adj, SamplingDesign(tag, psi), clusters=clusters, rng_seed=24)
-        event = ObservationEvent.from_adjacency(out, tag)
         rng = np.random.default_rng(25)
         tau = rng.dirichlet(alpha=[2.0, 2.0], size=24)
         state = VariationalState(tau=tau, nu=rng.uniform(0.2, 0.8, size=out.n_missing))
-        best, _ = update_psi(SamplingDesign(tag, psi), event, state, out)
-        value = sampling_loglik(best, event, state, out)
+        best, _ = update_psi(SamplingDesign(tag, psi), state, out)
+        value = sampling_loglik(best, state, out)
         flat = np.atleast_1d(np.array(best.psi, dtype=float)).ravel()
         for k in range(flat.size):
             for eps in (-1e-3, 1e-3):
                 bumped = flat.copy()
                 bumped[k] = np.clip(bumped[k] + eps, 0.0, 1.0)
                 candidate = SamplingDesign(tag, bumped.reshape(np.shape(best.psi)) if np.ndim(best.psi) else bumped[0])
-                assert sampling_loglik(candidate, event, state, out) <= value + 1e-10
+                assert sampling_loglik(candidate, state, out) <= value + 1e-10
 
     def test_covar_node_recovers_slope_sign(self):
         x = (np.arange(60) % 2).astype(float)
@@ -492,17 +483,15 @@ class TestUpdatePsi:
         adj, _ = sample_network(planted_params(2, 0.5, 0.1), 60, rng_seed=26)
         out = observe_network(adj, SamplingDesign("covar-node", [0.0, 2.5]),
                               covariates=cov, rng_seed=27)
-        event = ObservationEvent.from_adjacency(out, "covar-node")
         state = hard_state(np.zeros(60, dtype=int), 1, n_missing=out.n_missing)
-        new, _ = update_psi(SamplingDesign("covar-node", [0.0, 0.0]), event, state, out, cov)
+        new, _ = update_psi(SamplingDesign("covar-node", [0.0, 0.0]), state, out, cov)
         assert new.psi[1] > 0
 
     def test_degree_update_finite(self):
         adj, _ = sample_network(planted_params(2, 0.6, 0.1), 40, rng_seed=28)
         out = observe_network(adj, SamplingDesign("degree", [-1.0, 0.15]), rng_seed=29)
-        event = ObservationEvent.from_adjacency(out, "degree")
         state = hard_state(np.zeros(40, dtype=int), 1, n_missing=out.n_missing, nu_value=0.3)
-        new, _ = update_psi(SamplingDesign("degree", [0.0, 0.0]), event, state, out)
+        new, _ = update_psi(SamplingDesign("degree", [0.0, 0.0]), state, out)
         assert np.isfinite(new.psi).all()
 
     def test_empty_block_keeps_previous_and_flags(self):
@@ -510,8 +499,7 @@ class TestUpdatePsi:
         tau = np.zeros((10, 2))
         tau[:, 0] = 1.0  # block 1 has no mass
         state = VariationalState(tau=tau)
-        event = ObservationEvent.from_adjacency(adj, "block-node")
-        new, flags = update_psi(SamplingDesign("block-node", [0.5, 0.33]), event, state, adj)
+        new, flags = update_psi(SamplingDesign("block-node", [0.5, 0.33]), state, adj)
         assert new.psi[1] == 0.33
         assert any("block-node" in f for f in flags)
 

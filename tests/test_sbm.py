@@ -18,7 +18,7 @@ from sbm_miss import (
 from sbm_miss.network import fit_logistic
 from sbm_miss.sbm import fit_covariate_connectivity
 
-from util import adjacency_from_edges, planted_params
+from util import adjacency_from_edges, dyad_values, planted_params
 
 
 def hard_state(labels, q):
@@ -54,15 +54,6 @@ def covariate_case(directed, mnar, n=12, q=3, seed=0):
     nu = rng.random(observed.n_missing) if mnar else None
     state = VariationalState(tau=rng.dirichlet(np.ones(q), size=n), nu=nu)
     return observed, cov, x, params, state
-
-
-def dyad_values(adj, state):
-    """{dyad: value} over the dyads in play: observed ones, plus the missing
-    ones at their imputation means when the state carries them."""
-    values = {d: adj.entry(*d) for d in adj.dyads() if adj.entry(*d) is not None}
-    if state.nu is not None:
-        values.update(zip(adj.missing_dyads(), state.nu))
-    return values
 
 
 COVARIATE_CASES = [(d, m) for d in (False, True) for m in (False, True)]
@@ -206,6 +197,20 @@ class TestExpectedLoglik:
                     p = logistic(params.gamma[a, b] + params.beta @ x[:, i, j])
                     oracle += tau[i, a] * tau[j, b] * (y * np.log(p) + (1 - y) * np.log(1 - p))
         value = expected_loglik_sbm(params, adj, state, cov)
+        assert value == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("directed,mnar", COVARIATE_CASES, ids=COVARIATE_IDS)
+    def test_plain_variant_matches_dyad_loop(self, directed, mnar):
+        adj, _, _, cov_params, state = covariate_case(directed, mnar)
+        params = SbmParams(alpha=cov_params.alpha, pi=logistic(cov_params.gamma), directed=directed)
+        tau, q = state.tau, params.q
+        oracle = float(np.sum(tau @ np.log(params.alpha)))
+        for (i, j), y in dyad_values(adj, state).items():
+            for a in range(q):
+                for b in range(q):
+                    p = params.pi[a, b]
+                    oracle += tau[i, a] * tau[j, b] * (y * np.log(p) + (1 - y) * np.log(1 - p))
+        value = expected_loglik_sbm(params, adj, state)
         assert value == pytest.approx(oracle, rel=1e-12)
 
 

@@ -35,7 +35,7 @@ from sbm_miss import vem
 from sbm_miss.sampling import make_default_design
 from sbm_miss.vem import ICL_TIE_TOL, _Engine, fit_from_json
 
-from util import adjacency_from_edges, elbo_is_monotone, planted_params
+from util import adjacency_from_edges, dyad_values, elbo_is_monotone, planted_params
 
 
 def hard_state(labels, q, nu=None):
@@ -213,6 +213,25 @@ class TestMStep:
         state = VariationalState(tau=np.full((30, 2), 0.5))
         params, _, _ = m_step(adj, SamplingDesign("dyad", 0.5), state)
         np.testing.assert_allclose(params.pi, adj.observed_density, atol=1e-12)
+
+    @pytest.mark.parametrize("tag", ["dyad", "double-standard"], ids=["mar", "mnar"])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_soft_tau_pi_is_weighted_density_of_dyads_in_play(self, tag, directed):
+        n, q = 12, 3
+        rng = np.random.default_rng([directed, tag == "dyad"])
+        adj, _ = sample_network(planted_params(q, 0.6, 0.2, directed=directed), n, rng_seed=5)
+        observed = observe_network(adj, SamplingDesign("dyad", 0.7), rng_seed=6)
+        nu = rng.random(observed.n_missing) if tag == "double-standard" else None
+        state = VariationalState(tau=rng.dirichlet(np.ones(q), size=n), nu=nu)
+        params, _, _ = m_step(observed, make_default_design(tag, q), state)
+        tau = state.tau
+        edges, dyads = np.zeros((q, q)), np.zeros((q, q))
+        for (i, j), y in dyad_values(observed, state).items():
+            # an undirected dyad counts for both orientations of a block pair
+            for u, v in ((i, j),) if directed else ((i, j), (j, i)):
+                edges += np.outer(tau[u], tau[v]) * y
+                dyads += np.outer(tau[u], tau[v])
+        np.testing.assert_allclose(params.pi, edges / dyads, rtol=1e-12)
 
 
 class TestElbo:
@@ -408,11 +427,13 @@ class TestEstimateAndExplore:
 
     def test_best_model_tie_breaks_to_smallest_q(self):
         adj, _ = sample_network(planted_params(1, 0.2, 0.2), 20, rng_seed=45)
-        coll = estimate_miss_sbm(adj, [1, 2], "dyad",
+        coll = estimate_miss_sbm(adj, [1, 2, 3], "dyad",
                                  control=ControlOptions(rng_seed=46, exploration="none"))
-        icls = coll.icl
-        if abs(icls[0] - icls[1]) < 1e-9:
-            assert coll.best_model.q == 1
+        tied = float(coll.icl.min())
+        models = [dataclasses.replace(fit, icl=tied) for fit in coll.models]
+        assert dataclasses.replace(coll, models=models).best_model.q == 1
+        models[0] = dataclasses.replace(models[0], icl=tied + 1.0)
+        assert dataclasses.replace(coll, models=models).best_model.q == 2
 
     def test_elbo_nondecreasing_in_q_after_exploration(self):
         adj, _ = sample_network(planted_params(3, 0.7, 0.05), 60, rng_seed=47)
@@ -507,6 +528,6 @@ class TestImpute:
 def test_monitoring_and_traces_align():
     adj, _ = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=60)
     fit = fit_single(adj, 2, "dyad", control=ControlOptions(rng_seed=61))
-    assert len(fit.elbo_trace) == len(fit.monitoring) == len(fit.vexpec_trace)
+    assert fit.elbo_trace == [row.elbo for row in fit.monitoring] == fit.to_json()["elbo_trace"]
     assert fit.elbo_trace[-1] == fit.monitoring[-1].elbo == fit.elbo
     assert math.isinf(fit.monitoring[0].delta)

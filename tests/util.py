@@ -25,6 +25,15 @@ def adjacency_from_edges(n, edges, missing=(), directed=False):
     return PartialAdjacency(mat, directed=directed)
 
 
+def dyad_values(adj, state):
+    """{dyad: value} over the dyads in play: observed ones, plus the missing
+    ones at their imputation means when the state carries them."""
+    values = {d: adj.entry(*d) for d in adj.dyads() if adj.entry(*d) is not None}
+    if state.nu is not None:
+        values.update(zip(adj.missing_dyads(), state.nu))
+    return values
+
+
 def elbo_is_monotone(fit, slack=1e-8):
     values = [row.elbo for row in fit.monitoring]
     return all(b >= a - slack for a, b in zip(values, values[1:]))
