@@ -204,6 +204,16 @@ class PartialAdjacency:
         mj.flags.writeable = False
         return mi, mj
 
+    @cached_property
+    def missing_flat(self) -> np.ndarray:
+        """Row-major flat indices mi * n + mj of the missing dyads, in
+        canonical order: an n x n matrix's values at the missing dyads are
+        ``matrix.take(missing_flat)``."""
+        mi, mj = self.missing_pairs
+        flat = mi * self.n + mj
+        flat.flags.writeable = False
+        return flat
+
     def missing_dyads(self) -> list[tuple[int, int]]:
         mi, mj = self.missing_pairs
         return list(zip(mi.tolist(), mj.tolist()))
@@ -221,9 +231,16 @@ class PartialAdjacency:
         return self.n_missing == 0
 
     @cached_property
+    def observed_degrees(self) -> np.ndarray:
+        """Row sums over the observed dyads (out-degrees when directed)."""
+        d = np.nansum(self._matrix, axis=1)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
     def n_edges(self) -> float:
         """Number of observed dyads with value 1."""
-        edges = float(np.nansum(self._matrix))
+        edges = float(self.observed_degrees.sum())
         return edges if self.directed else edges / 2
 
     @property
@@ -237,18 +254,21 @@ class PartialAdjacency:
         """Dense float matrix with the diagonal at 0 and missing dyads filled.
 
         ``missing_values`` may be None (requires a fully observed network),
-        a scalar, or a vector aligned with :attr:`missing_pairs`.
+        a scalar, or a vector aligned with :attr:`missing_pairs`.  The values
+        are written through :attr:`missing_flat`, in both orientations on
+        undirected networks.
         """
         out = np.array(self._matrix)
         np.fill_diagonal(out, 0.0)
-        mi, mj = self.missing_pairs
-        if mi.size:
+        if self.n_missing:
             if missing_values is None:
                 raise InputError("network has missing dyads but no fill values were given")
-            vals = np.broadcast_to(np.asarray(missing_values, dtype=float), mi.shape)
-            out[mi, mj] = vals
+            vals = np.asarray(missing_values, dtype=float)
+            flat = out.reshape(-1)   # a view: out is a fresh C-contiguous copy
+            flat[self.missing_flat] = vals
             if not self.directed:
-                out[mj, mi] = vals
+                mi, mj = self.missing_pairs
+                flat[mj * self.n + mi] = vals
         return out
 
     def mask_where(self, keep: np.ndarray) -> "PartialAdjacency":
@@ -411,14 +431,22 @@ def degrees(adj: PartialAdjacency, impute=None, observed_only: bool = False) -> 
     ``adj.missing_pairs``, such a vector itself, or a mapping keyed by dyad.
     With ``observed_only`` missing dyads contribute 0 instead; otherwise a
     network with missing dyads and no imputation values is an error.
-    Directed networks use row sums (out-degrees).
+    Directed networks use row sums (out-degrees).  The observed row sums are
+    cached on ``adj``; the values at the missing dyads are added per node.
     """
     nu = getattr(impute, "nu", impute)
     if nu is None and adj.n_missing and not observed_only:
         raise InputError("missing dyads present: supply imputation values or request observed-only degrees")
     if isinstance(nu, Mapping):
         nu = np.array([nu[d] for d in adj.missing_dyads()])
-    return adj.filled(0.0 if nu is None else nu).sum(axis=1)
+    out = np.array(adj.observed_degrees)
+    if nu is not None and adj.n_missing:
+        mi, mj = adj.missing_pairs
+        nu = np.broadcast_to(np.asarray(nu, dtype=float), mi.shape)
+        out += np.bincount(mi, weights=nu, minlength=adj.n)
+        if not adj.directed:
+            out += np.bincount(mj, weights=nu, minlength=adj.n)
+    return out
 
 
 def fit_logistic(x: np.ndarray, y: np.ndarray, weights=None, start=None,

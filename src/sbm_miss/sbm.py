@@ -235,19 +235,24 @@ def _covariate_dyad_loglik(gamma, c, w, y, tau) -> float:
 
 
 def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
-                        covariates: Optional[CovariateSet] = None) -> float:
+                        covariates: Optional[CovariateSet] = None,
+                        counts: Optional[tuple[np.ndarray, np.ndarray]] = None) -> float:
     """Variational expectation of the complete-data SBM log-likelihood.
 
     Covers the membership factor and the dyad factor over the observed dyads
     (no imputation state) or over every dyad with missing values replaced by
-    nu (imputation state present).
+    nu (imputation state present).  The plain variant reads
+    ``block_pair_counts(adj, state)``, or ``counts`` when the caller already
+    holds them for this state.
     """
     tau = state.tau
     if tau.shape != (adj.n, params.q):
         raise InputError("tau shape does not match the network / block count")
     total = float(np.sum(tau @ safe_log(params.alpha)))
     if params.variant == "plain":
-        return total + rate_loglik(*block_pair_counts(adj, state), params.pi)
+        if counts is None:
+            counts = block_pair_counts(adj, state)
+        return total + rate_loglik(*counts, params.pi)
     c = dyad_covariate_effect(params, covariates)
     w = _dyad_weight(adj, state.nu is not None)
     scale = 1.0 if adj.directed else 0.5

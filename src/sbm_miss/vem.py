@@ -11,11 +11,15 @@ products).  A backtracking safeguard takes the longest step towards that
 proposal, halving it as needed, that does not lower the bound at fixed
 parameters and nu, so the ELBO stays monotone.  nu is then updated jointly
 (the bound separates over missing dyads for every design except degree
-sampling, whose coupled update is safeguarded by backtracking).  In the M
-step, pi and the psi of the rate designs are one rate family: expected
-counts per stratum, then ``network.rate_update``.  The logistic designs take
-damped Newton fits.  The mask R and the observed nodes V come from the
-network itself.
+sampling, whose coupled update is safeguarded by backtracking); the model
+logit of every missing dyad is gathered from the rank-Q product tau L tau'
+at the dyads' flat indices.  In the M step, pi and the psi of the rate
+designs are one rate family: expected counts per stratum, then
+``network.rate_update``.  The logistic designs take damped Newton fits.  The
+mask R and the observed nodes V come from the network itself; R is read only
+by the designs whose terms weight it (MAR designs and block-dyad sampling),
+so other MNAR fits never build it.  The M step and the bound that follows it
+share one set of block-pair counts.
 
 Under MAR designs the missing dyads drop from the objective: the SBM factor
 restricts to observed dyads and nu is only materialized on demand for
@@ -197,12 +201,12 @@ class _Engine:
         # nu enters the SBM factor only under MNAR designs (see sbm_state)
         self.mnar = tag is not None and DESIGNS[tag].mechanism == "MNAR"
         self.w = _dyad_weight(adj, self.mnar) if use_cov else None
-        self.mi, self.mj = adj.missing_pairs
         self.use_cov = use_cov
         self.covariates_raw = covariates
         self.covariates = transfer_covariates(covariates) if covariates is not None else None
         self.sbm_covariates = self.covariates if use_cov else None
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
+        self._counts = (None, None)   # (state, its block_pair_counts)
 
     # -- initialization ------------------------------------------------------
 
@@ -210,27 +214,35 @@ class _Engine:
         tau = soften_partition(init, q)
         nu = None
         if self.mnar:
-            nu = np.full(self.mi.size, float(clamp_prob(self.adj.observed_density)))
+            nu = np.full(self.adj.n_missing, float(clamp_prob(self.adj.observed_density)))
         return VariationalState(tau=tau, nu=nu)
 
     def sbm_state(self, state: VariationalState) -> VariationalState:
         """The state as the SBM factor sees it: without nu unless MNAR."""
         return state if self.mnar else VariationalState(tau=state.tau)
 
+    def block_counts(self, state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
+        """``block_pair_counts`` of the SBM factor at ``state``, kept for the
+        last state seen: the M step and the bound that follows it read the
+        same counts, so tau' y tau is built once per EM iteration."""
+        if self._counts[0] is not state:
+            self._counts = (state, block_pair_counts(self.adj, self.sbm_state(state)))
+        return self._counts[1]
+
     # -- M step ---------------------------------------------------------------
 
     def m_step(self, state: VariationalState, prev: Optional[SbmParams],
                design: Optional[SamplingDesign]):
         alpha = state.tau.mean(axis=0)
-        sbm_state = self.sbm_state(state)
         flags: tuple[str, ...] = ()
         if self.use_cov:
             start = (prev.gamma, prev.beta) if prev is not None and prev.variant == "covariate" else None
-            gamma, beta = fit_covariate_connectivity(self.adj, sbm_state, self.covariates, start=start)
+            gamma, beta = fit_covariate_connectivity(self.adj, self.sbm_state(state), self.covariates,
+                                                     start=start)
             params = SbmParams(alpha=alpha, gamma=gamma, beta=beta, directed=self.directed)
         else:
             fallback = prev.pi if prev is not None else np.full((alpha.size,) * 2, self.adj.observed_density)
-            pi, kept = rate_update(*block_pair_counts(self.adj, sbm_state), fallback, self.directed)
+            pi, kept = rate_update(*self.block_counts(state), fallback, self.directed)
             if kept:
                 flags += ("empty block pair: pi entry kept",)
             params = SbmParams(alpha=alpha, pi=pi, directed=self.directed)
@@ -276,7 +288,7 @@ class _Engine:
                 self.damped_rounds += 1
             tau = tau + t * step
             grad = grad + t * grad_step
-            if self.mnar and self.mi.size:
+            if self.mnar and self.adj.n_missing:
                 nu = self._nu_update(params, design, tau, nu, cov_effect)
         return VariationalState(tau=tau, nu=nu)
 
@@ -322,7 +334,10 @@ class _Engine:
         network is undirected.
         """
         out = np.zeros_like(t)
-        for m, table in zip((y, self.adj.observed_mask, None), tables):
+        # R is read (and built) only when a design weights it: MAR designs
+        # and block-dyad sampling; other MNAR fits never hold the n x n mask
+        r = None if tables[1] is None else self.adj.observed_mask
+        for m, table in zip((y, r, None), tables):
             if table is None:
                 continue
             rows = t.sum(axis=0) - t if m is None else m @ t
@@ -353,11 +368,18 @@ class _Engine:
         return t * slope + t * t * curvature - float(np.sum(xlogy(cand, cand) - xlogy(tau, tau)))
 
     def _nu_update(self, params, design, tau, nu, cov_effect):
-        mi, mj = self.mi, self.mj
+        """Imputation means at fixed tau and parameters.
+
+        The model logit of missing dyad (i, j) is tau_i' L tau_j, with L the
+        logit of pi (or gamma plus beta . x_ij for the covariate SBM).  It is
+        gathered from the rank-Q product tau L tau' at the missing dyads'
+        flat indices, one BLAS call in place of two |M| x Q row gathers.
+        """
+        flat = self.adj.missing_flat
         if params.variant == "plain":
-            base = ((tau[mi] @ safe_logit(params.pi)) * tau[mj]).sum(axis=1)
+            base = (tau @ safe_logit(params.pi) @ tau.T).take(flat)
         else:
-            base = ((tau[mi] @ params.gamma) * tau[mj]).sum(axis=1) + cov_effect[mi, mj]
+            base = (tau @ params.gamma @ tau.T).take(flat) + cov_effect.take(flat)
         corr = nu_logit_correction(design, self.adj, nu)
         proposed = logistic(base + corr)
         if design.tag != "degree":
@@ -386,7 +408,8 @@ class _Engine:
                    state: VariationalState) -> tuple[float, float, float]:
         """(elbo, SBM expectation, sampling expectation)."""
         sbm_state = self.sbm_state(state)
-        vexpec = expected_loglik_sbm(params, self.adj, sbm_state, self.sbm_covariates)
+        counts = self.block_counts(state) if params.variant == "plain" else None
+        vexpec = expected_loglik_sbm(params, self.adj, sbm_state, self.sbm_covariates, counts)
         s_ll = 0.0
         if design is not None:
             s_ll = sampling_loglik(design, state, self.adj, self.covariates_raw)

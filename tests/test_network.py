@@ -19,6 +19,18 @@ from sbm_miss.network import fit_logistic
 from util import adjacency_from_edges
 
 
+def random_partial(n, directed, seed):
+    """Random network with about a third of its dyads missing."""
+    rng = np.random.default_rng(seed)
+    mat = (rng.random((n, n)) < 0.4).astype(float)
+    missing = rng.random((n, n)) < 0.35
+    if not directed:
+        mat = np.triu(mat, 1) + np.triu(mat, 1).T
+        missing = np.triu(missing, 1) | np.triu(missing, 1).T
+    mat[missing] = np.nan
+    return PartialAdjacency(mat, directed=directed)
+
+
 class TestLogistic:
     def test_zero_is_half(self):
         assert logistic(0.0) == 0.5
@@ -167,6 +179,22 @@ class TestPartialAdjacency:
         with pytest.raises(InputError):
             adj.filled()
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_filled_matches_entry_loop(self, directed):
+        adj = random_partial(9, directed, seed=7)
+        nu = np.random.default_rng(8).random(adj.n_missing)
+        position = {d: k for k, d in enumerate(adj.missing_dyads())}
+        expected = np.zeros((adj.n, adj.n))
+        for i in range(adj.n):
+            for j in range(adj.n):
+                if i != j:
+                    value = adj.entry(i, j)
+                    dyad = (i, j) if directed else (min(i, j), max(i, j))
+                    expected[i, j] = nu[position[dyad]] if value is None else value
+        assert adj.n_missing > 5
+        np.testing.assert_array_equal(adj.filled(nu), expected)
+        np.testing.assert_array_equal(adj.filled(nu).take(adj.missing_flat), nu)
+
     def test_mask_where(self):
         adj = adjacency_from_edges(3, [(0, 1)])
         keep = np.ones((3, 3), dtype=bool)
@@ -202,6 +230,14 @@ class TestDegrees:
     def test_mapping_imputation(self):
         adj = adjacency_from_edges(3, [(0, 1)], missing=[(1, 2)])
         np.testing.assert_allclose(degrees(adj, impute={(1, 2): 0.25}), [1.0, 1.25, 0.25])
+
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_imputed_degrees_are_filled_row_sums(self, directed):
+        adj = random_partial(10, directed, seed=9)
+        nu = np.random.default_rng(10).random(adj.n_missing)
+        np.testing.assert_allclose(degrees(adj, nu), adj.filled(nu).sum(axis=1), rtol=1e-13)
+        np.testing.assert_array_equal(degrees(adj, observed_only=True), adj.filled(0.0).sum(axis=1))
 
 
 class TestPartition:

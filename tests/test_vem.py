@@ -107,6 +107,46 @@ class TestVeStep:
         np.testing.assert_array_equal(without.tau, with_nu.tau)
 
 
+class TestNuUpdate:
+    @pytest.mark.parametrize("use_cov", [False, True], ids=["plain", "covariate"])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_matches_dyad_loop(self, directed, use_cov):
+        # logit nu_ij = sum_ab tau_ia L_ab tau_jb (+ beta . x_ij) + the
+        # double-standard shift log((1 - rho1) / (1 - rho0))
+        n, q = 12, 3
+        rng = np.random.default_rng([directed, use_cov])
+        x = rng.normal(size=(2, n, n))
+        if not directed:
+            x = 0.5 * (x + x.transpose(0, 2, 1))
+        cov = CovariateSet.from_dyadic(list(x))
+        table = rng.normal(size=(q, q))
+        table = table if directed else 0.5 * (table + table.T)
+        if use_cov:
+            params = SbmParams(alpha=np.full(q, 1.0 / q), gamma=table, beta=np.array([0.8, -0.6]),
+                               directed=directed)
+        else:
+            params = SbmParams(alpha=np.full(q, 1.0 / q), pi=1.0 / (1.0 + np.exp(-table)),
+                               directed=directed)
+        adj, _ = sample_network(params, n, covariates=cov, rng_seed=3)
+        observed = observe_network(adj, SamplingDesign("dyad", 0.6), rng_seed=4)
+        design = SamplingDesign("double-standard", [0.8, 0.3])
+        eng = _Engine(observed, design.tag, cov, use_cov)
+        tau = rng.dirichlet(np.ones(q), size=n)
+        nu = rng.random(observed.n_missing)
+        cov_effect = vem.dyad_covariate_effect(params, cov) if use_cov else None
+        out = eng._nu_update(params, design, tau, nu, cov_effect)
+        logit = params.gamma if use_cov else np.log(params.pi) - np.log1p(-params.pi)
+        shift = math.log1p(-0.8) - math.log1p(-0.3)
+        expected = []
+        for i, j in observed.missing_dyads():
+            value = sum(tau[i, a] * logit[a, b] * tau[j, b] for a in range(q) for b in range(q))
+            if use_cov:
+                value += float(params.beta @ x[:, i, j])
+            expected.append(1.0 / (1.0 + math.exp(-(value + shift))))
+        assert observed.n_missing > 10
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
 def tau_objective_gain(eng, params, design, nu, tau, new):
     """F(new) - F(tau) as the VE safeguard computes it, at fixed params and nu."""
     linear, tables, cov_effect = eng._ve_terms(params, design)
@@ -305,6 +345,36 @@ class TestFitSingle:
             observed = observe_network(adj, design, rng_seed=20, **kwargs)
             fit = fit_single(observed, 2, tag, control=ControlOptions(rng_seed=21))
             assert elbo_is_monotone(fit), tag
+
+    @pytest.mark.parametrize("tag,psi", [("double-standard", [0.9, 0.4]), ("block-node", [0.9, 0.5])],
+                             ids=["double-standard", "block-node"])
+    def test_mnar_fit_without_mask_designs_never_builds_mask(self, tag, psi):
+        # the n x n float R is built only for designs whose terms weight it
+        adj, draw = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=21)
+        observed = observe_network(adj, SamplingDesign(tag, psi),
+                                   clusters=Partition.from_labels(draw.labels, 2), rng_seed=22)
+        fit = fit_single(observed, 2, tag, control=ControlOptions(rng_seed=23, max_iter=5))
+        assert observed.n_missing and fit.state.nu is not None
+        assert "observed_mask" not in observed.__dict__
+
+    def test_m_step_and_bound_share_block_counts(self, monkeypatch):
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=24)
+        observed = observe_network(adj, SamplingDesign("double-standard", [0.9, 0.4]), rng_seed=25)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return block_pair_counts(*args)
+
+        block_pair_counts = vem.block_pair_counts
+        monkeypatch.setattr(vem, "block_pair_counts", counting)
+        eng = _Engine(observed, "double-standard", None, False)
+        state = eng.initial_state(spectral_init(observed, 2, 26), 2)
+        params, design, _ = eng.m_step(state, None, make_default_design("double-standard", 2))
+        value = eng.elbo_parts(params, design, state)[0]
+        assert len(calls) == 1
+        assert value == elbo(observed, design, params, state)
+        assert len(calls) == 2
 
     def test_invalid_inputs(self):
         adj, _ = sample_network(planted_params(2, 0.6, 0.1), 10, rng_seed=22)
