@@ -118,7 +118,7 @@ class PartialAdjacency:
     """
 
     def __init__(self, matrix, directed: bool = False):
-        m = np.array(matrix, dtype=float)
+        m = np.array(matrix, dtype=float, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("adjacency matrix must be square")
         n = m.shape[0]
@@ -258,13 +258,13 @@ class PartialAdjacency:
         are written through :attr:`missing_flat`, in both orientations on
         undirected networks.
         """
-        out = np.array(self._matrix)
+        out = np.array(self._matrix, order="C")
         np.fill_diagonal(out, 0.0)
         if self.n_missing:
             if missing_values is None:
                 raise InputError("network has missing dyads but no fill values were given")
             vals = np.asarray(missing_values, dtype=float)
-            flat = out.reshape(-1)   # a view: out is a fresh C-contiguous copy
+            flat = out.reshape(-1)   # a view: out is C-contiguous
             flat[self.missing_flat] = vals
             if not self.directed:
                 mi, mj = self.missing_pairs

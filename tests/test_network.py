@@ -194,6 +194,9 @@ class TestPartialAdjacency:
         assert adj.n_missing > 5
         np.testing.assert_array_equal(adj.filled(nu), expected)
         np.testing.assert_array_equal(adj.filled(nu).take(adj.missing_flat), nu)
+        # a column-major input matrix fills the same dyads
+        fortran = PartialAdjacency(np.asfortranarray(adj.matrix), directed=directed)
+        np.testing.assert_array_equal(fortran.filled(nu), expected)
 
     def test_mask_where(self):
         adj = adjacency_from_edges(3, [(0, 1)])
