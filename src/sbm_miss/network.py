@@ -20,11 +20,37 @@ from .errors import InputError, NumericalError
 # Probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP] before any log:
 # degenerate M-steps can produce exact 0/1 entries.
 PROB_CLAMP = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def logistic(x):
     """Logistic function 1/(1+exp(-x)), overflow-free for any finite float."""
     return expit(x)
+
+
+def log_sigmoid(x, out=None):
+    """log(1 / (1 + exp(-x))) as min(x, 0) - log1p(exp(-|x|)), overflow-free.
+
+    Built from numpy's vectorised ``exp`` and ``log1p`` with one scratch
+    array of the size of ``x``; ``out`` may be ``x`` itself.
+    """
+    x = np.asarray(x, dtype=float)
+    tail = np.abs(x)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    out = np.minimum(x, 0.0, out=out)
+    out -= tail
+    return out
+
+
+def xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x with 0 log 0 = 0, as x * log(max(x, tiny)) for a float array
+    x >= 0; three ufunc calls, cheap on the n x Q arrays of tau as well."""
+    out = np.maximum(x, _TINY)
+    np.log(out, out=out)
+    np.multiply(out, x, out=out)
+    return out
 
 
 def as_rng(seed) -> np.random.Generator:

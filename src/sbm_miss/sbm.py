@@ -19,7 +19,9 @@ expected dyad log-likelihood under weights w and memberships tau is
     gamma : tau' (w * y) tau  +  sum(w * y * beta . x)
           + sum_ab tau_a' (w * log sigma(-eta_ab)) tau_b,
 
-so only the last term needs an n x n pass per block pair.
+so only the last term needs an n x n pass per block pair.  The kernels take
+log sigma(x) = min(x, 0) - log1p(exp(-|x|)) (``network.log_sigmoid``), which
+stays finite for every finite x and runs on numpy's vectorised exp and log1p.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, log_expit
+from scipy.special import expit
 
 from .errors import InputError, NumericalError
 from .network import (
@@ -37,6 +39,7 @@ from .network import (
     PartialAdjacency,
     Partition,
     as_rng,
+    log_sigmoid,
     logistic,
     pair_mass,
     rate_loglik,
@@ -155,7 +158,7 @@ def dyad_covariate_effect(params: SbmParams, covariates: Optional[CovariateSet])
     x = transfer_covariates(covariates).dyadic_stack()
     if x.shape[0] != params.beta.size:
         raise InputError(f"beta has {params.beta.size} entries but {x.shape[0]} covariates given")
-    return np.tensordot(params.beta, x, axes=1)
+    return (params.beta @ x.reshape(x.shape[0], -1)).reshape(x.shape[1:])
 
 
 def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet] = None,
@@ -219,16 +222,15 @@ def _log_sigmoid_kernels(gamma: np.ndarray, c: np.ndarray, w: np.ndarray):
     reused buffer of :func:`_block_pair_etas`."""
     for a, b, eta in _block_pair_etas(gamma, c):
         np.negative(eta, out=eta)
-        log_expit(eta, out=eta)
+        log_sigmoid(eta, out=eta)
         eta *= w
         yield a, b, eta
 
 
-def _covariate_dyad_loglik(gamma, c, w, y, tau) -> float:
+def _covariate_dyad_loglik(gamma, c, w, wy, tau) -> float:
     """sum_ij w_ij sum_ab tau_ia tau_jb log p(y_ij | eta_ab,ij) over ordered
-    pairs, by the kernel identity of the module docstring."""
-    wy = w * y
-    total = float(np.sum(gamma * (tau.T @ wy @ tau))) + float(np.sum(wy * c))
+    pairs, by the kernel identity of the module docstring; wy is w * y."""
+    total = float(np.sum(gamma * (tau.T @ wy @ tau))) + float(np.vdot(wy, c))
     for a, b, kernel in _log_sigmoid_kernels(gamma, c, w):
         total += float(tau[:, a] @ kernel @ tau[:, b])
     return total
@@ -255,8 +257,9 @@ def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
         return total + rate_loglik(*counts, params.pi)
     c = dyad_covariate_effect(params, covariates)
     w = _dyad_weight(adj, state.nu is not None)
+    wy = w * _dyad_values(adj, state)
     scale = 1.0 if adj.directed else 0.5
-    return total + scale * _covariate_dyad_loglik(params.gamma, c, w, _dyad_values(adj, state), tau)
+    return total + scale * _covariate_dyad_loglik(params.gamma, c, w, wy, tau)
 
 
 def predict_probabilities(params: SbmParams, state,
@@ -268,8 +271,11 @@ def predict_probabilities(params: SbmParams, state,
     else:
         c = dyad_covariate_effect(params, covariates)
         out = np.zeros_like(c)
+        weight = np.empty_like(c)
         for a, b, eta in _block_pair_etas(params.gamma, c):
-            out += np.outer(tau[:, a], tau[:, b]) * expit(eta, out=eta)
+            expit(eta, out=eta)
+            eta *= np.multiply.outer(tau[:, a], tau[:, b], out=weight)
+            out += eta
     np.fill_diagonal(out, np.nan)
     return out
 
@@ -365,11 +371,24 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state,
     over block pairs with weight tau_iq tau_jl, the block-pair intercepts
     gamma share parameters across the symmetric pair for undirected networks.
     Returns the updated (gamma, beta).
+
+    w * y and tau' (w * y) tau are formed once per call.  Each Newton step
+    (:func:`_newton_system`) allocates, besides beta . x, four n x n buffers
+    that its block-pair loop reuses and that are freed before the line search:
+
+    - eta: gamma_ab + beta . x, turned into mu = sigma(eta) and then 1 - mu
+      in place;
+    - wab: tau_a tau_b' * w, then wab * mu, then the pair's curvature
+      wab * mu * (1 - mu);
+    - the residual w * y - sum_ab wab * mu, started from w * y because
+      sum_ab tau_ia tau_jb = 1;
+    - the curvature summed over block pairs.
     """
     tau = state.tau
     q = tau.shape[1]
     w = _dyad_weight(adj, state.nu is not None)
-    y = _dyad_values(adj, state)
+    wy = w * _dyad_values(adj, state)
+    wy_mass = tau.T @ wy @ tau
     x = transfer_covariates(covariates).dyadic_stack()
     m = x.shape[0]
     x_rows = x.reshape(m, -1)
@@ -389,27 +408,11 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state,
 
     def objective(vec):
         gamma, beta = unpack(vec)
-        return _covariate_dyad_loglik(gamma, np.tensordot(beta, x, axes=1), w, y, tau)
+        return _covariate_dyad_loglik(gamma, (beta @ x_rows).reshape(wy.shape), w, wy, tau)
 
     current = objective(theta)
     for _ in range(max_iter):
-        gamma, beta = unpack(theta)
-        # residuals and curvatures weighted by tau_a tau_b' * w per block
-        # pair; the beta terms apply x once, to their sums over pairs
-        resid, curv, per_pair = np.zeros_like(w), np.zeros_like(w), []
-        for a, b, eta in _block_pair_etas(gamma, np.tensordot(beta, x, axes=1)):
-            mu = logistic(eta)
-            wab = np.outer(tau[:, a], tau[:, b]) * w
-            resid_ab = wab * (y - mu)
-            curv_ab = wab * mu * (1.0 - mu)
-            resid += resid_ab
-            curv += curv_ab
-            per_pair.append([resid_ab.sum(), curv_ab.sum(), *(x_rows @ curv_ab.reshape(-1))])
-        per_gamma = pool.T @ np.array(per_pair)   # columns: gradient, curvature, cross terms
-        grad = np.concatenate([per_gamma[:, 0], x_rows @ resid.reshape(-1)])
-        hess = np.block([[np.diag(per_gamma[:, 1]), per_gamma[:, 2:]],
-                         [per_gamma[:, 2:].T, (x_rows * curv.reshape(-1)) @ x_rows.T]])
-        hess[np.diag_indices_from(hess)] += 1e-10
+        grad, hess = _newton_system(*unpack(theta), tau, w, wy, wy_mass, x_rows, pool)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -430,3 +433,33 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state,
         if moved < 1e-8:
             break
     return unpack(theta)
+
+
+def _newton_system(gamma, beta, tau, w, wy, wy_mass, x_rows, pool):
+    """Gradient and ridged Hessian of the covariate dyad log-likelihood in
+    theta = (free intercepts, beta), wy_mass being tau' (w * y) tau.
+
+    Residuals and curvatures are weighted by tau_a tau_b' * w per block pair;
+    the beta terms apply x once, to their sums over pairs.
+    """
+    resid = wy.copy()
+    curv = np.zeros_like(wy)
+    wab = np.empty_like(wy)
+    per_pair = []
+    for a, b, eta in _block_pair_etas(gamma, (beta @ x_rows).reshape(wy.shape)):
+        mu = expit(eta, out=eta)
+        np.multiply.outer(tau[:, a], tau[:, b], out=wab)
+        wab *= w
+        wab *= mu
+        resid -= wab
+        fitted = wab.sum()
+        np.subtract(1.0, mu, out=mu)
+        wab *= mu
+        curv += wab
+        per_pair.append([wy_mass[a, b] - fitted, wab.sum(), *(x_rows @ wab.reshape(-1))])
+    per_gamma = pool.T @ np.array(per_pair)   # columns: gradient, curvature, cross terms
+    grad = np.concatenate([per_gamma[:, 0], x_rows @ resid.reshape(-1)])
+    hess = np.block([[np.diag(per_gamma[:, 1]), per_gamma[:, 2:]],
+                     [per_gamma[:, 2:].T, (x_rows * curv.reshape(-1)) @ x_rows.T]])
+    hess[np.diag_indices_from(hess)] += 1e-10
+    return grad, hess

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InputError, NumericalError
 from .network import (
@@ -48,6 +47,7 @@ from .network import (
     safe_log,
     safe_logit,
     transfer_covariates,
+    xlogx,
 )
 from .sampling import (
     AVAILABLE_SAMPLINGS,
@@ -365,7 +365,7 @@ class _Engine:
         cand = tau + t * step
         slope = float(np.sum(step * (linear + grad)))
         curvature = 0.5 * float(np.sum(step * grad_step))
-        return t * slope + t * t * curvature - float(np.sum(xlogy(cand, cand) - xlogy(tau, tau)))
+        return t * slope + t * t * curvature - float(np.sum(xlogx(cand) - xlogx(tau)))
 
     def _nu_update(self, params, design, tau, nu, cov_effect):
         """Imputation means at fixed tau and parameters.
@@ -399,7 +399,7 @@ class _Engine:
     def _nu_objective(self, base, tau, nu, design) -> float:
         value = float(base @ nu)
         value += sampling_loglik(design, VariationalState(tau=tau, nu=nu), self.adj)
-        value += float(-(xlogy(nu, nu) + xlogy(1.0 - nu, 1.0 - nu)).sum())
+        value += float(-(xlogx(nu) + xlogx(1.0 - nu)).sum())
         return value
 
     # -- objective --------------------------------------------------------------
@@ -413,10 +413,10 @@ class _Engine:
         s_ll = 0.0
         if design is not None:
             s_ll = sampling_loglik(design, state, self.adj, self.covariates_raw)
-        ent = float(-xlogy(state.tau, state.tau).sum())
+        ent = float(-xlogx(state.tau).sum())
         nu = sbm_state.nu
         if nu is not None and nu.size:
-            ent += float(-(xlogy(nu, nu) + xlogy(1.0 - nu, 1.0 - nu)).sum())
+            ent += float(-(xlogx(nu) + xlogx(1.0 - nu)).sum())
         return vexpec + s_ll + ent, vexpec, s_ll
 
 
@@ -722,20 +722,12 @@ def impute(fit: FitResult) -> np.ndarray:
     MNAR fits carry the imputation means directly; MAR fits fill in the
     model's predicted connection probabilities post hoc.  Diagonal is 0.
     """
-    out = np.array(fit.adj.matrix)
-    np.fill_diagonal(out, 0.0)
-    mi, mj = fit.adj.missing_pairs
-    if mi.size:
-        if fit.state.nu is not None:
-            values = fit.state.nu
-        else:
-            pred = predict_probabilities(fit.params, fit.state,
-                                         fit.covariates if fit.use_cov else None)
-            values = pred[mi, mj]
-        out[mi, mj] = values
-        if not fit.adj.directed:
-            out[mj, mi] = values
-    return out
+    values = fit.state.nu
+    if values is None and fit.adj.n_missing:
+        pred = predict_probabilities(fit.params, fit.state,
+                                     fit.covariates if fit.use_cov else None)
+        values = pred.take(fit.adj.missing_flat)
+    return fit.adj.filled(values)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import log_expit, xlogy
 
 from sbm_miss import (
     CovariateSet,
@@ -14,7 +15,7 @@ from sbm_miss import (
     logistic,
     transfer_covariates,
 )
-from sbm_miss.network import fit_logistic
+from sbm_miss.network import fit_logistic, log_sigmoid, xlogx
 
 from util import adjacency_from_edges
 
@@ -60,6 +61,27 @@ class TestLogistic:
     def test_monotone(self, a, b):
         lo, hi = sorted((a, b))
         assert logistic(lo) <= logistic(hi)
+
+
+class TestLogSigmoid:
+    EDGES = [1000.0, -1000.0, 745.0, -745.0, 40.0, -40.0, 0.0, 1e-300, -1e-300]
+
+    def test_matches_log_expit(self):
+        x = np.concatenate([self.EDGES, 30.0 * np.random.default_rng(3).normal(size=1000)])
+        np.testing.assert_allclose(log_sigmoid(x), log_expit(x), rtol=1e-15, atol=0)
+
+    def test_writes_into_its_argument(self):
+        x = 30.0 * np.random.default_rng(4).normal(size=(20, 20))
+        expected = log_expit(x)
+        out = log_sigmoid(x, out=x)
+        assert out is x
+        np.testing.assert_allclose(x, expected, rtol=1e-15, atol=0)
+
+
+class TestXlogx:
+    def test_matches_xlogy(self):
+        x = np.concatenate([[0.0, 1.0, 5e-324, 1e-300], np.random.default_rng(5).random(1000)])
+        np.testing.assert_allclose(xlogx(x), xlogy(x, x), rtol=0, atol=1e-16)
 
 
 class TestL1Similarity:

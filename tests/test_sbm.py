@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sbm_miss import (
 )
 from sbm_miss.network import fit_logistic
 from sbm_miss.sbm import fit_covariate_connectivity
+from sbm_miss.vem import _Engine
 
 from util import adjacency_from_edges, dyad_values, planted_params
 
@@ -293,6 +296,39 @@ class TestFitCovariateConnectivity:
                                     for b in range(q)] for a in range(q)])
         np.testing.assert_allclose(gamma, expected_gamma, atol=1e-6)
         np.testing.assert_allclose(beta, coef[len(pairs):], atol=1e-6)
+
+
+def peak_floats(fn, n):
+    """Peak memory that fn allocates above what is held on entry, in n x n
+    float arrays."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / (8.0 * n * n)
+
+
+class TestCovariateWorkingSet:
+    # Peaks of the kernels with scipy's log_expit and fresh n x n temporaries
+    # per block pair (n = 200, Q = 3, two covariates): 13.04 / 4.01 arrays
+    # (MAR) and 14.04 / 5.01 (MNAR), the fractions being small arrays.  The
+    # bounds allow 0.05 of an array for those, so one more n x n array fails:
+    # the log-sigmoid scratch array must be paid for by arrays removed elsewhere.
+    EARLIER_PEAK = {False: {"fit": 13.05, "elbo": 4.05}, True: {"fit": 14.05, "elbo": 5.05}}
+
+    @pytest.mark.parametrize("mnar", [False, True], ids=["mar", "mnar"])
+    def test_fit_and_bound_do_not_outgrow_earlier_kernels(self, mnar):
+        n = 200
+        adj, cov, _, params, state = covariate_case(False, mnar, n=n, q=3)
+        engine = _Engine(adj, "double-standard" if mnar else "dyad", cov, use_cov=True)
+        adj.missing_flat, adj.observed_mask   # cached inputs, held by every fit
+        fit = peak_floats(lambda: fit_covariate_connectivity(adj, state, engine.covariates), n)
+        bound = peak_floats(lambda: engine.elbo_parts(params, None, state), n)
+        assert fit <= self.EARLIER_PEAK[mnar]["fit"]
+        assert bound <= self.EARLIER_PEAK[mnar]["elbo"]
 
 
 class TestSpectralInit:
