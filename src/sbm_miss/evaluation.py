@@ -55,20 +55,15 @@ def auc(truth, scores) -> float:
         raise InputError(f"truth and scores differ in length: {y.size} vs {s.size}")
     if not np.isin(y, (0.0, 1.0)).all():
         raise InputError("truth must be binary")
+    if np.isnan(s).any():
+        raise InputError("scores must not be NaN")
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise InputError("AUC needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(y.size)
-    sorted_scores = s[order]
-    i = 0
-    while i < y.size:  # average ranks over tied score runs
-        j = i
-        while j + 1 < y.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, where, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = ((ends - counts + 1 + ends) / 2.0)[where]
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -4,6 +4,9 @@ A partially observed network is tri-state: every dyad (unordered pair of
 distinct nodes for undirected networks, ordered pair otherwise) is absent (0),
 present (1) or missing.  Missing dyads are carried as NaN inside a dense float
 matrix; the diagonal is structurally undefined and never enters any sum.
+
+Both likelihood families, rate and logistic, live here, with ``newton_ascent``,
+the one Newton loop of every logistic M step (the covariate SBM's included).
 """
 
 from __future__ import annotations
@@ -72,6 +75,14 @@ def rate_loglik(obs, total, rate) -> float:
     sum(obs log rate + (total - obs) log(1 - rate)), rates clamped."""
     rate = clamp_prob(rate)
     return float(np.sum(obs * np.log(rate) + (total - obs) * np.log1p(-rate)))
+
+
+def logistic_loglik(x, y, coef, weights=None) -> float:
+    """(Weighted) Bernoulli log-likelihood of responses y under the logistic
+    model p = logistic(x @ coef), probabilities clamped before the logs."""
+    prob = clamp_prob(expit(x @ coef))
+    ll = y * np.log(prob) + (1.0 - y) * np.log1p(-prob)
+    return float(np.sum(ll if weights is None else weights * ll))
 
 
 def rate_update(obs, total, prev, directed: bool) -> tuple[np.ndarray, bool]:
@@ -363,6 +374,9 @@ class CovariateSet:
     Nodal covariates are length-n vectors (one scalar per node per covariate)
     and are transferred to the dyad level by a symmetric similarity function.
     Dyadic covariates are n x n matrices.
+    A similarity is a name in ``SIMILARITIES`` or an elementwise callable:
+    on read-only n x n views a[i, j] = v[i], b[i, j] = v[j] of a nodal
+    covariate v it returns the n x n similarities of (a[i, j], b[i, j]).
     """
 
     kind: str
@@ -425,9 +439,9 @@ class CovariateSet:
 def transfer_covariates(cov: CovariateSet) -> CovariateSet:
     """Transfer nodal covariates to the dyad level (identity on dyadic sets).
 
-    Each nodal covariate produces one dyadic matrix through the similarity
-    function, applied per pair of scalar values.  Nodal vectors are retained on
-    the result for designs that act on nodes.
+    Each nodal covariate v produces one dyadic matrix, the similarity of
+    (v[i], v[j]) at (i, j) (see :class:`CovariateSet`).  Nodal vectors are
+    retained on the result for designs that act on nodes.
     """
     if cov.kind == "dyadic":
         return cov
@@ -439,14 +453,7 @@ def transfer_covariates(cov: CovariateSet) -> CovariateSet:
     for vec in cov.nodal:
         if vec.size != n:
             raise InputError("nodal covariate vectors must share one length")
-        if sim is l1_similarity:
-            mat = -np.abs(vec[:, None] - vec[None, :])
-        else:
-            mat = np.empty((n, n))
-            for i in range(n):
-                for j in range(n):
-                    mat[i, j] = float(sim(np.atleast_1d(vec[i]), np.atleast_1d(vec[j]))[0])
-        mats.append(mat)
+        mats.append(sim(np.broadcast_to(vec[:, None], (n, n)), np.broadcast_to(vec[None, :], (n, n))))
     return CovariateSet(kind="dyadic", nodal=cov.nodal, dyadic=tuple(mats), similarity=cov.similarity)
 
 
@@ -475,48 +482,50 @@ def degrees(adj: PartialAdjacency, impute=None, observed_only: bool = False) -> 
     return out
 
 
-def fit_logistic(x: np.ndarray, y: np.ndarray, weights=None, start=None,
-                 max_iter: int = 25, ridge: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Damped Newton fit of a (weighted) logistic regression.
-
-    ``x`` is the n x p design matrix (include a column of ones for an
-    intercept), ``y`` binary responses, ``weights`` optional non-negative case
-    weights.  Steps are halved until the penalized log-likelihood does not
-    decrease; separation therefore yields large finite coefficients instead of
-    a divergence.  Returns (coefficients, log-likelihood).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
-    p = x.shape[1]
-    coef = np.zeros(p) if start is None else np.array(start, dtype=float)
-
-    def loglik(c):
-        prob = clamp_prob(expit(x @ c))
-        return float(np.sum(w * (y * np.log(prob) + (1.0 - y) * np.log1p(-prob))))
-
-    current = loglik(coef)
-    for _ in range(max_iter):
-        prob = expit(x @ coef)
-        grad = x.T @ (w * (y - prob))
-        hess = (x * (w * prob * (1.0 - prob))[:, None]).T @ x
-        hess[np.diag_indices_from(hess)] += ridge
+def newton_ascent(objective, system, theta: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Damped Newton ascent of a concave ``objective`` from ``theta``, with
+    ``system(theta)`` = (gradient, negated Hessian), ridged by 1e-10.  A step
+    is halved up to 20 times until the objective falls by at most 1e-12, so
+    separation gives large finite values; stops after 25 steps, when no
+    halving is accepted, or once a step moves no parameter by 1e-8.  ``what``
+    names the fit in the errors.  Returns (theta, objective(theta))."""
+    current = objective(theta)
+    for _ in range(25):
+        grad, hess = system(theta)
+        hess[np.diag_indices_from(hess)] += 1e-10
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular Hessian in logistic fit") from exc
+            raise NumericalError(f"singular Hessian in {what}") from exc
         if not np.isfinite(step).all():
-            raise NumericalError("non-finite Newton step in logistic fit")
+            raise NumericalError(f"non-finite Newton step in {what}")
         scale = 1.0
         for _ in range(20):
-            candidate = coef + scale * step
-            value = loglik(candidate)
+            candidate = theta + scale * step
+            value = objective(candidate)
             if value >= current - 1e-12:
                 break
             scale *= 0.5
         else:
-            return coef, current
-        if abs(value - current) < 1e-10 and np.max(np.abs(scale * step)) < 1e-8:
-            return candidate, value
-        coef, current = candidate, value
-    return coef, current
+            break
+        theta, current = candidate, value
+        if np.max(np.abs(scale * step)) < 1e-8:
+            break
+    return theta, current
+
+
+def fit_logistic(x: np.ndarray, y: np.ndarray, weights=None, start=None) -> tuple[np.ndarray, float]:
+    """(Weighted) logistic regression by :func:`newton_ascent`: ``x`` is the
+    n x p design matrix (a column of ones for an intercept), ``y`` binary,
+    ``weights`` non-negative case weights, ``start`` the initial coefficients
+    (zeros by default).  Returns (coefficients, log-likelihood)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    coef = np.zeros(x.shape[1]) if start is None else np.array(start, dtype=float)
+
+    def system(c):
+        prob = expit(x @ c)
+        return x.T @ (w * (y - prob)), (x * (w * prob * (1.0 - prob))[:, None]).T @ x
+
+    return newton_ascent(lambda c: logistic_loglik(x, y, c, w), system, coef, "logistic fit")

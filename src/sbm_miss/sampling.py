@@ -15,8 +15,9 @@ follows from two likelihood families:
   same pair that fits the SBM connectivity pi.
 * logistic designs observe unit u with probability logistic(x_u . psi).
   ``_features`` gives the units' covariates: dyad covariates on canonical
-  dyads, or nodal covariates or expected degrees on nodes.  The M step is a
-  damped Newton fit.
+  dyads, or nodal covariates or expected degrees on nodes.  The
+  log-likelihood and the damped Newton M step are ``network.logistic_loglik``
+  and ``network.fit_logistic``.
 
 The observation itself, the mask R and the observed nodes V, is read from
 the partially observed network (``PartialAdjacency.observed_mask`` and
@@ -45,6 +46,7 @@ from .network import (
     degrees,
     fit_logistic,
     logistic,
+    logistic_loglik,
     pair_mass,
     rate_loglik,
     rate_update,
@@ -306,9 +308,7 @@ def sampling_loglik(design: SamplingDesign, state, adj: PartialAdjacency,
     """
     if DESIGNS[design.tag].family == "rate":
         return rate_loglik(*_rate_counts(design, state, adj), design.psi)
-    x, r = _logistic_data(design, state, adj, covariates)
-    p = clamp_prob(logistic(x @ design.psi))
-    return float(np.sum(r * np.log(p) + (1.0 - r) * np.log1p(-p)))
+    return logistic_loglik(*_logistic_data(design, state, adj, covariates), design.psi)
 
 
 def update_psi(design: SamplingDesign, state, adj: PartialAdjacency,
@@ -319,8 +319,8 @@ def update_psi(design: SamplingDesign, state, adj: PartialAdjacency,
     Rates have the closed form obs / total; a stratum with no mass
     keeps its previous rate, and the returned flags name the design for the
     fit monitoring.  Block-pair rates are symmetrized on undirected networks.
-    The logistic designs run a damped Newton fit warm-started at the current
-    parameters.  The snowball rate is the observed-node proportion: wave
+    The logistic designs run ``network.fit_logistic`` warm-started at the
+    current parameters.  The snowball rate is the observed-node proportion: wave
     labels are not recoverable from the mask (MAR, so theta is unaffected).
     """
     if DESIGNS[design.tag].family == "logistic":

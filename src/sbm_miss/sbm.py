@@ -14,9 +14,10 @@ Plain pi is a rate per block pair, fitted from ``block_pair_counts`` by
 Every covariate computation runs through one block-pair kernel.  With
 eta_ab = gamma_ab + beta . x and the identity
 y log sigma(eta) + (1 - y) log sigma(-eta) = y eta + log sigma(-eta), the
-expected dyad log-likelihood under weights w and memberships tau is
+expected dyad log-likelihood under memberships tau and 0/1 weights w, which
+are 1 wherever the expected edge values y (``_dyad_values``) are not 0, is
 
-    gamma : tau' (w * y) tau  +  sum(w * y * beta . x)
+    gamma : tau' y tau  +  sum(y * beta . x)
           + sum_ab tau_a' (w * log sigma(-eta_ab)) tau_b,
 
 so only the last term needs an n x n pass per block pair.  The kernels take
@@ -41,6 +42,7 @@ from .network import (
     as_rng,
     log_sigmoid,
     logistic,
+    newton_ascent,
     pair_mass,
     rate_loglik,
     safe_log,
@@ -48,6 +50,8 @@ from .network import (
 )
 
 ALPHA_TOL = 1e-10
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -227,10 +231,10 @@ def _log_sigmoid_kernels(gamma: np.ndarray, c: np.ndarray, w: np.ndarray):
         yield a, b, eta
 
 
-def _covariate_dyad_loglik(gamma, c, w, wy, tau) -> float:
+def _covariate_dyad_loglik(gamma, c, w, y, tau) -> float:
     """sum_ij w_ij sum_ab tau_ia tau_jb log p(y_ij | eta_ab,ij) over ordered
-    pairs, by the kernel identity of the module docstring; wy is w * y."""
-    total = float(np.sum(gamma * (tau.T @ wy @ tau))) + float(np.vdot(wy, c))
+    pairs, by the kernel identity of the module docstring."""
+    total = float(np.sum(gamma * (tau.T @ y @ tau))) + float(np.vdot(y, c))
     for a, b, kernel in _log_sigmoid_kernels(gamma, c, w):
         total += float(tau[:, a] @ kernel @ tau[:, b])
     return total
@@ -257,9 +261,8 @@ def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
         return total + rate_loglik(*counts, params.pi)
     c = dyad_covariate_effect(params, covariates)
     w = _dyad_weight(adj, state.nu is not None)
-    wy = w * _dyad_values(adj, state)
     scale = 1.0 if adj.directed else 0.5
-    return total + scale * _covariate_dyad_loglik(params.gamma, c, w, wy, tau)
+    return total + scale * _covariate_dyad_loglik(params.gamma, c, w, _dyad_values(adj, state), tau)
 
 
 def predict_probabilities(params: SbmParams, state,
@@ -311,8 +314,7 @@ def spectral_init(adj: PartialAdjacency, q: int, rng_seed: int = 0) -> Partition
     return Partition(labels=labels, q=q)
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-           n_init: int = 10, max_iter: int = 100) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Plain Lloyd k-means, squared Euclidean, best inertia over restarts.
 
     Centers start from a k-means++ draw; a cluster that empties is reseeded
@@ -322,10 +324,10 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     if k >= n:
         return np.arange(n) % k
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_init):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp(points, k, rng)
         labels = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = dist.argmin(axis=1)
             for empty in np.setdiff1d(np.arange(k), np.unique(new_labels)):
@@ -361,18 +363,17 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 # Covariate connectivity M-step
 # ---------------------------------------------------------------------------
 
-def fit_covariate_connectivity(adj: PartialAdjacency, state,
-                               covariates: CovariateSet,
-                               start: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                               max_iter: int = 25) -> tuple[np.ndarray, np.ndarray]:
+def fit_covariate_connectivity(adj: PartialAdjacency, state, covariates: CovariateSet,
+                               start: Optional[tuple[np.ndarray, np.ndarray]] = None
+                               ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the tau-weighted logistic dyad likelihood in (gamma, beta).
 
-    Damped Newton on the concave objective: each dyad is softly replicated
-    over block pairs with weight tau_iq tau_jl, the block-pair intercepts
-    gamma share parameters across the symmetric pair for undirected networks.
-    Returns the updated (gamma, beta).
+    ``network.newton_ascent`` on the concave objective: each dyad is softly
+    replicated over block pairs with weight tau_iq tau_jl, the block-pair
+    intercepts gamma share parameters across the symmetric pair for
+    undirected networks.  Returns the updated (gamma, beta).
 
-    w * y and tau' (w * y) tau are formed once per call.  Each Newton step
+    y and tau' y tau are formed once per call.  Each Newton step
     (:func:`_newton_system`) allocates, besides beta . x, four n x n buffers
     that its block-pair loop reuses and that are freed before the line search:
 
@@ -380,15 +381,15 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state,
       in place;
     - wab: tau_a tau_b' * w, then wab * mu, then the pair's curvature
       wab * mu * (1 - mu);
-    - the residual w * y - sum_ab wab * mu, started from w * y because
+    - the residual y - sum_ab wab * mu, started from y because
       sum_ab tau_ia tau_jb = 1;
     - the curvature summed over block pairs.
     """
     tau = state.tau
     q = tau.shape[1]
     w = _dyad_weight(adj, state.nu is not None)
-    wy = w * _dyad_values(adj, state)
-    wy_mass = tau.T @ wy @ tau
+    y = _dyad_values(adj, state)
+    y_mass = tau.T @ y @ tau
     x = transfer_covariates(covariates).dyadic_stack()
     m = x.shape[0]
     x_rows = x.reshape(m, -1)
@@ -408,45 +409,27 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state,
 
     def objective(vec):
         gamma, beta = unpack(vec)
-        return _covariate_dyad_loglik(gamma, (beta @ x_rows).reshape(wy.shape), w, wy, tau)
+        return _covariate_dyad_loglik(gamma, (beta @ x_rows).reshape(y.shape), w, y, tau)
 
-    current = objective(theta)
-    for _ in range(max_iter):
-        grad, hess = _newton_system(*unpack(theta), tau, w, wy, wy_mass, x_rows, pool)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular Hessian in covariate connectivity fit") from exc
-        if not np.isfinite(step).all():
-            raise NumericalError("non-finite Newton step in covariate connectivity fit")
-        scale_step = 1.0
-        for _ in range(20):
-            cand = theta + scale_step * step
-            value = objective(cand)
-            if value >= current - 1e-12:
-                break
-            scale_step *= 0.5
-        else:
-            break
-        moved = np.max(np.abs(scale_step * step))
-        theta, current = cand, value
-        if moved < 1e-8:
-            break
+    def system(vec):
+        return _newton_system(*unpack(vec), tau, w, y, y_mass, x_rows, pool)
+
+    theta, _ = newton_ascent(objective, system, theta, "covariate connectivity fit")
     return unpack(theta)
 
 
-def _newton_system(gamma, beta, tau, w, wy, wy_mass, x_rows, pool):
-    """Gradient and ridged Hessian of the covariate dyad log-likelihood in
-    theta = (free intercepts, beta), wy_mass being tau' (w * y) tau.
+def _newton_system(gamma, beta, tau, w, y, y_mass, x_rows, pool):
+    """Gradient and negated Hessian of the covariate dyad log-likelihood in
+    theta = (free intercepts, beta), y_mass being tau' y tau.
 
     Residuals and curvatures are weighted by tau_a tau_b' * w per block pair;
     the beta terms apply x once, to their sums over pairs.
     """
-    resid = wy.copy()
-    curv = np.zeros_like(wy)
-    wab = np.empty_like(wy)
+    resid = y.copy()
+    curv = np.zeros_like(y)
+    wab = np.empty_like(y)
     per_pair = []
-    for a, b, eta in _block_pair_etas(gamma, (beta @ x_rows).reshape(wy.shape)):
+    for a, b, eta in _block_pair_etas(gamma, (beta @ x_rows).reshape(y.shape)):
         mu = expit(eta, out=eta)
         np.multiply.outer(tau[:, a], tau[:, b], out=wab)
         wab *= w
@@ -456,10 +439,9 @@ def _newton_system(gamma, beta, tau, w, wy, wy_mass, x_rows, pool):
         np.subtract(1.0, mu, out=mu)
         wab *= mu
         curv += wab
-        per_pair.append([wy_mass[a, b] - fitted, wab.sum(), *(x_rows @ wab.reshape(-1))])
+        per_pair.append([y_mass[a, b] - fitted, wab.sum(), *(x_rows @ wab.reshape(-1))])
     per_gamma = pool.T @ np.array(per_pair)   # columns: gradient, curvature, cross terms
     grad = np.concatenate([per_gamma[:, 0], x_rows @ resid.reshape(-1)])
     hess = np.block([[np.diag(per_gamma[:, 1]), per_gamma[:, 2:]],
                      [per_gamma[:, 2:].T, (x_rows * curv.reshape(-1)) @ x_rows.T]])
-    hess[np.diag_indices_from(hess)] += 1e-10
     return grad, hess

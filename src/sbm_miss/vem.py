@@ -152,13 +152,13 @@ class MonitorRow:
     flags: tuple[str, ...] = ()
 
 
-def soften_partition(partition: Partition, q: int, eps: float = INIT_SOFTENING) -> np.ndarray:
+def soften_partition(partition: Partition, q: int) -> np.ndarray:
     """Hard labels to near-hard tau; exact zeros would freeze the fixed point."""
     n = partition.n
     if q == 1:
         return np.ones((n, 1))
-    tau = np.full((n, q), eps)
-    tau[np.arange(n), partition.labels] = 1.0 - (q - 1) * eps
+    tau = np.full((n, q), INIT_SOFTENING)
+    tau[np.arange(n), partition.labels] = 1.0 - (q - 1) * INIT_SOFTENING
     return tau
 
 
@@ -487,9 +487,6 @@ class FitResult:
     @property
     def memberships(self) -> np.ndarray:
         return self.state.memberships()
-
-    def imputed_network(self) -> np.ndarray:
-        return impute(self)
 
     def to_json(self) -> dict:
         def real(x):
@@ -826,7 +823,7 @@ def _split_candidates(base: FitResult, q_target: int, control: ControlOptions):
     """Split each block of the (q_target-1)-fit in two, by 2-means on the
     block's rows of the imputed adjacency restricted to the block's columns."""
     z = base.memberships
-    imputed = base.imputed_network()
+    imputed = impute(base)
     for block in range(base.q):
         members = np.nonzero(z == block)[0]
         if members.size < 2:

@@ -99,6 +99,8 @@ def test_eval_auc_vector_form(tmp_path):
     out = tmp_path / "auc.txt"
     assert run("eval-auc", "--truth", truth, "--scores", scores, "--out", out) == 0
     assert out.read_text().strip() == "0.75"
+    scores.write_text("nan\n0.8\n0.4\n0.1\n")
+    assert run("eval-auc", "--truth", truth, "--scores", scores) == 2
 
 
 def test_input_errors_exit_2(tmp_path):

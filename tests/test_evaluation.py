@@ -103,6 +103,10 @@ class TestAuc:
         with pytest.raises(InputError):
             auc([1, 1, 1], [0.1, 0.2, 0.3])
 
+    def test_nan_score_is_error(self):
+        with pytest.raises(InputError):
+            auc([0, 1, 1], [np.nan, 0.5, 0.7])
+
     @given(st.integers(0, 1000))
     def test_complement_property_without_ties(self, seed):
         rng = np.random.default_rng(seed)

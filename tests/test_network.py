@@ -15,7 +15,8 @@ from sbm_miss import (
     logistic,
     transfer_covariates,
 )
-from sbm_miss.network import fit_logistic, log_sigmoid, xlogx
+from sbm_miss.errors import NumericalError
+from sbm_miss.network import fit_logistic, log_sigmoid, logistic_loglik, xlogx
 
 from util import adjacency_from_edges
 
@@ -129,6 +130,12 @@ class TestTransferCovariates:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             transfer_covariates(CovariateSet.from_nodal([[1.0, 2.0], [1.0, 2.0, 3.0]]))
+
+    def test_custom_similarity_gives_per_pair_matrix(self):
+        vec = np.array([0.0, 1.0, 3.0, -2.0])
+        cov = transfer_covariates(CovariateSet.from_nodal([vec], similarity=lambda a, b: -(a - b) ** 2))
+        expected = [[-(vec[i] - vec[j]) ** 2 for j in range(4)] for i in range(4)]
+        np.testing.assert_array_equal(cov.dyadic[0], expected)
 
 
 class TestPartialAdjacency:
@@ -296,3 +303,18 @@ class TestFitLogistic:
         coef, _ = fit_logistic(x, y)
         assert np.isfinite(coef).all()
         assert coef[1] > 0
+
+    def test_nan_feature_is_numerical_error(self):
+        x = np.array([[1.0, 0.2], [1.0, np.nan], [1.0, -0.4]])
+        with pytest.raises(NumericalError, match="^non-finite Newton step in logistic fit$"):
+            fit_logistic(x, np.array([0.0, 1.0, 1.0]))
+
+    def test_weighted_warm_start_returns_its_loglik(self):
+        rng = np.random.default_rng(5)
+        x = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
+        y = (rng.random(200) < 0.4).astype(float)
+        weights = rng.uniform(0.1, 3.0, size=200)
+        start = np.array([0.3, -0.5, 0.8])
+        coef, ll = fit_logistic(x, y, weights=weights, start=start)
+        assert ll == logistic_loglik(x, y, coef, weights)
+        assert ll >= logistic_loglik(x, y, start, weights)
