@@ -229,17 +229,22 @@ class PartialAdjacency:
         v.flags.writeable = False
         return v
 
+    def _pairs_where(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (rows, cols) of the dyads where ``keep`` holds, canonical order."""
+        np.fill_diagonal(keep, False)
+        rows, cols = np.nonzero(keep if self.directed else np.triu(keep))
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
+
     @cached_property
     def missing_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (rows, cols) of missing dyads in canonical order."""
-        nan = np.isnan(self._matrix)
-        np.fill_diagonal(nan, False)
-        if not self.directed:
-            nan = np.triu(nan)
-        mi, mj = np.nonzero(nan)
-        mi.flags.writeable = False
-        mj.flags.writeable = False
-        return mi, mj
+        return self._pairs_where(np.isnan(self._matrix))
+
+    @cached_property
+    def observed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (rows, cols) of observed dyads in canonical order."""
+        return self._pairs_where(~np.isnan(self._matrix))
 
     @cached_property
     def missing_flat(self) -> np.ndarray:
@@ -429,11 +434,12 @@ class CovariateSet:
             raise InputError("no nodal covariates available")
         return np.column_stack(self.nodal)
 
-    def dyadic_stack(self) -> np.ndarray:
-        """m x n x n array of the dyad-level covariates."""
+    def at_pairs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """m x P array of the dyad-level covariates at the P pairs
+        (rows[k], cols[k])."""
         if not self.dyadic:
             raise InputError("no dyadic covariates available; transfer first")
-        return np.stack(self.dyadic)
+        return np.array([x[rows, cols] for x in self.dyadic])
 
 
 def transfer_covariates(cov: CovariateSet) -> CovariateSet:

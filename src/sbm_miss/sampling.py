@@ -194,7 +194,7 @@ def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
     """
     if design.tag == "covar-dyad":
         rows, cols = _canonical_pairs(adj.n, adj.directed)
-        x = [xk[rows, cols] for xk in transfer_covariates(covariates).dyadic_stack()]
+        x = [transfer_covariates(covariates).at_pairs(rows, cols).T]
     elif design.tag == "covar-node":
         x = [covariates.nodal_matrix()]
     else:

@@ -11,18 +11,21 @@ when the variational state carries nu, and the observed ones otherwise.
 Plain pi is a rate per block pair, fitted from ``block_pair_counts`` by
 ``network.rate_loglik`` and ``rate_update`` as the rate sampling designs are.
 
-Every covariate computation runs through one block-pair kernel.  With
-eta_ab = gamma_ab + beta . x and the identity
-y log sigma(eta) + (1 - y) log sigma(-eta) = y eta + log sigma(-eta), the
-expected dyad log-likelihood under memberships tau and 0/1 weights w, which
-are 1 wherever the expected edge values y (``_dyad_values``) are not 0, is
+Every covariate computation runs through one block-pair kernel over the
+block pairs in play: all pairs (a, b) when directed, the pairs a <= b when
+undirected, where (a, b) and (b, a) share eta (a dyad takes x_ij at i < j).
+The bound and the M step hold the P dyads in play as vectors: values y
+(observed, then nu), covariates x and per block pair the weights
+w_ab = tau_ia tau_jb, plus tau_ib tau_ja for an undirected pair a != b.  A
+dyad's weights sum to 1, so by y log sigma(eta) + (1 - y) log sigma(-eta) =
+y eta + log sigma(-eta), with eta_ab = gamma_ab + beta . x, their expected
+log-likelihood is
 
-    gamma : tau' y tau  +  sum(y * beta . x)
-          + sum_ab tau_a' (w * log sigma(-eta_ab)) tau_b,
+    sum_ab gamma_ab (w_ab . y)  +  y . (beta . x)  +  sum_ab w_ab . log sigma(-eta_ab),
 
-so only the last term needs an n x n pass per block pair.  The kernels take
-log sigma(x) = min(x, 0) - log1p(exp(-|x|)) (``network.log_sigmoid``), which
-stays finite for every finite x and runs on numpy's vectorised exp and log1p.
+and only the last term needs a pass over the dyads per block pair; the VE
+coupling runs the same kernels on n x n matrices.  They take the
+overflow-free log sigma(x) = min(x, 0) - log1p(exp(-|x|)) (``network.log_sigmoid``).
 """
 
 from __future__ import annotations
@@ -155,14 +158,20 @@ class MembershipDraw:
         return Partition(labels=self.labels, q=q)
 
 
-def dyad_covariate_effect(params: SbmParams, covariates: Optional[CovariateSet]) -> np.ndarray:
-    """n x n matrix of beta . x_ij."""
+def _dyad_covariates(params: SbmParams, covariates: Optional[CovariateSet]) -> CovariateSet:
+    """The dyad-level covariates, one per beta entry."""
     if covariates is None:
         raise InputError("covariate variant needs dyadic covariates")
-    x = transfer_covariates(covariates).dyadic_stack()
-    if x.shape[0] != params.beta.size:
-        raise InputError(f"beta has {params.beta.size} entries but {x.shape[0]} covariates given")
-    return (params.beta @ x.reshape(x.shape[0], -1)).reshape(x.shape[1:])
+    cov = transfer_covariates(covariates)
+    if cov.m != params.beta.size:
+        raise InputError(f"beta has {params.beta.size} entries but {cov.m} covariates given")
+    return cov
+
+
+def dyad_covariate_effect(params: SbmParams, covariates: Optional[CovariateSet]) -> np.ndarray:
+    """n x n matrix of beta . x_ij; undirected, a dyad takes x_ij at i < j."""
+    c = sum(coef * x for coef, x in zip(params.beta, _dyad_covariates(params, covariates).dyadic))
+    return c if params.directed else np.triu(c) + np.triu(c, 1).T
 
 
 def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet] = None,
@@ -182,17 +191,12 @@ def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet]
     return PartialAdjacency(mat, directed=params.directed), MembershipDraw(labels=z)
 
 
-def _dyad_values(adj: PartialAdjacency, state) -> np.ndarray:
-    """Expected edge values: observed dyads as they are, missing ones at nu
-    when the state carries it and at 0 otherwise; zero diagonal."""
-    return adj.filled(0.0 if state.nu is None else state.nu)
-
-
-def _dyad_weight(adj: PartialAdjacency, all_dyads: bool) -> np.ndarray:
-    """0/1 weights of the dyads in play, for the covariate kernels."""
-    if all_dyads:
-        return np.ones((adj.n, adj.n)) - np.eye(adj.n)
-    return adj.observed_mask
+def _dyads_in_play(adj: PartialAdjacency, state) -> list:
+    """The dyads in play as (rows, cols, y) parts: the observed dyads with
+    their values, then, when the state carries nu, the missing ones at nu."""
+    rows, cols = adj.observed_pairs
+    missing = [] if state.nu is None else [(*adj.missing_pairs, state.nu)]
+    return [(rows, cols, adj.matrix[rows, cols])] + missing
 
 
 def block_pair_counts(adj: PartialAdjacency, state) -> tuple[np.ndarray, np.ndarray]:
@@ -204,39 +208,49 @@ def block_pair_counts(adj: PartialAdjacency, state) -> tuple[np.ndarray, np.ndar
         dyads = tau.T @ adj.observed_mask @ tau
     else:
         dyads = pair_mass(tau)
-    return scale * (tau.T @ _dyad_values(adj, state) @ tau), scale * dyads
+    return scale * (tau.T @ adj.filled(0.0 if state.nu is None else state.nu) @ tau), scale * dyads
 
 
-def _block_pair_etas(gamma: np.ndarray, c: np.ndarray):
-    """Yield (a, b, eta) with eta = gamma[a, b] + c for every block pair.
+def _block_pair_etas(gamma: np.ndarray, c: np.ndarray, directed: bool):
+    """Yield (a, b, eta) with eta = gamma[a, b] + c for every block pair in
+    play, row-major: all pairs when ``directed``, the pairs a <= b otherwise.
 
-    eta is one n x n buffer, refilled for each pair; the caller may overwrite
-    it between pairs.  This is the only loop over block pairs of n x n arrays.
+    c is beta . x on the dyads in play or an n x n matrix; eta is one buffer
+    of its shape, refilled for each pair, that the caller may overwrite
+    between pairs.  This is the only loop over block pairs.
     """
     q = gamma.shape[0]
     eta = np.empty_like(c)
     for a in range(q):
-        for b in range(q):
+        for b in range(0 if directed else a, q):
             np.add(gamma[a, b], c, out=eta)
             yield a, b, eta
 
 
-def _log_sigmoid_kernels(gamma: np.ndarray, c: np.ndarray, w: np.ndarray):
-    """Yield (a, b, w * log sigma(-eta_ab)) for every block pair, in the
+def _log_sigmoid_kernels(gamma: np.ndarray, c: np.ndarray, directed: bool):
+    """Yield (a, b, log sigma(-eta_ab)) for every block pair in play, in the
     reused buffer of :func:`_block_pair_etas`."""
-    for a, b, eta in _block_pair_etas(gamma, c):
+    for a, b, eta in _block_pair_etas(gamma, c, directed):
         np.negative(eta, out=eta)
-        log_sigmoid(eta, out=eta)
-        eta *= w
-        yield a, b, eta
+        yield a, b, log_sigmoid(eta, out=eta)
 
 
-def _covariate_dyad_loglik(gamma, c, w, y, tau) -> float:
-    """sum_ij w_ij sum_ab tau_ia tau_jb log p(y_ij | eta_ab,ij) over ordered
-    pairs, by the kernel identity of the module docstring."""
-    total = float(np.sum(gamma * (tau.T @ y @ tau))) + float(np.vdot(y, c))
-    for a, b, kernel in _log_sigmoid_kernels(gamma, c, w):
-        total += float(tau[:, a] @ kernel @ tau[:, b])
+def _pair_weight(ti, tj, a, b, directed: bool, out: np.ndarray) -> np.ndarray:
+    """Weights w_ab of block pair (a, b) from the dyads' membership rows."""
+    np.multiply(ti[a], tj[b], out=out)
+    if not directed and a != b:
+        out += ti[b] * tj[a]
+    return out
+
+
+def _covariate_dyad_loglik(gamma, c, y, ti, tj, directed: bool) -> float:
+    """sum_p sum_ab w_ab,p log p(y_p | eta_ab,p) over the dyads in play, by
+    the kernel identity of the module docstring; c is beta . x."""
+    total = float(y @ c)
+    weight = np.empty_like(y)
+    for a, b, kernel in _log_sigmoid_kernels(gamma, c, directed):
+        _pair_weight(ti, tj, a, b, directed, weight)
+        total += gamma[a, b] * float(weight @ y) + float(weight @ kernel)
     return total
 
 
@@ -259,10 +273,12 @@ def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
         if counts is None:
             counts = block_pair_counts(adj, state)
         return total + rate_loglik(*counts, params.pi)
-    c = dyad_covariate_effect(params, covariates)
-    w = _dyad_weight(adj, state.nu is not None)
-    scale = 1.0 if adj.directed else 0.5
-    return total + scale * _covariate_dyad_loglik(params.gamma, c, w, _dyad_values(adj, state), tau)
+    # one part at a time, so the working set is that of the larger part
+    cov = _dyad_covariates(params, covariates)
+    return total + sum(_covariate_dyad_loglik(params.gamma, params.beta @ cov.at_pairs(rows, cols), y,
+                                              tau.T.take(rows, axis=1), tau.T.take(cols, axis=1),
+                                              adj.directed)
+                       for rows, cols, y in _dyads_in_play(adj, state))
 
 
 def predict_probabilities(params: SbmParams, state,
@@ -275,10 +291,12 @@ def predict_probabilities(params: SbmParams, state,
         c = dyad_covariate_effect(params, covariates)
         out = np.zeros_like(c)
         weight = np.empty_like(c)
-        for a, b, eta in _block_pair_etas(params.gamma, c):
+        for a, b, eta in _block_pair_etas(params.gamma, c, params.directed):
             expit(eta, out=eta)
             eta *= np.multiply.outer(tau[:, a], tau[:, b], out=weight)
             out += eta
+            if not params.directed and a != b:   # eta is symmetric: pair (b, a)
+                out += eta.T
     np.fill_diagonal(out, np.nan)
     return out
 
@@ -368,80 +386,73 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state, covariates: Covaria
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the tau-weighted logistic dyad likelihood in (gamma, beta).
 
-    ``network.newton_ascent`` on the concave objective: each dyad is softly
-    replicated over block pairs with weight tau_iq tau_jl, the block-pair
-    intercepts gamma share parameters across the symmetric pair for
-    undirected networks.  Returns the updated (gamma, beta).
+    ``network.newton_ascent`` on the concave objective: each dyad in play is
+    softly replicated over the block pairs in play (the free intercepts) with
+    weights w_ab.  The objective keeps the scale of ordered pairs, twice the
+    sum over undirected dyads, which the Newton ridge and stop rule assume.
 
-    y and tau' y tau are formed once per call.  Each Newton step
-    (:func:`_newton_system`) allocates, besides beta . x, four n x n buffers
-    that its block-pair loop reuses and that are freed before the line search:
+    The working set is O(Q P) floats for the P dyads in play: y, x (m x P)
+    and the membership rows tau_i', tau_j' (Q x P), formed once per call,
+    and per Newton step (:func:`_newton_system`) beta . x and four P-vectors
+    that its block-pair loop reuses:
 
-    - eta: gamma_ab + beta . x, turned into mu = sigma(eta) and then 1 - mu
-      in place;
-    - wab: tau_a tau_b' * w, then wab * mu, then the pair's curvature
-      wab * mu * (1 - mu);
-    - the residual y - sum_ab wab * mu, started from y because
-      sum_ab tau_ia tau_jb = 1;
+    - eta: gamma_ab + beta . x, turned into mu = sigma(eta), then 1 - mu;
+    - w_ab, then w_ab * mu, then the pair's curvature w_ab * mu * (1 - mu);
+    - the residual y - sum_ab w_ab * mu, started from y (weights sum to 1);
     - the curvature summed over block pairs.
     """
-    tau = state.tau
-    q = tau.shape[1]
-    w = _dyad_weight(adj, state.nu is not None)
-    y = _dyad_values(adj, state)
-    y_mass = tau.T @ y @ tau
-    x = transfer_covariates(covariates).dyadic_stack()
-    m = x.shape[0]
-    x_rows = x.reshape(m, -1)
-    # theta = (free intercepts, beta); row a * q + b of pool picks the free
-    # intercept of block pair (a, b), which (b, a) shares when undirected
-    keys = np.arange(q * q).reshape(q, q)
-    if not adj.directed:
-        keys = np.minimum(keys, keys.T)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    n_gamma = first.size
-    pool = np.eye(n_gamma)[inverse.reshape(-1)]
-    gamma0, beta0 = (np.zeros((q, q)), np.zeros(m)) if start is None else start
-    theta = np.concatenate([np.ravel(gamma0)[first], beta0])
+    directed = adj.directed
+    q = state.tau.shape[1]
+    rows, cols, y = (np.concatenate(part) for part in zip(*_dyads_in_play(adj, state)))
+    x = transfer_covariates(covariates).at_pairs(rows, cols)
+    ti, tj = state.tau.T.take(rows, axis=1), state.tau.T.take(cols, axis=1)
+    pairs = np.nonzero(np.ones((q, q)) if directed else np.triu(np.ones((q, q))))
+    slot = np.zeros((q, q), dtype=int)   # free intercept of each block pair
+    slot[pairs] = np.arange(pairs[0].size)
+    slot = slot if directed else np.maximum(slot, slot.T)
+    scale = 1.0 if directed else 2.0
+    gamma0, beta0 = (np.zeros((q, q)), np.zeros(x.shape[0])) if start is None else start
+    theta = np.concatenate([gamma0[pairs], beta0])
 
     def unpack(vec):
-        return (pool @ vec[:n_gamma]).reshape(q, q), vec[n_gamma:]
+        return vec[slot], vec[pairs[0].size:]
 
     def objective(vec):
         gamma, beta = unpack(vec)
-        return _covariate_dyad_loglik(gamma, (beta @ x_rows).reshape(y.shape), w, y, tau)
+        return scale * _covariate_dyad_loglik(gamma, beta @ x, y, ti, tj, directed)
 
     def system(vec):
-        return _newton_system(*unpack(vec), tau, w, y, y_mass, x_rows, pool)
+        grad, hess = _newton_system(*unpack(vec), y, x, ti, tj, directed)
+        return scale * grad, scale * hess
 
     theta, _ = newton_ascent(objective, system, theta, "covariate connectivity fit")
     return unpack(theta)
 
 
-def _newton_system(gamma, beta, tau, w, y, y_mass, x_rows, pool):
-    """Gradient and negated Hessian of the covariate dyad log-likelihood in
-    theta = (free intercepts, beta), y_mass being tau' y tau.
-
-    Residuals and curvatures are weighted by tau_a tau_b' * w per block pair;
-    the beta terms apply x once, to their sums over pairs.
-    """
+def _newton_system(gamma, beta, y, x, ti, tj, directed):
+    """Gradient and negated Hessian of the dyads-in-play log-likelihood in
+    theta = (gamma of the block pairs in play, beta); the beta terms apply x
+    once, to the residuals and curvatures summed over block pairs."""
     resid = y.copy()
     curv = np.zeros_like(y)
-    wab = np.empty_like(y)
-    per_pair = []
-    for a, b, eta in _block_pair_etas(gamma, (beta @ x_rows).reshape(y.shape)):
+    weight = np.empty_like(y)
+    per_pair = []   # columns: gradient, curvature, cross terms
+    for a, b, eta in _block_pair_etas(gamma, beta @ x, directed):
         mu = expit(eta, out=eta)
-        np.multiply.outer(tau[:, a], tau[:, b], out=wab)
-        wab *= w
-        wab *= mu
-        resid -= wab
-        fitted = wab.sum()
+        _pair_weight(ti, tj, a, b, directed, weight)
+        observed = weight @ y
+        weight *= mu
+        resid -= weight
+        fitted = weight.sum()
         np.subtract(1.0, mu, out=mu)
-        wab *= mu
-        curv += wab
-        per_pair.append([y_mass[a, b] - fitted, wab.sum(), *(x_rows @ wab.reshape(-1))])
-    per_gamma = pool.T @ np.array(per_pair)   # columns: gradient, curvature, cross terms
-    grad = np.concatenate([per_gamma[:, 0], x_rows @ resid.reshape(-1)])
-    hess = np.block([[np.diag(per_gamma[:, 1]), per_gamma[:, 2:]],
-                     [per_gamma[:, 2:].T, (x_rows * curv.reshape(-1)) @ x_rows.T]])
-    return grad, hess
+        weight *= mu
+        curv += weight
+        per_pair.append([observed - fitted, weight.sum(), *(x @ weight)])
+    per_pair = np.array(per_pair)
+    k = len(per_pair)
+    hess = np.zeros((k + len(x),) * 2)
+    hess[:k, :k] = np.diag(per_pair[:, 1])
+    hess[:k, k:] = per_pair[:, 2:]
+    hess[k:, :k] = per_pair[:, 2:].T
+    hess[k:, k:] = (x * curv) @ x.T
+    return np.concatenate([per_pair[:, 0], x @ resid]), hess

@@ -63,7 +63,6 @@ from .sampling import (
 )
 from .sbm import (
     SbmParams,
-    _dyad_weight,
     _log_sigmoid_kernels,
     block_pair_counts,
     dyad_covariate_effect,
@@ -200,9 +199,8 @@ class _Engine:
         self.scale = 1.0 if adj.directed else 0.5
         # nu enters the SBM factor only under MNAR designs (see sbm_state)
         self.mnar = tag is not None and DESIGNS[tag].mechanism == "MNAR"
-        self.w = _dyad_weight(adj, self.mnar) if use_cov else None
         self.use_cov = use_cov
-        self.covariates_raw = covariates
+        # transferred once per fit; nodal vectors stay on it for covar-node
         self.covariates = transfer_covariates(covariates) if covariates is not None else None
         self.sbm_covariates = self.covariates if use_cov else None
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
@@ -248,7 +246,7 @@ class _Engine:
             params = SbmParams(alpha=alpha, pi=pi, directed=self.directed)
         new_design = design
         if self.tag is not None:
-            new_design, psi_flags = update_psi(design, state, self.adj, self.covariates_raw)
+            new_design, psi_flags = update_psi(design, state, self.adj, self.covariates)
             flags += psi_flags
         return params, new_design, flags
 
@@ -298,8 +296,7 @@ class _Engine:
         Returns the linear term (log alpha plus the block-node terms), the
         Q x Q log tables that weight the pair matrices y, R and the all-ones
         matrix off the diagonal (None where a matrix does not enter), and
-        beta . x for the covariate SBM.  Under MNAR the SBM weights w are the
-        all-ones matrix and y = filled(nu) has a zero diagonal, so w * y is y.
+        beta . x for the covariate SBM.
         """
         linear = safe_log(params.alpha)[None, :]
         static = tau_static_terms(design, self.adj) if design is not None else None
@@ -344,12 +341,16 @@ class _Engine:
             cols = m.T @ t if self.directed and m is not None else rows
             out += self.scale * (rows @ table.T + cols @ table)
         if cov_effect is not None:
-            # kernel of block pair (a, b): w * log sigma(-gamma_ab - beta.x);
-            # with the y * gamma term it gives the logistic dyad term up to
-            # y * beta.x, which does not depend on tau
-            for a, b, kernel in _log_sigmoid_kernels(params.gamma, cov_effect, self.w):
-                out[:, a] += self.scale * (kernel @ t[:, b])
-                out[:, b] += self.scale * (kernel.T @ t[:, a])
+            # kernel of block pair (a, b), and of (b, a) when undirected, on the dyads
+            # in play; with y * gamma it is the logistic dyad term up to y * beta.x
+            for a, b, kernel in _log_sigmoid_kernels(params.gamma, cov_effect, self.directed):
+                if self.mnar:
+                    np.fill_diagonal(kernel, 0.0)
+                else:
+                    kernel *= self.adj.observed_mask
+                out[:, a] += kernel @ t[:, b]
+                if self.directed or a != b:
+                    out[:, b] += kernel.T @ t[:, a]
         return out
 
     @staticmethod
@@ -412,7 +413,7 @@ class _Engine:
         vexpec = expected_loglik_sbm(params, self.adj, sbm_state, self.sbm_covariates, counts)
         s_ll = 0.0
         if design is not None:
-            s_ll = sampling_loglik(design, state, self.adj, self.covariates_raw)
+            s_ll = sampling_loglik(design, state, self.adj, self.covariates)
         ent = float(-xlogx(state.tau).sum())
         nu = sbm_state.nu
         if nu is not None and nu.size:

@@ -196,6 +196,16 @@ class TestPartialAdjacency:
         adj = adjacency_from_edges(4, [], missing=[(2, 3), (0, 2)])
         assert adj.missing_dyads() == [(0, 2), (2, 3)]
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_observed_pairs_complement_missing_pairs(self, directed):
+        adj = random_partial(9, directed, seed=9)
+        observed = list(zip(*(idx.tolist() for idx in adj.observed_pairs)))
+        missing = adj.missing_dyads()
+        assert observed == [d for d in adj.dyads() if adj.entry(*d) is not None]
+        assert not set(observed) & set(missing)
+        assert sorted(observed + missing) == list(adj.dyads())
+        assert len(observed) == adj.n_observed and missing and observed
+
     def test_directed_allows_asymmetry(self):
         mat = np.zeros((3, 3))
         mat[0, 1] = 1.0

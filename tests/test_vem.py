@@ -27,6 +27,7 @@ from sbm_miss import (
     impute,
     m_step,
     observe_network,
+    predict_probabilities,
     sample_network,
     spectral_init,
     ve_step,
@@ -193,6 +194,31 @@ class TestVeSafeguard:
         elbo_b = eng.elbo_parts(params, design, VariationalState(tau=tau_b, nu=nu))[0]
         gain = tau_objective_gain(eng, params, design, nu, tau_a, tau_b)
         assert gain == pytest.approx(elbo_b - elbo_a, rel=1e-9)
+
+    @pytest.mark.parametrize("tag", ["dyad", "double-standard"])
+    def test_undirected_dyad_takes_its_covariate_at_i_below_j(self, tag):
+        # an asymmetric dyadic covariate on an undirected network: the bound,
+        # the VE coupling and the predictions all read x_ij at i < j
+        rng = np.random.default_rng(31)
+        n, q = 24, 3
+        x = rng.normal(size=(n, n))
+        cov = CovariateSet.from_dyadic([x])
+        gamma = rng.normal(size=(q, q))
+        params = SbmParams(alpha=np.full(q, 1.0 / q), gamma=0.5 * (gamma + gamma.T), beta=np.array([1.3]))
+        design = SamplingDesign(tag, 0.7 if tag == "dyad" else [0.9, 0.5])
+        adj, _ = sample_network(planted_params(q, 0.5, 0.2), n, rng_seed=32)
+        observed = observe_network(adj, design, rng_seed=33)
+        eng = _Engine(observed, tag, cov, True)
+        nu = rng.random(observed.n_missing) if eng.mnar else None
+        tau_a = rng.dirichlet(np.ones(q), size=n)
+        tau_b = rng.dirichlet(np.ones(q), size=n)
+        elbo_a = eng.elbo_parts(params, design, VariationalState(tau=tau_a, nu=nu))[0]
+        elbo_b = eng.elbo_parts(params, design, VariationalState(tau=tau_b, nu=nu))[0]
+        gain = tau_objective_gain(eng, params, design, nu, tau_a, tau_b)
+        assert gain == pytest.approx(elbo_b - elbo_a, rel=1e-9)
+        upper = np.triu(x) + np.triu(x, 1).T
+        expected = predict_probabilities(params, VariationalState(tau=tau_a), CovariateSet.from_dyadic([upper]))
+        np.testing.assert_array_equal(predict_probabilities(params, VariationalState(tau=tau_a), cov), expected)
 
     def test_overshooting_step_is_damped(self):
         # complete graph, disassortative pi, identical rows: the full step
@@ -375,6 +401,24 @@ class TestFitSingle:
         assert len(calls) == 1
         assert value == elbo(observed, design, params, state)
         assert len(calls) == 2
+
+    def test_covar_dyad_fit_transfers_covariates_once(self):
+        # every nodal-to-dyadic transfer calls the similarity once per covariate
+        vec = np.random.default_rng(27).normal(size=30)
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=27)
+        design = SamplingDesign("covar-dyad", [0.5, 1.0])
+        observed = observe_network(adj, design, covariates=CovariateSet.from_nodal([vec]), rng_seed=28)
+        calls = []
+
+        def counting_l1(a, b):
+            calls.append(a.shape)
+            return -np.abs(a - b)
+
+        cov = CovariateSet.from_nodal([vec], similarity=counting_l1)
+        fit = fit_single(observed, 2, "covar-dyad", covariates=cov,
+                         control=ControlOptions(rng_seed=29, max_iter=3, use_cov=True))
+        assert len(fit.monitoring) > 2
+        assert calls == [(30, 30)]
 
     def test_invalid_inputs(self):
         adj, _ = sample_network(planted_params(2, 0.6, 0.1), 10, rng_seed=22)
