@@ -54,11 +54,8 @@ def read_dense_csv(path, directed: bool = False) -> PartialAdjacency:
 
 def write_dense_csv(path, adj: PartialAdjacency) -> None:
     m = adj.matrix
-    lines = []
-    for i in range(adj.n):
-        row = ["NA" if np.isnan(v) else str(int(v)) for v in m[i]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    tokens = np.where(np.isnan(m), "NA", np.where(m == 1, "1", "0"))
+    Path(path).write_text("\n".join(map(",".join, tokens.tolist())) + "\n")
 
 
 def read_triplets(path, n: int | None = None, directed: bool = False,
@@ -104,14 +101,13 @@ def read_triplets(path, n: int | None = None, directed: bool = False,
 
 
 def write_triplets(path, adj: PartialAdjacency) -> None:
-    """Write edges and missing dyads; unlisted dyads are absent (0)."""
-    lines = []
-    for i, j in adj.dyads():
-        v = adj.entry(i, j)
-        if v is None:
-            lines.append(f"{i + 1} {j + 1} NA")
-        elif v == 1:
-            lines.append(f"{i + 1} {j + 1} 1")
+    """Write edges and missing dyads, in canonical dyad order; unlisted
+    dyads are absent (0)."""
+    rows, cols = adj.pairs
+    values = adj.matrix[rows, cols]
+    listed = values != 0   # edges and missing (NaN) dyads
+    lines = [f"{i + 1} {j + 1} {'1' if v == 1 else 'NA'}" for i, j, v in
+             zip(rows[listed].tolist(), cols[listed].tolist(), values[listed].tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -151,7 +151,10 @@ class PartialAdjacency:
 
     The object is immutable after construction and safe to share between
     threads.  Canonical dyad order is row-major over ``i < j`` (undirected)
-    or over all ordered pairs ``i != j`` (directed).
+    or over all ordered pairs ``i != j`` (directed).  The cached read-only
+    index arrays ``pairs``, ``observed_pairs``, ``missing_pairs`` and
+    ``missing_flat`` are the one dyad index of the package: every dyad set
+    is read from them.  ``dyads`` and ``entry`` are the per-dyad reference.
     """
 
     def __init__(self, matrix, directed: bool = False):
@@ -235,6 +238,11 @@ class PartialAdjacency:
         rows, cols = np.nonzero(keep if self.directed else np.triu(keep))
         rows.flags.writeable = cols.flags.writeable = False
         return rows, cols
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (rows, cols) of every dyad in canonical order."""
+        return self._pairs_where(np.ones((self.n, self.n), dtype=bool))
 
     @cached_property
     def missing_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -463,25 +471,20 @@ def transfer_covariates(cov: CovariateSet) -> CovariateSet:
     return CovariateSet(kind="dyadic", nodal=cov.nodal, dyadic=tuple(mats), similarity=cov.similarity)
 
 
-def degrees(adj: PartialAdjacency, impute=None, observed_only: bool = False) -> np.ndarray:
+def degrees(adj: PartialAdjacency, impute=None) -> np.ndarray:
     """Node degrees D_i = sum_j y_ij, with missing dyads imputed.
 
-    ``impute`` may be an object carrying a ``nu`` vector aligned with
-    ``adj.missing_pairs``, such a vector itself, or a mapping keyed by dyad.
-    With ``observed_only`` missing dyads contribute 0 instead; otherwise a
-    network with missing dyads and no imputation values is an error.
-    Directed networks use row sums (out-degrees).  The observed row sums are
-    cached on ``adj``; the values at the missing dyads are added per node.
+    ``impute`` is a vector nu aligned with ``adj.missing_pairs``, or None on
+    a fully observed network (the observed-dyad row sums alone are
+    ``adj.observed_degrees``).  Directed networks use row sums
+    (out-degrees).  The values at the missing dyads are added per node.
     """
-    nu = getattr(impute, "nu", impute)
-    if nu is None and adj.n_missing and not observed_only:
-        raise InputError("missing dyads present: supply imputation values or request observed-only degrees")
-    if isinstance(nu, Mapping):
-        nu = np.array([nu[d] for d in adj.missing_dyads()])
+    if impute is None and adj.n_missing:
+        raise InputError("missing dyads present: supply imputation values")
     out = np.array(adj.observed_degrees)
-    if nu is not None and adj.n_missing:
+    if adj.n_missing:
         mi, mj = adj.missing_pairs
-        nu = np.broadcast_to(np.asarray(nu, dtype=float), mi.shape)
+        nu = np.broadcast_to(np.asarray(impute, dtype=float), mi.shape)
         out += np.bincount(mi, weights=nu, minlength=adj.n)
         if not adj.directed:
             out += np.bincount(mj, weights=nu, minlength=adj.n)

@@ -22,6 +22,8 @@ follows from two likelihood families:
 The observation itself, the mask R and the observed nodes V, is read from
 the partially observed network (``PartialAdjacency.observed_mask`` and
 ``observed_nodes``): a node counts as observed when all its dyads are.
+Dyad units are read from the network's one dyad index,
+``PartialAdjacency.pairs``, in canonical order.
 Unknown dyad values enter through their imputation means nu, block strata
 through the membership probabilities tau.  The estimation engine uses the
 log-likelihood, the psi update, the free-parameter count for the ICL penalty
@@ -176,14 +178,6 @@ def make_default_design(tag: str, q: int, covariates: Optional[CovariateSet] = N
 # Units of observation
 # ---------------------------------------------------------------------------
 
-def _canonical_pairs(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
-    if directed:
-        keep = ~np.eye(n, dtype=bool)
-    else:
-        keep = np.triu(np.ones((n, n), dtype=bool), 1)
-    return np.nonzero(keep)
-
-
 def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
               covariates: Optional[CovariateSet]) -> np.ndarray:
     """Design matrix of a logistic design, one row per unit, intercept first.
@@ -193,8 +187,7 @@ def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
     expected degrees (row sums under nu).
     """
     if design.tag == "covar-dyad":
-        rows, cols = _canonical_pairs(adj.n, adj.directed)
-        x = [transfer_covariates(covariates).at_pairs(rows, cols).T]
+        x = [transfer_covariates(covariates).at_pairs(*adj.pairs).T]
     elif design.tag == "covar-node":
         x = [covariates.nodal_matrix()]
     else:
@@ -210,7 +203,7 @@ def _logistic_data(design, state, adj, covariates) -> tuple[np.ndarray, np.ndarr
     x = _features(design, adj, state.nu, covariates)
     if design.tag in NODE_CENTERED:
         return x, adj.observed_nodes
-    return x, adj.observed_mask[_canonical_pairs(adj.n, adj.directed)]
+    return x, adj.observed_mask[adj.pairs]
 
 
 def _rate_counts(design, state, adj) -> tuple[np.ndarray, np.ndarray]:
@@ -263,11 +256,11 @@ def observe_network(adj: PartialAdjacency, design: SamplingDesign,
     if design.tag in NODE_CENTERED:
         v = rng.random(n) < rate
         for _ in range(design.waves - 1):   # each snowball wave adds the neighbors
-            v |= (adj.filled() @ v) > 0
+            v |= (adj.matrix == 1) @ v
         return adj.mask_where(v[:, None] | v[None, :])
     # dyad-centered: decide each canonical dyad independently
     u = rng.random((n, n))
-    rows, cols = _canonical_pairs(n, adj.directed)
+    rows, cols = adj.pairs
     keep = np.zeros((n, n), dtype=bool)
     keep[rows, cols] = u[rows, cols] < rate
     return adj.mask_where(keep if adj.directed else keep | keep.T)
@@ -286,12 +279,13 @@ def _unit_rates(design, adj, clusters, covariates) -> np.ndarray:
         if rate.ndim == 2 and not adj.directed and not np.array_equal(rate, rate.T):
             raise InputError(f"{design.tag} rates must be symmetric on an undirected network")
         z = clusters.labels
-        rate = rate[z] if rate.ndim == 1 else rate[np.ix_(z, z)]
-    elif design.tag == "double-standard":
-        rate = np.where(adj.filled() > 0, rate[0], rate[1])
-    if design.tag in NODE_CENTERED:
-        return np.broadcast_to(rate, adj.n)
-    return np.broadcast_to(rate, (adj.n, adj.n))[_canonical_pairs(adj.n, adj.directed)]
+        if rate.ndim == 1:
+            return rate[z]
+        rows, cols = adj.pairs
+        return rate[z[rows], z[cols]]
+    if design.tag == "double-standard":
+        return np.where(adj.matrix[adj.pairs] > 0, rate[0], rate[1])
+    return np.broadcast_to(rate, adj.n if design.tag in NODE_CENTERED else adj.n_dyads)
 
 
 # ---------------------------------------------------------------------------

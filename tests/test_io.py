@@ -4,7 +4,7 @@ import pytest
 from sbm_miss import InputError, PartialAdjacency
 from sbm_miss import io
 
-from util import adjacency_from_edges
+from util import adjacency_from_edges, random_partial
 
 
 def test_dense_round_trip_token_exact(tmp_path):
@@ -70,6 +70,24 @@ def test_triplet_round_trip(tmp_path):
     io.write_triplets(path, adj)
     again = io.read_triplets(path, n=5)
     assert again == adj
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_writers_match_dyad_loop(tmp_path, directed, seed):
+    adj = random_partial(11, directed, seed)
+    triplets = []
+    for i, j in adj.dyads():
+        value = adj.entry(i, j)
+        if value != 0:
+            triplets.append(f"{i + 1} {j + 1} {'NA' if value is None else value}")
+    dense = [",".join("NA" if i == j or adj.entry(i, j) is None else str(adj.entry(i, j))
+                      for j in range(adj.n)) for i in range(adj.n)]
+    path = tmp_path / "net"
+    io.write_triplets(path, adj)
+    assert path.read_text() == "\n".join(triplets) + "\n"
+    io.write_dense_csv(path, adj)
+    assert path.read_text() == "\n".join(dense) + "\n"
 
 
 def test_covariate_readers(tmp_path):

@@ -18,19 +18,7 @@ from sbm_miss import (
 from sbm_miss.errors import NumericalError
 from sbm_miss.network import fit_logistic, log_sigmoid, logistic_loglik, xlogx
 
-from util import adjacency_from_edges
-
-
-def random_partial(n, directed, seed):
-    """Random network with about a third of its dyads missing."""
-    rng = np.random.default_rng(seed)
-    mat = (rng.random((n, n)) < 0.4).astype(float)
-    missing = rng.random((n, n)) < 0.35
-    if not directed:
-        mat = np.triu(mat, 1) + np.triu(mat, 1).T
-        missing = np.triu(missing, 1) | np.triu(missing, 1).T
-    mat[missing] = np.nan
-    return PartialAdjacency(mat, directed=directed)
+from util import adjacency_from_edges, random_partial
 
 
 class TestLogistic:
@@ -205,6 +193,15 @@ class TestPartialAdjacency:
         assert not set(observed) & set(missing)
         assert sorted(observed + missing) == list(adj.dyads())
         assert len(observed) == adj.n_observed and missing and observed
+        # the all-dyad index, and the observed and missing pairs as its known
+        # and missing entries
+        rows, cols = adj.pairs
+        assert list(zip(rows.tolist(), cols.tolist())) == list(adj.dyads())
+        assert not rows.flags.writeable and not cols.flags.writeable
+        known = ~np.isnan(adj.matrix[rows, cols])
+        for part, idx in ((known, adj.observed_pairs), (~known, adj.missing_pairs)):
+            np.testing.assert_array_equal(rows[part], idx[0])
+            np.testing.assert_array_equal(cols[part], idx[1])
 
     def test_directed_allows_asymmetry(self):
         mat = np.zeros((3, 3))
@@ -267,19 +264,15 @@ class TestDegrees:
 
     def test_observed_only_mode(self):
         adj = adjacency_from_edges(3, [(0, 1)], missing=[(1, 2)])
-        np.testing.assert_array_equal(degrees(adj, observed_only=True), [1.0, 1.0, 0.0])
-
-    def test_mapping_imputation(self):
-        adj = adjacency_from_edges(3, [(0, 1)], missing=[(1, 2)])
-        np.testing.assert_allclose(degrees(adj, impute={(1, 2): 0.25}), [1.0, 1.25, 0.25])
-
+        np.testing.assert_array_equal(adj.observed_degrees, [1.0, 1.0, 0.0])
+        assert not adj.observed_degrees.flags.writeable
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     def test_imputed_degrees_are_filled_row_sums(self, directed):
         adj = random_partial(10, directed, seed=9)
         nu = np.random.default_rng(10).random(adj.n_missing)
         np.testing.assert_allclose(degrees(adj, nu), adj.filled(nu).sum(axis=1), rtol=1e-13)
-        np.testing.assert_array_equal(degrees(adj, observed_only=True), adj.filled(0.0).sum(axis=1))
+        np.testing.assert_array_equal(adj.observed_degrees, adj.filled(0.0).sum(axis=1))
 
 
 class TestPartition:

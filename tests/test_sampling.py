@@ -17,7 +17,7 @@ from sbm_miss import (
     sampling_loglik,
     update_psi,
 )
-from sbm_miss.network import PROB_CLAMP
+from sbm_miss.network import PROB_CLAMP, as_rng
 from sbm_miss.sampling import MISSINGNESS_CLASS, NODE_CENTERED
 
 from util import adjacency_from_edges, planted_params
@@ -116,6 +116,44 @@ class TestObserveNetworkTrivia:
         a = observe_network(self.adj, SamplingDesign("node", 0.6), rng_seed=9)
         b = observe_network(self.adj, SamplingDesign("node", 0.6), rng_seed=9)
         assert a == b
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("tag", ["dyad", "double-standard", "block-dyad", "covar-dyad"])
+def test_dyad_mask_matches_dyad_loop(tag, directed):
+    """Dyad-centred masks keep dyad (i, j), in canonical order, where
+    u[i, j] < its unit rate, with u = rng.random((n, n)) drawn first from
+    the seed; a dyadic covariate is read at (i, j), so at i < j when
+    undirected."""
+    n, seed = 24, 5
+    adj, draw = sample_network(planted_params(2, 0.6, 0.2, directed=directed), n, rng_seed=3)
+    z = draw.labels
+    x = np.random.default_rng(4).normal(size=(n, n))   # asymmetric on purpose
+    psi = {"dyad": 0.6, "double-standard": [0.8, 0.3],
+           "block-dyad": [[0.9, 0.4], [0.4, 0.2]] if not directed else [[0.9, 0.4], [0.7, 0.2]],
+           "covar-dyad": [0.3, 1.2]}[tag]
+    design = SamplingDesign(tag, psi)
+
+    def rate(i, j):
+        if tag == "dyad":
+            return psi
+        if tag == "double-standard":
+            return psi[0] if adj.entry(i, j) == 1 else psi[1]
+        if tag == "block-dyad":
+            return psi[z[i]][z[j]]
+        return logistic(psi[0] + psi[1] * x[i, j])
+
+    u = as_rng(seed).random((n, n))
+    expected = np.array(adj.matrix)
+    for i, j in adj.dyads():
+        if not u[i, j] < rate(i, j):
+            expected[i, j] = np.nan
+            if not directed:
+                expected[j, i] = np.nan
+    out = observe_network(adj, design, clusters=Partition.from_labels(z, 2),
+                          covariates=CovariateSet.from_dyadic([x]), rng_seed=seed)
+    np.testing.assert_array_equal(out.matrix, expected)
+    assert 0 < out.n_missing < out.n_dyads
 
 
 def test_node_expansion_invariant():

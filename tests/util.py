@@ -25,6 +25,18 @@ def adjacency_from_edges(n, edges, missing=(), directed=False):
     return PartialAdjacency(mat, directed=directed)
 
 
+def random_partial(n, directed, seed):
+    """Random network with about a third of its dyads missing."""
+    rng = np.random.default_rng(seed)
+    mat = (rng.random((n, n)) < 0.4).astype(float)
+    missing = rng.random((n, n)) < 0.35
+    if not directed:
+        mat = np.triu(mat, 1) + np.triu(mat, 1).T
+        missing = np.triu(missing, 1) | np.triu(missing, 1).T
+    mat[missing] = np.nan
+    return PartialAdjacency(mat, directed=directed)
+
+
 def dyad_values(adj, state):
     """{dyad: value} over the dyads in play: observed ones, plus the missing
     ones at their imputation means when the state carries them."""
