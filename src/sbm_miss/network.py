@@ -304,21 +304,28 @@ class PartialAdjacency:
         """Dense float matrix with the diagonal at 0 and missing dyads filled.
 
         ``missing_values`` may be None (requires a fully observed network),
-        a scalar, or a vector aligned with :attr:`missing_pairs`.  The values
-        are written through :attr:`missing_flat`, in both orientations on
-        undirected networks.
+        a scalar, or a vector aligned with :attr:`missing_pairs`; they are
+        written by :meth:`fill_missing`.
         """
         out = np.array(self._matrix, order="C")
         np.fill_diagonal(out, 0.0)
         if self.n_missing:
             if missing_values is None:
                 raise InputError("network has missing dyads but no fill values were given")
-            vals = np.asarray(missing_values, dtype=float)
-            flat = out.reshape(-1)   # a view: out is C-contiguous
-            flat[self.missing_flat] = vals
-            if not self.directed:
-                mi, mj = self.missing_pairs
-                flat[mj * self.n + mi] = vals
+            self.fill_missing(out, missing_values)
+        return out
+
+    def fill_missing(self, out: np.ndarray, missing_values) -> np.ndarray:
+        """Write ``missing_values`` (a scalar or a vector aligned with
+        :attr:`missing_pairs`) into the C-ordered n x n matrix ``out`` in
+        place, through :attr:`missing_flat` and, on undirected networks, the
+        mirrored indices mj * n + mi as well.  Other entries are untouched."""
+        vals = np.asarray(missing_values, dtype=float)
+        flat = out.reshape(-1)   # a view: out is C-contiguous
+        flat[self.missing_flat] = vals
+        if not self.directed:
+            mi, mj = self.missing_pairs
+            flat[mj * self.n + mi] = vals
         return out
 
     def mask_where(self, keep: np.ndarray) -> "PartialAdjacency":

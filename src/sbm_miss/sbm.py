@@ -199,16 +199,22 @@ def _dyads_in_play(adj: PartialAdjacency, state) -> list:
     return [(rows, cols, adj.matrix[rows, cols])] + missing
 
 
-def block_pair_counts(adj: PartialAdjacency, state) -> tuple[np.ndarray, np.ndarray]:
+def block_pair_counts(adj: PartialAdjacency, state,
+                      y: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Q x Q expected edge and dyad counts per block pair over the dyads in
-    play, with unordered pairs counted once on undirected networks."""
+    play, with unordered pairs counted once on undirected networks.
+
+    ``y`` is the network filled at nu (at 0 without nu), when the caller
+    already holds it."""
     tau = state.tau
     scale = 1.0 if adj.directed else 0.5
     if state.nu is None:
         dyads = tau.T @ adj.observed_mask @ tau
     else:
         dyads = pair_mass(tau)
-    return scale * (tau.T @ adj.filled(0.0 if state.nu is None else state.nu) @ tau), scale * dyads
+    if y is None:
+        y = adj.filled(0.0 if state.nu is None else state.nu)
+    return scale * (tau.T @ y @ tau), scale * dyads
 
 
 def _block_pair_etas(gamma: np.ndarray, c: np.ndarray, directed: bool):

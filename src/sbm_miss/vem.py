@@ -205,6 +205,7 @@ class _Engine:
         self.sbm_covariates = self.covariates if use_cov else None
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
         self._counts = (None, None)   # (state, its block_pair_counts)
+        self._y = None   # MNAR: the one n x n buffer y = A_obs + nu of the fit
 
     # -- initialization ------------------------------------------------------
 
@@ -219,12 +220,30 @@ class _Engine:
         """The state as the SBM factor sees it: without nu unless MNAR."""
         return state if self.mnar else VariationalState(tau=state.tau)
 
+    def filled(self, nu: Optional[np.ndarray]) -> np.ndarray:
+        """The pair matrix y of the SBM factor: the observed network with the
+        missing dyads at nu under MNAR, at 0 otherwise.
+
+        Under MNAR the fit holds one n x n buffer and rewrites it in place at
+        the missing dyads on every call, so a caller's y is valid until the
+        next call.  MAR fits build a fresh zero-filled matrix per call rather
+        than hold one between iterations.
+        """
+        if not self.mnar:
+            return self.adj.filled(0.0)
+        if self._y is None:
+            self._y = self.adj.filled(nu)
+        elif self.adj.n_missing:
+            self.adj.fill_missing(self._y, nu)
+        return self._y
+
     def block_counts(self, state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
         """``block_pair_counts`` of the SBM factor at ``state``, kept for the
         last state seen: the M step and the bound that follows it read the
         same counts, so tau' y tau is built once per EM iteration."""
         if self._counts[0] is not state:
-            self._counts = (state, block_pair_counts(self.adj, self.sbm_state(state)))
+            sbm_state = self.sbm_state(state)
+            self._counts = (state, block_pair_counts(self.adj, sbm_state, self.filled(sbm_state.nu)))
         return self._counts[1]
 
     # -- M step ---------------------------------------------------------------
@@ -257,11 +276,11 @@ class _Engine:
         tau = np.array(state.tau)
         nu = np.array(state.nu) if state.nu is not None else None
         linear, tables, cov_effect = self._ve_terms(params, design)
-        y = None if self.mnar else self.adj.filled(0.0)
+        y = None if self.mnar else self.filled(None)
         grad = None
         for _ in range(rounds):
             if self.mnar:
-                y = self.adj.filled(nu)
+                y = self.filled(nu)
                 grad = None
             if grad is None:
                 grad = self._coupling(params, tables, cov_effect, y, tau)
