@@ -22,6 +22,10 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _invalid_token(token: str, where: str) -> InputError:
+    return InputError(f"invalid token {token!r} in {where} (expected 0, 1 or NA)")
+
+
 def _tokenize_tristate(token: str, where: str) -> float:
     if token == "NA":
         return np.nan
@@ -29,19 +33,28 @@ def _tokenize_tristate(token: str, where: str) -> float:
         return 0.0
     if token == "1":
         return 1.0
-    raise InputError(f"invalid token {token!r} in {where} (expected 0, 1 or NA)")
+    raise _invalid_token(token, where)
 
 
 def read_dense_csv(path, directed: bool = False) -> PartialAdjacency:
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise InputError(f"{path}: empty adjacency file")
-    rows = []
-    for k, line in enumerate(lines):
-        tokens = [t.strip() for t in line.split(",")]
-        rows.append([_tokenize_tristate(t, f"{path}:{k + 1}") for t in tokens])
-    mat = np.array(rows, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    rows = [line.split(",") for line in lines]
+    width = len(rows[0])
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise InputError(f"{path}:{k + 1}: row has {len(row)} entries, the first row {width}")
+    # every token at once; the first invalid one, in reading order, is reported
+    tokens = np.char.strip(np.array(rows, dtype=str))
+    mat = np.full(tokens.shape, np.nan)
+    mat[tokens == "0"] = 0.0
+    mat[tokens == "1"] = 1.0
+    bad = np.isnan(mat) & (tokens != "NA")
+    if bad.any():
+        k, c = np.argwhere(bad)[0]
+        raise _invalid_token(str(tokens[k, c]), f"{path}:{k + 1}")
+    if mat.shape[0] != mat.shape[1]:
         raise InputError(f"{path}: adjacency must be square, got {mat.shape}")
     diag = np.diag(mat)
     if not np.all(np.isnan(diag) | (diag == 0.0)):

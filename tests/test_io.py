@@ -25,6 +25,20 @@ def test_dense_rejects_bad_tokens(tmp_path):
         io.read_dense_csv(path)
 
 
+def test_dense_names_the_first_bad_token_and_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("NA, 1,0\n1,NA,x\n0,y,NA\n")
+    with pytest.raises(InputError, match=rf"invalid token 'x' in {path}:2 "):
+        io.read_dense_csv(path)
+
+
+def test_dense_rejects_a_ragged_row_by_line(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("NA,1,0\n1,NA\n0,0,NA\n")
+    with pytest.raises(InputError, match=rf"{path}:2: row has 2 entries"):
+        io.read_dense_csv(path)
+
+
 def test_dense_rejects_one_on_diagonal(tmp_path):
     path = tmp_path / "diag.csv"
     path.write_text("1,0\n0,NA\n")
