@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -30,6 +31,12 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
+    # --trace: the fit monitoring rows, logged at INFO, go to stderr
+    log = logging.getLogger("sbm_miss")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    if getattr(args, "trace", False):
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         args.func(args)
         return 0
@@ -42,6 +49,9 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -227,7 +237,7 @@ def _control(args) -> ControlOptions:
     return ControlOptions(
         threshold=args.threshold, max_iter=args.max_iter,
         fix_point_iter=args.fixpoint_iter, exploration=args.exploration,
-        iterates=args.iterates, use_cov=args.use_cov, trace=args.trace,
+        iterates=args.iterates, use_cov=args.use_cov,
         rng_seed=args.seed, workers=args.threads,
     )
 

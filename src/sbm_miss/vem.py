@@ -24,17 +24,33 @@ share one set of block-pair counts.
 Under MAR designs the missing dyads drop from the objective: the SBM factor
 restricts to observed dyads and nu is only materialized on demand for
 imputation.  ``_Engine.sbm_state`` makes that choice for the M step and the
-bound alike.
+bound alike.  Under MNAR designs the pair matrix y = A_obs + nu is one n x n
+buffer per fit, rewritten in place at the missing dyads.
+
+The outer loop is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J.
+Statist. 35:335) for every design.  One EM iteration (VE step, then M step)
+is the fixed-point map of the parameters (alpha, pi or gamma/beta, psi); tau
+and nu are carried along.  Each cycle takes two plain EM steps, extrapolates
+the parameters in unconstrained coordinates (log alpha, logits of pi and of
+the rates) with the SqS3 step length, and runs one stabilising EM step from
+there and the state of the second step.  That step is kept only if its
+bound is at least that of the second step less ``ELBO_SLACK``, so the
+monitored bound stays monotone; otherwise the fit goes on with a plain EM
+step from the second step.  The fit converges to the same fixed points as
+plain EM, in fewer evaluations of the map where plain EM crawls (the psi <->
+nu coupling of double-standard sampling).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import softmax
 
 from .errors import InputError, NumericalError
 from .network import (
@@ -78,6 +94,8 @@ ELBO_SLACK = 1e-8
 ICL_TIE_TOL = 1e-10     # relative ICL gain an exploration candidate must beat
 VE_MAX_HALVINGS = 10    # step lengths tried by the VE safeguard: 1, 1/2, ..., 1/512
 VE_GAIN_SLACK = 1e-12   # rounding allowance on the gain of one VE round
+
+_LOG = logging.getLogger("sbm_miss")
 
 
 def derive_seed(base: int, *keys: int) -> np.random.SeedSequence:
@@ -130,7 +148,6 @@ class ControlOptions:
     exploration: str = "both"
     iterates: int = 1
     use_cov: bool = False
-    trace: bool = False
     rng_seed: int = 0
     workers: int = 1
 
@@ -145,6 +162,10 @@ class ControlOptions:
 
 @dataclass(frozen=True)
 class MonitorRow:
+    """One kept evaluation of a fit: ``iter`` counts evaluations of the EM
+    map (see :func:`fit_single`), ``delta`` is the largest move of the
+    connection parameters since the previous row."""
+
     iter: int
     elbo: float
     delta: float
@@ -601,6 +622,100 @@ def _param_delta(prev: SbmParams, new: SbmParams) -> float:
                float(np.max(np.abs(new.beta - prev.beta))))
 
 
+@dataclass(frozen=True)
+class _Point:
+    """One evaluation of the EM map: the fitted parameters, the variational
+    state they were fitted on and the bound there."""
+
+    params: SbmParams
+    design: Optional[SamplingDesign]
+    state: VariationalState
+    elbo: float
+    vexpec: float
+    sampling_ll: float
+    flags: tuple[str, ...]
+
+
+def _em_map(eng: _Engine, params: SbmParams, design: Optional[SamplingDesign],
+            state: VariationalState, rounds: int) -> _Point:
+    """One EM iteration, the map that SQUAREM accelerates: the VE step at
+    (params, design) from ``state``, then the M step and the bound."""
+    damped = eng.damped_rounds
+    state = eng.ve_step(params, design, state, rounds)
+    new_params, new_design, flags = eng.m_step(state, params, design)
+    if eng.damped_rounds > damped:
+        flags = ("VE step damped",) + flags
+    value, vexpec, s_ll = eng.elbo_parts(new_params, new_design, state)
+    return _Point(new_params, new_design, state, value, vexpec, s_ll, flags)
+
+
+def _pack(params: SbmParams, design: Optional[SamplingDesign]) -> np.ndarray:
+    """The parameters that SQUAREM extrapolates, as one vector in
+    unconstrained coordinates: log alpha, then logit pi or (gamma, beta),
+    then psi, on the logit scale for the rate designs and as it is for the
+    logistic ones.  Matrices enter with every entry, so an off-diagonal
+    block pair of an undirected fit weighs twice in the step length, as
+    it enters the bound at (a, b) and at (b, a)."""
+    parts = [safe_log(params.alpha)]
+    if params.variant == "plain":
+        parts.append(safe_logit(params.pi).ravel())
+    else:
+        parts += [params.gamma.ravel(), params.beta]
+    if design is not None:
+        psi = safe_logit(design.psi) if DESIGNS[design.tag].family == "rate" else design.psi
+        parts.append(psi.ravel())
+    return np.concatenate(parts)
+
+
+def _unpack(x: np.ndarray, params: SbmParams, design: Optional[SamplingDesign]
+            ) -> tuple[SbmParams, Optional[SamplingDesign]]:
+    """Inverse of :func:`_pack`, shaped like ``params`` and ``design``.
+
+    Every finite vector maps to valid parameters: alpha by a softmax, pi and
+    the rates by the logistic function, and the matrices of an undirected
+    fit averaged with their transpose (which leaves a symmetric one as it is).
+    """
+    q, directed = params.q, params.directed
+    pos = 0
+
+    def take(shape):
+        nonlocal pos
+        size = math.prod(shape)
+        pos += size
+        out = x[pos - size:pos].reshape(shape)
+        return out if directed or len(shape) < 2 else (out + out.T) / 2.0
+
+    alpha = softmax(take((q,)))
+    if params.variant == "plain":
+        new = SbmParams(alpha=alpha, pi=logistic(take((q, q))), directed=directed)
+    else:
+        new = SbmParams(alpha=alpha, gamma=take((q, q)), beta=take(params.beta.shape), directed=directed)
+    if design is None:
+        return new, None
+    psi = take(design.psi.shape)
+    if DESIGNS[design.tag].family == "rate":
+        psi = logistic(psi)
+    return new, replace(design, psi=psi)
+
+
+def _squarem_point(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """SQUAREM extrapolation (Varadhan & Roland 2008, step length SqS3) from
+    the cycle x0 -> x1 -> x2 of two EM steps: x0 - 2a r + a^2 v with
+    r = x1 - x0, v = x2 - x1 - r and a = -|r| / |v| clamped to a <= -1.
+    a = -1 gives x2 itself, as does v = 0."""
+    r = x1 - x0
+    v = x2 - x1 - r
+    norm_v = float(np.linalg.norm(v))
+    a = min(-1.0, -float(np.linalg.norm(r)) / norm_v) if norm_v > 0.0 else -1.0
+    return x0 - 2.0 * a * r + a * a * v
+
+
+def _log_row(q: int, row: MonitorRow) -> None:
+    if _LOG.isEnabledFor(logging.INFO):
+        flags = f" ({'; '.join(row.flags)})" if row.flags else ""
+        _LOG.info("[fit q=%d] iter %d: elbo=%.6f delta=%.3g%s", q, row.iter, row.elbo, row.delta, flags)
+
+
 def fit_single(adj: PartialAdjacency, q: int, sampling,
                covariates: Optional[CovariateSet] = None,
                init: Optional[Partition] = None,
@@ -609,9 +724,22 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     """Fit one SBM with q blocks under a sampling design.
 
     ``sampling`` is a design tag, a SamplingDesign providing starting
-    parameters, or None for a pure SBM fit on the observed dyads.  VE and M
-    steps alternate until both the bound and the connection parameters move
-    less than the threshold.  Deterministic given the control seed.
+    parameters, or None for a pure SBM fit on the observed dyads.  The EM
+    map (VE step, M step) runs in SQUAREM cycles: two plain EM steps, then
+    one stabilising EM step from the extrapolated parameters and the state
+    of the second step, kept only if its bound is at least that of the
+    second step less ``ELBO_SLACK``; otherwise the next plain step starts
+    from the second step.  The fit stops when both the bound and the
+    connection parameters move less than the threshold from one monitoring
+    row to the next, or after ``max_iter`` evaluations of the map.
+
+    ``monitoring`` gets one row per evaluation whose result is kept: the
+    initial M step is row 0, and ``iter`` counts every evaluation,
+    refused stabilising ones included.  A kept extrapolation is flagged
+    ``"extrapolated"``; a refused one gets no row, so the next row is
+    flagged ``"extrapolation refused"`` and its ``iter`` moves on by 2.
+    Every row is logged at INFO on the ``"sbm_miss"`` logger.
+    Deterministic given the control seed.
     """
     control = control or ControlOptions()
     if q < 1:
@@ -630,49 +758,66 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
         raise InputError("initial partition has more blocks than requested")
     init = Partition(labels=init.labels, q=q)
 
+    rounds = control.fix_point_iter
     try:
         state = eng.initial_state(init, q)
         if start_design is None and tag is not None:
             start_design = make_default_design(tag, q, covariates=covariates, waves=waves)
         params, design, flags = eng.m_step(state, None, start_design)
-        current, vexpec, s_ll = eng.elbo_parts(params, design, state)
-        monitoring = [MonitorRow(0, current, math.inf, flags)]
+        point = _Point(params, design, state, *eng.elbo_parts(params, design, state), flags)
+        monitoring = [MonitorRow(0, point.elbo, math.inf, flags)]
+        _log_row(q, monitoring[0])
+        # packed parameters of the current SQUAREM cycle, point's last; only
+        # point keeps its state, the one to fall back on
+        cycle = [_pack(params, design)]
+        note: tuple[str, ...] = ()
+        it = 0
         converged = False
-        for it in range(1, control.max_iter + 1):
-            damped = eng.damped_rounds
-            state = eng.ve_step(params, design, state, control.fix_point_iter)
-            new_params, design, flags = eng.m_step(state, params, design)
-            if eng.damped_rounds > damped:
-                flags = ("VE step damped",) + flags
-            delta = _param_delta(params, new_params)
-            params = new_params
-            value, vexpec, s_ll = eng.elbo_parts(params, design, state)
-            monitoring.append(MonitorRow(it, value, delta, flags))
-            if not math.isfinite(value):
+        while it < control.max_iter:
+            if len(cycle) < 3:
+                it += 1
+                new = _em_map(eng, point.params, point.design, point.state, rounds)
+            else:
+                x = _squarem_point(*cycle)
+                new = None
+                if np.isfinite(x).all():
+                    it += 1
+                    try:
+                        new = _em_map(eng, *_unpack(x, point.params, point.design), point.state, rounds)
+                    except NumericalError:   # refused, as a lower bound is
+                        pass
+                if new is None or not (math.isfinite(new.elbo) and new.elbo >= point.elbo - ELBO_SLACK):
+                    cycle, note = cycle[-1:], ("extrapolation refused",)
+                    continue
+                cycle, note = [], ("extrapolated",)
+            cycle.append(_pack(new.params, new.design))
+            delta = _param_delta(point.params, new.params)
+            monitoring.append(MonitorRow(it, new.elbo, delta, note + new.flags))
+            note = ()
+            if not math.isfinite(new.elbo):
                 raise NumericalError(f"bound diverged at iteration {it}")
-            if control.trace:
-                print(f"[fit q={q}] iter {it}: elbo={value:.6f} delta={delta:.3g}")
-            if abs(value - current) < control.threshold and delta < control.threshold:
-                current = value
+            _log_row(q, monitoring[-1])
+            done = abs(new.elbo - point.elbo) < control.threshold and delta < control.threshold
+            point = new
+            if done:
                 converged = True
                 break
-            current = value
     except NumericalError as exc:
         raise NumericalError(f"Q={q}: {exc}") from exc
 
     if tag is not None:
-        k = design_df(design, q, directed=adj.directed)
+        k = design_df(point.design, q, directed=adj.directed)
         centering_kind = DESIGNS[tag].centering
     else:
         k = 0
         centering_kind = "dyad-centered"
     n_cov_pen = eng.covariates.m if control.use_cov else 0
     penalty = icl_penalty(q, k, adj.n, centering_kind, adj.directed, n_cov_pen)
-    icl = -2.0 * (vexpec + s_ll) + penalty
+    icl = -2.0 * (point.vexpec + point.sampling_ll) + penalty
     return FitResult(
-        q=q, adj=adj, design=design, params=params, state=state,
+        q=q, adj=adj, design=point.design, params=point.params, state=point.state,
         covariates=covariates, use_cov=control.use_cov,
-        elbo=current, vexpec=vexpec, sampling_ll=s_ll,
+        elbo=point.elbo, vexpec=point.vexpec, sampling_ll=point.sampling_ll,
         penalty=penalty, icl=icl, monitoring=monitoring, converged=converged,
     )
 

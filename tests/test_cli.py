@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,23 @@ def test_fit_determinism_across_threads_and_runs(pipeline, tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_trace_logs_fit_rows_to_stderr_only(pipeline, tmp_path, capsys):
+    _, _, obs = pipeline
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    args = ("fit", "--input", obs, "--blocks", "2", "--sampling", "block-node", "--seed", 3)
+    assert run(*args, "--out", plain) == 0
+    assert capsys.readouterr().err == ""
+    assert run(*args, "--out", traced, "--trace") == 0
+    captured = capsys.readouterr()
+    rows = json.loads(traced.read_text())["models"][0]["monitoring"]
+    lines = captured.err.splitlines()
+    assert len(lines) == len(rows)
+    assert all(line.startswith(f"[fit q=2] iter {row['iter']}: ") for line, row in zip(lines, rows))
+    assert "[fit q=" not in captured.out
+    assert traced.read_bytes() == plain.read_bytes()
+    assert not logging.getLogger("sbm_miss").handlers
+
+
 def test_sweep_auc_determinism(tmp_path):
     outs = []
     for name, threads in (("a", 1), ("b", 2)):
@@ -109,6 +127,9 @@ def test_input_errors_exit_2(tmp_path):
                "--out", tmp_path / "f.json") == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("0,7\n7,0\n")
+    assert run("fit", "--input", bad, "--blocks", "2", "--sampling", "dyad",
+               "--out", tmp_path / "f.json") == 2
+    bad.write_text("NA,1,0\n1,NA\n0,0,NA\n")   # ragged row
     assert run("fit", "--input", bad, "--blocks", "2", "--sampling", "dyad",
                "--out", tmp_path / "f.json") == 2
     net = tmp_path / "net.csv"

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import logging
 import math
 
 import numpy as np
@@ -33,8 +34,8 @@ from sbm_miss import (
     ve_step,
 )
 from sbm_miss import vem
-from sbm_miss.sampling import make_default_design
-from sbm_miss.vem import ICL_TIE_TOL, _Engine, fit_from_json
+from sbm_miss.sampling import DESIGNS, make_default_design
+from sbm_miss.vem import ELBO_SLACK, ICL_TIE_TOL, _Engine, fit_from_json
 
 from util import adjacency_from_edges, dyad_values, elbo_is_monotone, planted_params
 
@@ -465,6 +466,121 @@ class TestFitSingle:
         assert abs(a.elbo - b.elbo) < 1e-9
         assert abs(a.icl - b.icl) < 1e-9
         assert ari(a.memberships, b.memberships) == 1.0
+
+
+def plain_em(adj, q, tag, control):
+    """Unaccelerated EM, the reference: fit_single's start and stop rule,
+    one plain EM map evaluation per iteration.  Returns (last point, count)."""
+    eng = _Engine(adj, tag, None, False)
+    state = eng.initial_state(spectral_init(adj, q, vem.derive_seed(control.rng_seed, q, 0)), q)
+    params, design, _ = eng.m_step(state, None, make_default_design(tag, q))
+    value = eng.elbo_parts(params, design, state)[0]
+    for it in range(1, control.max_iter + 1):
+        point = vem._em_map(eng, params, design, state, control.fix_point_iter)
+        delta = vem._param_delta(params, point.params)
+        done = abs(point.elbo - value) < control.threshold and delta < control.threshold
+        params, design, state, value = point.params, point.design, point.state, point.elbo
+        if done:
+            break
+    return point, it
+
+
+class TestSquarem:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_double_standard_fit_converges_within_budget(self, seed):
+        # plain EM takes 200-800 iterations to the fixed point here and stops
+        # short of it at the default max_iter = 50
+        adj, _ = sample_network(planted_params(3, 0.35, 0.05), 120, rng_seed=seed)
+        observed = observe_network(adj, SamplingDesign("double-standard", [0.9, 0.4]), rng_seed=100 + seed)
+        control = ControlOptions(rng_seed=seed)
+        fit = fit_single(observed, 3, "double-standard", control=control)
+        assert fit.converged and fit.monitoring[-1].iter < control.max_iter
+        tight = dataclasses.replace(control, threshold=1e-6, max_iter=1000)
+        fixed, plain_iters = plain_em(observed, 3, "double-standard", tight)
+        assert plain_iters < tight.max_iter
+        truncated, _ = plain_em(observed, 3, "double-standard", control)
+        # nearer the fixed point than plain EM at max_iter, in rho_1 and in the bound
+        psi = fixed.design.psi
+        assert abs(fit.design.psi[0] - psi[0]) < abs(truncated.design.psi[0] - psi[0])
+        assert truncated.elbo < fit.elbo <= fixed.elbo + 1e-6
+        # and at a tight threshold it converges to the same fixed point
+        accelerated = fit_single(observed, 3, "double-standard", control=tight)
+        assert accelerated.converged and accelerated.monitoring[-1].iter < plain_iters
+        assert np.max(np.abs(accelerated.design.psi - psi)) < 2e-3
+        assert np.max(np.abs(accelerated.params.pi - fixed.params.pi)) < 2e-3
+        assert accelerated.elbo == pytest.approx(fixed.elbo, abs=1e-3)
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("variant", ["plain", "covariate"])
+    @pytest.mark.parametrize("tag", list(DESIGNS))
+    def test_pack_round_trip(self, tag, variant, directed):
+        rng = np.random.default_rng(len(tag))
+        q = 3
+
+        def pair_matrix(values):
+            return values if directed else np.triu(values) + np.triu(values, 1).T
+
+        alpha = rng.dirichlet(np.ones(q))
+        if variant == "plain":
+            params = SbmParams(alpha=alpha, pi=pair_matrix(rng.uniform(0.01, 0.99, (q, q))), directed=directed)
+        else:
+            params = SbmParams(alpha=alpha, gamma=pair_matrix(rng.normal(size=(q, q))),
+                               beta=rng.normal(size=2), directed=directed)
+        spec = DESIGNS[tag]
+        if spec.family == "rate":
+            psi = {"rate": rng.uniform(0.01, 0.99), "pair": rng.uniform(0.01, 0.99, 2),
+                   "block": rng.uniform(0.01, 0.99, q),
+                   "block pair": pair_matrix(rng.uniform(0.01, 0.99, (q, q)))}[spec.psi]
+        else:
+            psi = rng.normal(size=3 if spec.psi == "coefficients" else 2)
+        design = SamplingDesign(tag, psi, waves=2 if tag == "snowball" else 1)
+        x = vem._pack(params, design)
+        back, back_design = vem._unpack(x, params, design)
+        assert back.variant == variant and back.directed == directed
+        assert np.max(np.abs(back.alpha - params.alpha)) < 1e-12
+        assert np.max(np.abs(back.connectivity - params.connectivity)) < 1e-12
+        if variant == "covariate":
+            assert np.max(np.abs(back.beta - params.beta)) < 1e-12
+        assert back_design.tag == tag and back_design.waves == design.waves
+        assert back_design.psi.shape == design.psi.shape
+        assert np.max(np.abs(back_design.psi - design.psi)) < 1e-12
+        # far out in every coordinate: still valid parameters
+        far = np.where(rng.random(x.size) < 0.5, -1e3, 1e3)
+        params_far, design_far = vem._unpack(far, params, design)
+        assert np.isfinite(vem._pack(params_far, design_far)).all()
+
+    def test_refused_extrapolations_skip_one_iteration_and_keep_the_bound(self):
+        refused = 0
+        for seed in range(6):
+            adj, draw = sample_network(planted_params(3, 0.5, 0.05), 50, rng_seed=seed)
+            observed = observe_network(adj, SamplingDesign("block-node", [0.9, 0.75, 0.6]),
+                                       clusters=Partition.from_labels(draw.labels, 3), rng_seed=10 + seed)
+            for q in (2, 3, 4):
+                fit = fit_single(observed, q, "block-node", control=ControlOptions(rng_seed=seed))
+                rows = fit.monitoring
+                assert fit.converged and rows[-1].iter <= ControlOptions().max_iter
+                for prev, row in zip(rows, rows[1:]):
+                    if "extrapolation refused" in row.flags:
+                        refused += 1
+                        assert row.iter == prev.iter + 2
+                        assert row.elbo >= prev.elbo - ELBO_SLACK
+                    else:
+                        assert row.iter == prev.iter + 1
+        assert refused > 0
+
+    def test_every_monitoring_row_is_logged(self, caplog):
+        adj, _ = sample_network(planted_params(3, 0.5, 0.05), 60, rng_seed=4)
+        observed = observe_network(adj, SamplingDesign("double-standard", [0.9, 0.4]), rng_seed=5)
+        with caplog.at_level(logging.INFO, logger="sbm_miss"):
+            fit = fit_single(observed, 3, "double-standard", control=ControlOptions(rng_seed=6))
+        records = [r for r in caplog.records if r.name == "sbm_miss"]
+        assert len(records) == len(fit.monitoring)
+        for record, row in zip(records, fit.monitoring):
+            message = record.getMessage()
+            assert record.levelno == logging.INFO
+            assert message.startswith(f"[fit q=3] iter {row.iter}: ")
+            assert all(flag in message for flag in row.flags)
+        assert any("extrapolated" in row.flags for row in fit.monitoring)
 
 
 class TestIclPenalty:
