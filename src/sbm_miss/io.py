@@ -22,38 +22,35 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_TRISTATE = {"0": 0.0, "1": 1.0, "NA": np.nan}
+
+
 def _invalid_token(token: str, where: str) -> InputError:
     return InputError(f"invalid token {token!r} in {where} (expected 0, 1 or NA)")
 
 
 def _tokenize_tristate(token: str, where: str) -> float:
-    if token == "NA":
-        return np.nan
-    if token == "0":
-        return 0.0
-    if token == "1":
-        return 1.0
-    raise _invalid_token(token, where)
+    try:
+        return _TRISTATE[token]
+    except KeyError:
+        raise _invalid_token(token, where) from None
 
 
 def read_dense_csv(path, directed: bool = False) -> PartialAdjacency:
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise InputError(f"{path}: empty adjacency file")
-    rows = [line.split(",") for line in lines]
-    width = len(rows[0])
-    for k, row in enumerate(rows):
-        if len(row) != width:
-            raise InputError(f"{path}:{k + 1}: row has {len(row)} entries, the first row {width}")
-    # every token at once; the first invalid one, in reading order, is reported
-    tokens = np.char.strip(np.array(rows, dtype=str))
-    mat = np.full(tokens.shape, np.nan)
-    mat[tokens == "0"] = 0.0
-    mat[tokens == "1"] = 1.0
-    bad = np.isnan(mat) & (tokens != "NA")
-    if bad.any():
-        k, c = np.argwhere(bad)[0]
-        raise _invalid_token(str(tokens[k, c]), f"{path}:{k + 1}")
+    width = lines[0].count(",") + 1
+    mat = np.empty((len(lines), width))
+    # a row at a time, so only one row's token strings are alive at once
+    for k, line in enumerate(lines):
+        tokens = [t.strip() for t in line.split(",")]
+        if len(tokens) != width:
+            raise InputError(f"{path}:{k + 1}: row has {len(tokens)} entries, the first row {width}")
+        try:
+            mat[k] = [_TRISTATE[t] for t in tokens]
+        except KeyError as exc:   # exc names the row's first invalid token
+            raise _invalid_token(exc.args[0], f"{path}:{k + 1}") from None
     if mat.shape[0] != mat.shape[1]:
         raise InputError(f"{path}: adjacency must be square, got {mat.shape}")
     diag = np.diag(mat)

@@ -27,18 +27,12 @@ imputation.  ``_Engine.sbm_state`` makes that choice for the M step and the
 bound alike.  Under MNAR designs the pair matrix y = A_obs + nu is one n x n
 buffer per fit, rewritten in place at the missing dyads.
 
-The outer loop is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J.
-Statist. 35:335) for every design.  One EM iteration (VE step, then M step)
-is the fixed-point map of the parameters (alpha, pi or gamma/beta, psi); tau
-and nu are carried along.  Each cycle takes two plain EM steps, extrapolates
-the parameters in unconstrained coordinates (log alpha, logits of pi and of
-the rates) with the SqS3 step length, and runs one stabilising EM step from
-there and the state of the second step.  That step is kept only if its
-bound is at least that of the second step less ``ELBO_SLACK``, so the
-monitored bound stays monotone; otherwise the fit goes on with a plain EM
-step from the second step.  The fit converges to the same fixed points as
-plain EM, in fewer evaluations of the map where plain EM crawls (the psi <->
-nu coupling of double-standard sampling).
+The outer loop is EM accelerated by SQUAREM (Varadhan & Roland 2008, Scand.
+J. Statist. 35:335) for every design.  The map is one EM iteration of the
+parameters (alpha, pi or gamma/beta, psi), with tau and nu carried along; an
+extrapolated step is kept only if the bound after one stabilising EM step
+falls by no more than ``ELBO_SLACK``, so the monitored bound stays monotone.
+``fit_single`` gives the cycle and what ``MonitorRow.iter`` counts.
 """
 
 from __future__ import annotations
