@@ -315,7 +315,7 @@ class PartialAdjacency:
             self.fill_missing(out, missing_values)
         return out
 
-    def fill_missing(self, out: np.ndarray, missing_values) -> np.ndarray:
+    def fill_missing(self, out: np.ndarray, missing_values) -> None:
         """Write ``missing_values`` (a scalar or a vector aligned with
         :attr:`missing_pairs`) into the C-ordered n x n matrix ``out`` in
         place, through :attr:`missing_flat` and, on undirected networks, the
@@ -326,7 +326,6 @@ class PartialAdjacency:
         if not self.directed:
             mi, mj = self.missing_pairs
             flat[mj * self.n + mi] = vals
-        return out
 
     def mask_where(self, keep: np.ndarray) -> "PartialAdjacency":
         """Copy with every dyad where ``keep`` is false turned missing."""
