@@ -24,8 +24,8 @@ from .sampling import (
     sampling_loglik,
     update_psi,
 )
-from .sbm import MembershipDraw, SbmParams, predict_probabilities, sample_network, spectral_init
-from .sbm import expected_loglik_sbm
+from .sbm import (MembershipDraw, SbmParams, expected_loglik_sbm, predict_probabilities,
+                  sample_network, spectral_init)
 from .vem import (
     ControlOptions,
     FitCollection,

@@ -181,6 +181,8 @@ def read_covariate_csv(path) -> np.ndarray:
             rows.append([float(t) for t in line.split(",")])
         except ValueError:
             raise InputError(f"{path}:{k + 1}: covariate entries must be numeric") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise InputError(f"{path}:{k + 1}: row has {len(rows[-1])} entries, the first row {len(rows[0])}")
     arr = np.array(rows, dtype=float)
     if arr.ndim != 2:
         raise InputError(f"{path}: malformed covariate file")

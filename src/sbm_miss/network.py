@@ -456,6 +456,12 @@ class CovariateSet:
         return np.array([x[rows, cols] for x in self.dyadic])
 
 
+def check_nodes(what: str, given, n: int) -> None:
+    """Refuse clusters or covariates (anything with a node count) sized for another network."""
+    if given is not None and given.n != n:
+        raise InputError(f"{what} given for {given.n} nodes, the network has {n}")
+
+
 def transfer_covariates(cov: CovariateSet) -> CovariateSet:
     """Transfer nodal covariates to the dyad level (identity on dyadic sets).
 

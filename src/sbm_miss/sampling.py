@@ -44,6 +44,7 @@ from .network import (
     as_rng,
     PartialAdjacency,
     Partition,
+    check_nodes,
     clamp_prob,
     degrees,
     fit_logistic,
@@ -250,6 +251,8 @@ def observe_network(adj: PartialAdjacency, design: SamplingDesign,
     spec = DESIGNS[design.tag]
     if spec.needs and {"clusters": clusters, "covariates": covariates}[spec.needs] is None:
         raise InputError(f"{design.tag} sampling requires {spec.needs}")
+    check_nodes("clusters", clusters, adj.n)
+    check_nodes("covariates", covariates, adj.n)
     rng = as_rng(rng_seed)
     n = adj.n
     rate = _unit_rates(design, adj, clusters, covariates)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.special import expit
@@ -43,6 +43,7 @@ from .network import (
     PartialAdjacency,
     Partition,
     as_rng,
+    check_nodes,
     log_sigmoid,
     logistic,
     newton_ascent,
@@ -59,7 +60,10 @@ KMEANS_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class SbmParams:
-    """SBM parameters: block proportions plus connectivity (pi or gamma/beta)."""
+    """SBM parameters: block proportions plus the variant's connection arrays."""
+
+    # each variant's connection arrays, its Q x Q block-pair matrix first
+    VARIANT_ARRAYS: ClassVar[dict] = {"plain": ("pi",), "covariate": ("gamma", "beta")}
 
     alpha: np.ndarray
     pi: Optional[np.ndarray] = None
@@ -68,42 +72,26 @@ class SbmParams:
     directed: bool = False
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        alpha.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
+        if (self.pi is None) == (self.gamma is None):
+            raise InputError("provide exactly one of pi (plain) or gamma (covariate variant)")
+        for name in ("alpha", *self.arrays):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        alpha, conn = self.alpha, self.connectivity
         if alpha.ndim != 1 or alpha.size < 1:
             raise InputError("alpha must be a non-empty vector")
         if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > ALPHA_TOL:
             raise InputError("alpha must be a probability vector summing to 1")
-        q = alpha.size
-        if (self.pi is None) == (self.gamma is None):
-            raise InputError("provide exactly one of pi (plain) or gamma (covariate variant)")
-        if self.pi is not None:
-            pi = np.asarray(self.pi, dtype=float)
-            if pi.shape != (q, q):
-                raise InputError(f"pi must be {q} x {q}")
-            if np.any(pi < 0) or np.any(pi > 1):
-                raise InputError("pi entries must lie in [0, 1]")
-            if not self.directed and not np.allclose(pi, pi.T):
-                raise InputError("undirected pi must be symmetric")
-            pi = np.array(pi)
-            pi.flags.writeable = False
-            object.__setattr__(self, "pi", pi)
-        else:
-            gamma = np.asarray(self.gamma, dtype=float)
-            if gamma.shape != (q, q):
-                raise InputError(f"gamma must be {q} x {q}")
-            if not self.directed and not np.allclose(gamma, gamma.T):
-                raise InputError("undirected gamma must be symmetric")
-            beta = np.asarray(self.beta, dtype=float)
-            if beta.ndim != 1 or beta.size < 1:
-                raise InputError("covariate variant needs a beta vector")
-            gamma = np.array(gamma)
-            beta = np.array(beta)
-            gamma.flags.writeable = False
-            beta.flags.writeable = False
-            object.__setattr__(self, "gamma", gamma)
-            object.__setattr__(self, "beta", beta)
+        name = self.VARIANT_ARRAYS[self.variant][0]
+        if conn.shape != (alpha.size,) * 2:
+            raise InputError(f"{name} must be {alpha.size} x {alpha.size}")
+        if self.pi is not None and (np.any(conn < 0) or np.any(conn > 1)):
+            raise InputError("pi entries must lie in [0, 1]")
+        if not self.directed and not np.allclose(conn, conn.T):
+            raise InputError(f"undirected {name} must be symmetric")
+        if self.gamma is not None and (self.beta.ndim != 1 or self.beta.size < 1):
+            raise InputError("covariate variant needs a beta vector")
 
     @property
     def q(self) -> int:
@@ -118,23 +106,22 @@ class SbmParams:
         """pi for the plain variant, gamma otherwise (block-pair parameters)."""
         return self.pi if self.pi is not None else self.gamma
 
+    @property
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The variant's connection arrays by name, in ``VARIANT_ARRAYS`` order."""
+        return {name: getattr(self, name) for name in self.VARIANT_ARRAYS[self.variant]}
+
     def to_json(self) -> dict:
-        out = {"Q": self.q, "directed": self.directed, "variant": self.variant,
-               "alpha": self.alpha.tolist()}
-        if self.variant == "plain":
-            out["pi"] = self.pi.tolist()
-        else:
-            out["gamma"] = self.gamma.tolist()
-            out["beta"] = self.beta.tolist()
-        return out
+        return {"Q": self.q, "directed": self.directed, "variant": self.variant,
+                "alpha": self.alpha.tolist(), **{k: v.tolist() for k, v in self.arrays.items()}}
 
     @classmethod
     def from_json(cls, data: dict) -> "SbmParams":
         """Read what to_json writes, or the sbm object of a fit JSON: the
         variant is plain exactly when "pi" is present."""
         try:
-            fields = ("alpha", "pi") if "pi" in data else ("alpha", "gamma", "beta")
-            values = {key: np.array(data[key], dtype=float) for key in fields}
+            names = cls.VARIANT_ARRAYS["plain" if "pi" in data else "covariate"]
+            values = {key: np.array(data[key], dtype=float) for key in ("alpha", *names)}
             directed = bool(data.get("directed", False))
         except KeyError as exc:
             raise InputError(f"SBM parameter object misses field {exc}") from None
@@ -182,6 +169,7 @@ def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet]
     if params.variant == "plain":
         prob = params.pi[np.ix_(z, z)]
     else:
+        check_nodes("covariates", covariates, n)
         prob = logistic(params.gamma[np.ix_(z, z)] + dyad_covariate_effect(params, covariates))
     u = rng.random((n, n))
     if not params.directed:

@@ -51,6 +51,7 @@ from .network import (
     CovariateSet,
     PartialAdjacency,
     Partition,
+    check_nodes,
     clamp_prob,
     logistic,
     rate_update,
@@ -208,6 +209,7 @@ class _Engine:
             raise InputError(f"{tag} sampling requires covariates")
         if use_cov and covariates is None:
             raise InputError("use_cov requires covariates")
+        check_nodes("covariates", covariates, adj.n)
         self.adj = adj
         self.tag = tag
         self.directed = adj.directed
@@ -225,11 +227,11 @@ class _Engine:
     # -- initialization ------------------------------------------------------
 
     def initial_state(self, init: Partition, q: int) -> VariationalState:
-        tau = soften_partition(init, q)
-        nu = None
-        if self.mnar:
-            nu = np.full(self.adj.n_missing, float(clamp_prob(self.adj.observed_density)))
-        return VariationalState(tau=tau, nu=nu)
+        return VariationalState(tau=soften_partition(init, q), nu=self.initial_nu())
+
+    def initial_nu(self) -> Optional[np.ndarray]:
+        """Starting imputation means: the observed density under MNAR, None otherwise."""
+        return np.full(self.adj.n_missing, clamp_prob(self.adj.observed_density)) if self.mnar else None
 
     def sbm_state(self, state: VariationalState) -> VariationalState:
         """The state as the SBM factor sees it: without nu unless MNAR."""
@@ -532,12 +534,7 @@ class FitResult:
             design_json = {"tag": self.design.tag, "psi": np.atleast_1d(self.design.psi).tolist()}
             if self.design.tag == "snowball":
                 design_json["waves"] = self.design.waves
-        sbm = {"alpha": self.params.alpha.tolist()}
-        if self.params.variant == "plain":
-            sbm["pi"] = self.params.pi.tolist()
-        else:
-            sbm["gamma"] = self.params.gamma.tolist()
-            sbm["beta"] = self.params.beta.tolist()
+        sbm = {"alpha": self.params.alpha.tolist(), **{k: v.tolist() for k, v in self.params.arrays.items()}}
         return {
             "Q": self.q,
             "directed": self.adj.directed,
@@ -610,10 +607,7 @@ class FitCollection:
 # ---------------------------------------------------------------------------
 
 def _param_delta(prev: SbmParams, new: SbmParams) -> float:
-    if new.variant == "plain":
-        return float(np.max(np.abs(new.pi - prev.pi)))
-    return max(float(np.max(np.abs(new.gamma - prev.gamma))),
-               float(np.max(np.abs(new.beta - prev.beta))))
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(new.arrays.values(), prev.arrays.values()))
 
 
 @dataclass(frozen=True)
@@ -651,10 +645,7 @@ def _pack(params: SbmParams, design: Optional[SamplingDesign]) -> np.ndarray:
     block pair of an undirected fit weighs twice in the step length, as
     it enters the bound at (a, b) and at (b, a)."""
     parts = [safe_log(params.alpha)]
-    if params.variant == "plain":
-        parts.append(safe_logit(params.pi).ravel())
-    else:
-        parts += [params.gamma.ravel(), params.beta]
+    parts += [(safe_logit(a) if name == "pi" else a).ravel() for name, a in params.arrays.items()]
     if design is not None:
         psi = safe_logit(design.psi) if DESIGNS[design.tag].family == "rate" else design.psi
         parts.append(psi.ravel())
@@ -680,10 +671,10 @@ def _unpack(x: np.ndarray, params: SbmParams, design: Optional[SamplingDesign]
         return out if directed or len(shape) < 2 else (out + out.T) / 2.0
 
     alpha = softmax(take((q,)))
-    if params.variant == "plain":
-        new = SbmParams(alpha=alpha, pi=logistic(take((q, q))), directed=directed)
-    else:
-        new = SbmParams(alpha=alpha, gamma=take((q, q)), beta=take(params.beta.shape), directed=directed)
+    arrays = {name: take(a.shape) for name, a in params.arrays.items()}
+    if "pi" in arrays:
+        arrays["pi"] = logistic(arrays["pi"])
+    new = SbmParams(alpha=alpha, directed=directed, **arrays)
     if design is None:
         return new, None
     psi = take(design.psi.shape)
@@ -746,8 +737,7 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     eng = _Engine(adj, tag, covariates, control.use_cov)
     if init is None:
         init = spectral_init(adj, q, derive_seed(control.rng_seed, q, 0))
-    if init.n != adj.n:
-        raise InputError("initial partition does not match the node count")
+    check_nodes("initial partition", init, adj.n)
     if init.q > q:
         raise InputError("initial partition has more blocks than requested")
     init = Partition(labels=init.labels, q=q)
@@ -844,17 +834,12 @@ def fit_from_json(adj: PartialAdjacency, data: dict,
     if tau.shape != (adj.n, q):
         raise InputError("fit JSON does not match the network dimensions")
     eng = _Engine(adj, design.tag if design is not None else None, covariates, use_cov)
-    nu = None
-    if eng.mnar:
-        nu = np.full(adj.n_missing, float(clamp_prob(adj.observed_density)))
-        cov_effect = None
-        if params.variant == "covariate":
-            cov_effect = dyad_covariate_effect(params, eng.sbm_covariates)
+    nu = eng.initial_nu()
+    if nu is not None and nu.size:
+        cov_effect = eng._ve_terms(params, design)[2]
         for _ in range(25):
-            new = eng._nu_update(params, design, tau, nu, cov_effect)
-            moved = float(np.max(np.abs(new - nu))) if nu.size else 0.0
-            nu = new
-            if moved < 1e-12:
+            nu, prev = eng._nu_update(params, design, tau, nu, cov_effect), nu
+            if np.max(np.abs(nu - prev)) < 1e-12:
                 break
     state = VariationalState(tau=tau, nu=nu)
     value, vexpec, s_ll = eng.elbo_parts(params, design, state)

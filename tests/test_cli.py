@@ -164,9 +164,28 @@ def test_input_errors_exit_2(tmp_path):
     for bad_params in ("[0.5,", json.dumps({"alpha": [1.0], "pi": [["high"]]})):
         params.write_text(bad_params)
         assert run("generate", "--nodes", 10, "--params", params, "--out", net) == 2
+    ragged = tmp_path / "ragged_cov.csv"
+    ragged.write_text("0,1,2\n1,0\n2,1,0\n")
+    assert run("fit", "--input", net, "--blocks", "1", "--sampling", "covar-dyad",
+               "--covariates", ragged, "--out", tmp_path / "f.json") == 2
     scores = tmp_path / "scores.csv"
     scores.write_text("\n".join(",".join(["0.5"] * 10) for _ in range(9)) + "\n0.5" + ",x" * 9 + "\n")
     assert run("eval-auc", "--full", net, "--observed", obs, "--imputed", scores) == 2
+
+
+@pytest.mark.parametrize("n", [8, 20], ids=["shorter", "longer"])
+def test_node_count_mismatches_exit_2(tmp_path, n):
+    net, cov, labels = tmp_path / "net.csv", tmp_path / "cov.csv", tmp_path / "labels.csv"
+    assert run("generate", "--nodes", 12, "--blocks", 2, "--pi-within", 0.6,
+               "--pi-between", 0.1, "--out", net) == 0
+    cov.write_text("".join(f"{k % 3}\n" for k in range(n)))
+    labels.write_text("".join(f"{k % 2 + 1}\n" for k in range(n)))
+    assert run("fit", "--input", net, "--blocks", "1:2", "--sampling", "covar-dyad",
+               "--covariates", cov, "--out", tmp_path / "f.json") == 2
+    assert run("observe", "--input", net, "--sampling", "covar-dyad", "--parameters", "1.0",
+               "--covariates", cov, "--out", tmp_path / "o.csv") == 2
+    assert run("observe", "--input", net, "--sampling", "block-dyad", "--parameters", "[[0.9,0.3],[0.3,0.6]]",
+               "--clusters", labels, "--out", tmp_path / "o.csv") == 2
 
 
 def test_numerical_failures_exit_3(tmp_path, monkeypatch):

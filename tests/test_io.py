@@ -115,6 +115,10 @@ def test_covariate_readers(tmp_path):
     assert cov.kind == "nodal" and cov.m_nodal == 1
     with pytest.raises(InputError):
         io.load_covariates([str(nodal), str(dyadic)])
+    ragged = tmp_path / "x3.csv"
+    ragged.write_text("0,1,2\n1,0\n2,1,0\n")
+    with pytest.raises(InputError, match=rf"{ragged}:2: row has 2 entries, the first row 3"):
+        io.read_covariate_csv(ragged)
 
 
 def test_labels_round_trip(tmp_path):

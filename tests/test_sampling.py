@@ -112,6 +112,16 @@ class TestObserveNetworkTrivia:
         with pytest.raises(InputError):
             observe_network(self.adj, SamplingDesign("covar-node", [0.0, 1.0]), rng_seed=1)
 
+    @pytest.mark.parametrize("n", [20, 40], ids=["shorter", "longer"])
+    def test_clusters_and_covariates_must_match_the_node_count(self, n):
+        clusters = Partition.from_labels(np.arange(n) % 2, 2)
+        cov = CovariateSet.from_nodal([np.arange(n, dtype=float)])
+        with pytest.raises(InputError, match=f"clusters given for {n} nodes, the network has 30"):
+            observe_network(self.adj, SamplingDesign("block-dyad", [[0.9, 0.2], [0.2, 0.6]]),
+                            clusters=clusters, rng_seed=1)
+        with pytest.raises(InputError, match=f"covariates given for {n} nodes, the network has 30"):
+            observe_network(self.adj, SamplingDesign("covar-dyad", [0.0, 1.0]), covariates=cov, rng_seed=1)
+
     def test_determinism(self):
         a = observe_network(self.adj, SamplingDesign("node", 0.6), rng_seed=9)
         b = observe_network(self.adj, SamplingDesign("node", 0.6), rng_seed=9)

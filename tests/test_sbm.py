@@ -138,6 +138,13 @@ class TestSampleNetwork:
             se = np.sqrt(rate * (1 - rate) / stratum.sum())
             assert abs(freq - rate) <= 3 * se
 
+    @pytest.mark.parametrize("n", [20, 40], ids=["shorter", "longer"])
+    def test_covariate_variant_needs_covariates_of_the_node_count(self, n):
+        cov = CovariateSet.from_nodal([np.arange(n, dtype=float)])
+        params = SbmParams(alpha=np.array([1.0]), gamma=np.array([[0.5]]), beta=np.array([2.0]))
+        with pytest.raises(InputError, match=f"covariates given for {n} nodes, the network has 30"):
+            sample_network(params, 30, covariates=cov, rng_seed=6)
+
 
 class TestExpectedLoglik:
     def test_single_block_fully_observed(self):

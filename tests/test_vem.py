@@ -34,6 +34,7 @@ from sbm_miss import (
     ve_step,
 )
 from sbm_miss import vem
+from sbm_miss.network import safe_log, safe_logit
 from sbm_miss.sampling import DESIGNS, make_default_design
 from sbm_miss.vem import ELBO_SLACK, ICL_TIE_TOL, _Engine, fit_from_json
 
@@ -352,6 +353,21 @@ class TestFitSingle:
         assert len(fit.monitoring) - 1 <= 2
         assert fit.params.pi[0, 0] == pytest.approx(adj.observed_density, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [20, 40], ids=["shorter", "longer"])
+    def test_covariates_and_init_must_match_the_node_count(self, n):
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=16)
+        fit = fit_single(adj, 2, "covar-dyad", covariates=CovariateSet.from_nodal([np.arange(30.0)]),
+                         control=ControlOptions(rng_seed=17, max_iter=2))
+        cov = CovariateSet.from_nodal([np.arange(float(n))])
+        with pytest.raises(InputError, match=f"covariates given for {n} nodes, the network has 30"):
+            fit_single(adj, 2, "covar-dyad", covariates=cov)
+        with pytest.raises(InputError, match=f"covariates given for {n} nodes, the network has 30"):
+            fit_from_json(adj, fit.to_json(), covariates=cov)
+        with pytest.raises(InputError, match=f"covariates given for {n} nodes, the network has 30"):
+            m_step(adj, "covar-dyad", fit.state, covariates=cov)
+        with pytest.raises(InputError, match=f"initial partition given for {n} nodes, the network has 30"):
+            fit_single(adj, 2, "dyad", init=Partition.from_labels(np.arange(n) % 2, 2))
+
     def test_same_seed_bit_identical(self):
         adj, _ = sample_network(planted_params(3, 0.6, 0.1), 40, rng_seed=16)
         observed = observe_network(adj, SamplingDesign("double-standard", [0.9, 0.6]), rng_seed=17)
@@ -535,6 +551,11 @@ class TestSquarem:
             psi = rng.normal(size=3 if spec.psi == "coefficients" else 2)
         design = SamplingDesign(tag, psi, waves=2 if tag == "snowball" else 1)
         x = vem._pack(params, design)
+        # the vector SQUAREM's step length is taken over, pinned bit for bit
+        conn = [safe_logit(params.pi)] if variant == "plain" else [params.gamma, params.beta]
+        psi = safe_logit(design.psi) if spec.family == "rate" else design.psi
+        expected = np.concatenate([safe_log(params.alpha), *(a.ravel() for a in conn), psi.ravel()])
+        assert x.tobytes() == expected.tobytes()
         back, back_design = vem._unpack(x, params, design)
         assert back.variant == variant and back.directed == directed
         assert np.max(np.abs(back.alpha - params.alpha)) < 1e-12
@@ -731,7 +752,8 @@ class TestImpute:
         "degree": [-1.0, 0.3],
     }
 
-    ROUND_TRIP_CASES = [(tag, False) for tag in ROUND_TRIP_PSI] + [("covar-node", True)]
+    ROUND_TRIP_CASES = ([(tag, False) for tag in ROUND_TRIP_PSI]
+                        + [("covar-node", True), ("double-standard", True)])
 
     @pytest.mark.parametrize("tag,use_cov", ROUND_TRIP_CASES,
                              ids=[tag + ("-use_cov" if use_cov else "")
@@ -746,7 +768,9 @@ class TestImpute:
         fit = fit_single(observed, 2, tag, covariates=cov,
                          control=ControlOptions(rng_seed=59, threshold=1e-6, max_iter=200,
                                                 use_cov=use_cov))
-        rebuilt = fit_from_json(observed, json.loads(json.dumps(fit.to_json())), covariates=cov)
+        data = fit.to_json()
+        assert list(data["sbm"]) == (["alpha", "gamma", "beta"] if use_cov else ["alpha", "pi"])
+        rebuilt = fit_from_json(observed, json.loads(json.dumps(data)), covariates=cov)
         # stored nu predates the final M step; the rebuild sits at the exact
         # fixed point of the final parameters, so they agree to threshold order
         np.testing.assert_allclose(impute(rebuilt), impute(fit), atol=1e-4)
