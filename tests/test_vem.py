@@ -359,11 +359,12 @@ class TestFitSingle:
         fit = fit_single(adj, 2, "covar-dyad", covariates=CovariateSet.from_nodal([np.arange(30.0)]),
                          control=ControlOptions(rng_seed=17, max_iter=2))
         cov = CovariateSet.from_nodal([np.arange(float(n))])
-        with pytest.raises(InputError, match=f"covariates given for {n} nodes, the network has 30"):
+        mismatch = f"covariates given for {n} nodes, the network has 30"
+        with pytest.raises(InputError, match=mismatch):
             fit_single(adj, 2, "covar-dyad", covariates=cov)
-        with pytest.raises(InputError, match=f"covariates given for {n} nodes, the network has 30"):
+        with pytest.raises(InputError, match=mismatch):
             fit_from_json(adj, fit.to_json(), covariates=cov)
-        with pytest.raises(InputError, match=f"covariates given for {n} nodes, the network has 30"):
+        with pytest.raises(InputError, match=mismatch):
             m_step(adj, "covar-dyad", fit.state, covariates=cov)
         with pytest.raises(InputError, match=f"initial partition given for {n} nodes, the network has 30"):
             fit_single(adj, 2, "dyad", init=Partition.from_labels(np.arange(n) % 2, 2))
