@@ -416,6 +416,9 @@ class CovariateSet:
                 raise InputError("dyadic covariates must be square matrices")
             if not np.isfinite(m).all():
                 raise InputError("dyadic covariate entries must be finite")
+        counts = sorted({v.size for v in self.nodal} | {m.shape[0] for m in self.dyadic})
+        if len(counts) > 1:
+            raise InputError(f"covariates must share one node count, got {counts}")
 
     @classmethod
     def from_nodal(cls, vectors: Sequence, similarity="l1") -> "CovariateSet":
@@ -473,13 +476,10 @@ def transfer_covariates(cov: CovariateSet) -> CovariateSet:
         return cov
     if not cov.nodal:
         raise InputError("nodal covariate set is empty")
-    n = cov.nodal[0].size
+    n = cov.n
     sim = _resolve_similarity(cov.similarity)
-    mats = []
-    for vec in cov.nodal:
-        if vec.size != n:
-            raise InputError("nodal covariate vectors must share one length")
-        mats.append(sim(np.broadcast_to(vec[:, None], (n, n)), np.broadcast_to(vec[None, :], (n, n))))
+    mats = [sim(np.broadcast_to(vec[:, None], (n, n)), np.broadcast_to(vec[None, :], (n, n)))
+            for vec in cov.nodal]
     return CovariateSet(kind="dyadic", nodal=cov.nodal, dyadic=tuple(mats), similarity=cov.similarity)
 
 

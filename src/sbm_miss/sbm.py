@@ -88,7 +88,8 @@ class SbmParams:
             raise InputError(f"{name} must be {alpha.size} x {alpha.size}")
         if self.pi is not None and (np.any(conn < 0) or np.any(conn > 1)):
             raise InputError("pi entries must lie in [0, 1]")
-        if not self.directed and not np.allclose(conn, conn.T):
+        # exact symmetry, the common case, skips the slower allclose
+        if not (self.directed or np.array_equal(conn, conn.T) or np.allclose(conn, conn.T)):
             raise InputError(f"undirected {name} must be symmetric")
         if self.gamma is not None and (self.beta.ndim != 1 or self.beta.size < 1):
             raise InputError("covariate variant needs a beta vector")
@@ -299,19 +300,14 @@ def predict_probabilities(params: SbmParams, state,
 # Spectral initialization
 # ---------------------------------------------------------------------------
 
-def spectral_init(adj: PartialAdjacency, q: int, rng_seed: int = 0) -> Partition:
-    """Absolute-eigenvalue spectral clustering of the zero-filled adjacency.
+def spectral_embedding(adj: PartialAdjacency, k: int) -> np.ndarray:
+    """n x min(k, n) spectral embedding of the zero-filled adjacency.
 
-    Missing dyads count as zero; directed matrices are symmetrized.  The q
-    eigenvectors with largest |eigenvalue| embed the nodes, clustered by
-    k-means.  Deterministic given the seed.
+    Missing dyads count as zero; directed matrices are symmetrized.  The
+    columns are the eigenvectors in one stable order by decreasing
+    |eigenvalue|, so the first q columns are the embedding for q blocks
+    whatever k >= q is.
     """
-    if q < 1:
-        raise InputError("block count must be >= 1")
-    if q > adj.n:
-        raise InputError(f"cannot split {adj.n} nodes into {q} blocks")
-    if q == 1:
-        return Partition(labels=np.zeros(adj.n, dtype=int), q=1)
     a = adj.filled(0.0)
     if adj.directed:
         a = 0.5 * (a + a.T)
@@ -319,10 +315,29 @@ def spectral_init(adj: PartialAdjacency, q: int, rng_seed: int = 0) -> Partition
         eigval, eigvec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed in spectral initialization") from exc
-    top = np.argsort(-np.abs(eigval), kind="stable")[:q]
-    embedding = eigvec[:, top]
-    rng = as_rng(rng_seed)
-    labels = kmeans(embedding, q, rng)
+    return eigvec[:, np.argsort(-np.abs(eigval), kind="stable")[:k]]
+
+
+def spectral_init(adj: PartialAdjacency, q: int, rng_seed: int = 0,
+                  embedding: Optional[np.ndarray] = None) -> Partition:
+    """Absolute-eigenvalue spectral clustering of the zero-filled adjacency.
+
+    The first q columns of ``spectral_embedding`` embed the nodes, clustered
+    by k-means.  ``embedding`` is that embedding with at least q columns,
+    when the caller already holds it (one decomposition serves every block
+    count).  Deterministic given the seed.
+    """
+    if q < 1:
+        raise InputError("block count must be >= 1")
+    if q > adj.n:
+        raise InputError(f"cannot split {adj.n} nodes into {q} blocks")
+    if q == 1:
+        return Partition(labels=np.zeros(adj.n, dtype=int), q=1)
+    if embedding is None:
+        embedding = spectral_embedding(adj, q)
+    elif embedding.shape[0] != adj.n or embedding.shape[1] < q:
+        raise InputError(f"a {q}-block start needs an embedding of {adj.n} rows and >= {q} columns")
+    labels = kmeans(embedding[:, :q], q, as_rng(rng_seed))
     return Partition(labels=labels, q=q)
 
 
@@ -342,7 +357,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         for _ in range(KMEANS_MAX_ITER):
             dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = dist.argmin(axis=1)
-            for empty in np.setdiff1d(np.arange(k), np.unique(new_labels)):
+            for empty in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
                 farthest = int(np.argmax(dist[np.arange(n), new_labels]))
                 new_labels[farthest] = empty
                 dist[farthest, :] = np.inf

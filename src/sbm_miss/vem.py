@@ -81,6 +81,7 @@ from .sbm import (
     fit_covariate_connectivity,
     kmeans,
     predict_probabilities,
+    spectral_embedding,
     spectral_init,
 )
 
@@ -890,10 +891,11 @@ def estimate_miss_sbm(adj: PartialAdjacency, v_blocks: Sequence[int], sampling,
 
     Each block count starts from spectral clustering (or a user-supplied
     partition), then split/merge exploration reinitializes neighbors per the
-    control options and keeps every improvement in ICL.  Fits for different
-    block counts may run in parallel workers; results are byte-identical
-    regardless of the worker count because every fit seeds from
-    (rng_seed, Q).
+    control options and keeps every improvement in ICL.  The spectral starts
+    share one eigendecomposition, and each equals ``fit_single``'s own start.
+    Fits for different block counts may run in parallel workers; results are
+    byte-identical regardless of the worker count because every fit seeds
+    from (rng_seed, Q).
     """
     control = control or ControlOptions()
     qs = sorted(set(int(q) for q in v_blocks))
@@ -903,10 +905,10 @@ def estimate_miss_sbm(adj: PartialAdjacency, v_blocks: Sequence[int], sampling,
         raise InputError("block counts must be >= 1")
     if inits is not None and len(inits) != len(qs):
         raise InputError("one initial partition per block count is required")
-    tasks = [
-        (adj, q, sampling, covariates, None if inits is None else inits[idx], control, waves)
-        for idx, q in enumerate(qs)
-    ]
+    if inits is None:
+        embedding = spectral_embedding(adj, qs[-1]) if qs[-1] > 1 else None
+        inits = [spectral_init(adj, q, derive_seed(control.rng_seed, q, 0), embedding) for q in qs]
+    tasks = [(adj, q, sampling, covariates, init, control, waves) for q, init in zip(qs, inits)]
     if control.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=control.workers) as pool:
             models = list(pool.map(_fit_task, tasks))

@@ -188,6 +188,18 @@ def test_node_count_mismatches_exit_2(tmp_path, n):
                "--clusters", labels, "--out", tmp_path / "o.csv") == 2
 
 
+@pytest.mark.parametrize("nodal", [False, True], ids=["dyadic", "nodal"])
+def test_covariates_of_mixed_node_counts_exit_2(tmp_path, nodal):
+    net, a, b = tmp_path / "net.csv", tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("generate", "--nodes", 12, "--blocks", 2, "--pi-within", 0.6,
+               "--pi-between", 0.1, "--out", net) == 0
+    for path, n in ((a, 12), (b, 20)):
+        row = "1" if nodal else ",".join(["1"] * n)
+        path.write_text(f"{row}\n" * n)
+    assert run("fit", "--input", net, "--blocks", "1:2", "--sampling", "covar-node" if nodal else "covar-dyad",
+               "--covariates", f"{a},{b}", "--out", tmp_path / "f.json") == 2
+
+
 def test_numerical_failures_exit_3(tmp_path, monkeypatch):
     net = tmp_path / "net.csv"
     assert run("generate", "--nodes", 10, "--blocks", 1, "--pi-within", 0.5,

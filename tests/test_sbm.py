@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from sbm_miss import (
     spectral_init,
 )
 from sbm_miss.network import fit_logistic
-from sbm_miss.sbm import fit_covariate_connectivity
+from sbm_miss.sbm import fit_covariate_connectivity, kmeans, spectral_embedding
 from sbm_miss.vem import _Engine
 
-from util import adjacency_from_edges, dyad_values, planted_params
+from util import adjacency_from_edges, dyad_values, planted_params, random_partial
 
 
 def hard_state(labels, q):
@@ -387,6 +388,114 @@ class TestSpectralInit:
         a = spectral_init(adj, 2, rng_seed=3)
         b = spectral_init(adj, 2, rng_seed=3)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("case", ["undirected", "directed", "partial"])
+    def test_one_embedding_gives_every_q_its_own_start(self, case):
+        if case == "partial":
+            adj = random_partial(30, False, 7)
+        else:
+            adj, _ = sample_network(planted_params(3, 0.5, 0.1, directed=case == "directed"), 30,
+                                    rng_seed=8)
+        embedding = spectral_embedding(adj, 6)
+        assert embedding.shape == (30, 6)
+        for q in range(1, 7):
+            for seed in (0, 5):
+                shared = spectral_init(adj, q, seed, embedding).labels
+                np.testing.assert_array_equal(shared, spectral_init(adj, q, seed).labels)
+
+    def test_embedding_too_narrow_is_error(self):
+        adj = random_partial(10, False, 3)
+        with pytest.raises(InputError):
+            spectral_init(adj, 3, 0, spectral_embedding(adj, 2))
+
+
+def reference_kmeans_pp(points, k, rng):
+    n = points.shape[0]
+    centers = [points[rng.integers(n)]]
+    for _ in range(1, k):
+        d2 = np.min([(np.square(points - c).sum(axis=1)) for c in centers], axis=0)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(points[rng.integers(n)])
+            continue
+        centers.append(points[rng.choice(n, p=d2 / total)])
+    return np.array(centers)
+
+
+def reference_kmeans(points, k, rng, restarts=10, max_iter=100):
+    """The Lloyd loop as first written, with set algebra for empty clusters."""
+    n = points.shape[0]
+    if k >= n:
+        return np.arange(n) % k
+    best_labels, best_inertia = None, np.inf
+    for _ in range(restarts):
+        centers = reference_kmeans_pp(points, k, rng)
+        labels = np.zeros(n, dtype=int)
+        for _ in range(max_iter):
+            dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = dist.argmin(axis=1)
+            for empty in np.setdiff1d(np.arange(k), np.unique(new_labels)):
+                farthest = int(np.argmax(dist[np.arange(n), new_labels]))
+                new_labels[farthest] = empty
+                dist[farthest, :] = np.inf
+                dist[farthest, empty] = 0.0
+            if np.array_equal(new_labels, labels):
+                labels = new_labels
+                break
+            labels = new_labels
+            centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
+        inertia = float(((points - centers[labels]) ** 2).sum())
+        if inertia < best_inertia - 1e-12:
+            best_inertia, best_labels = inertia, labels
+    return best_labels
+
+
+KMEANS_CASES = {
+    "uniform": (np.random.default_rng(1).random((40, 3)), 3),
+    "binary": ((np.random.default_rng(2).random((30, 12)) < 0.4).astype(float), 2),
+    "duplicated rows": (np.repeat(np.random.default_rng(3).random((3, 2)), 5, axis=0), 5),
+    "d = 1": (np.random.default_rng(4).random((25, 1)), 3),
+    "k = n - 1": (np.random.default_rng(5).random((6, 2)), 5),
+}
+# repairing one empty cluster empties another, so a centre is the mean of no rows
+CASCADE = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+
+
+class TestKmeans:
+    @staticmethod
+    def assert_matches_reference(points, k, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with warnings.catch_warnings():   # a cluster left empty has a NaN centre
+            warnings.simplefilter("ignore", RuntimeWarning)
+            labels, expected = kmeans(points, k, rng), reference_kmeans(points, k, ref_rng)
+        np.testing.assert_array_equal(labels, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", list(KMEANS_CASES))
+    def test_matches_reference_loop(self, case):
+        points, k = KMEANS_CASES[case]
+        for seed in range(5):
+            self.assert_matches_reference(points, k, seed)
+
+    def test_cascading_empty_cluster_repair_matches_reference(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            reference_kmeans(CASCADE, 5, np.random.default_rng(9))
+        assert any("Mean of empty slice" in str(w.message) for w in caught)
+        self.assert_matches_reference(CASCADE, 5, 9)
+
+
+def test_undirected_symmetry_check_keeps_its_tolerance():
+    alpha = np.array([0.5, 0.5])
+    SbmParams(alpha=alpha, pi=np.array([[0.5, 0.1], [0.1 + 1e-12, 0.5]]))
+    SbmParams(alpha=alpha, gamma=np.array([[np.inf, 1.0], [1.0, 0.0]]), beta=np.array([1.0]))
+    refused = [np.array([[0.5, 0.1], [0.1 + 1e-3, 0.5]]), np.array([[np.nan, 0.1], [0.1, 0.5]])]
+    for pi in refused:
+        with pytest.raises(InputError, match="symmetric"):
+            SbmParams(alpha=alpha, pi=pi)
+    with pytest.raises(InputError, match="symmetric"):
+        SbmParams(alpha=alpha, gamma=np.array([[0.0, np.inf], [-np.inf, 0.0]]), beta=np.array([1.0]))
+    SbmParams(alpha=alpha, pi=refused[0], directed=True)
 
 
 def test_params_validation_and_json_round_trip():

@@ -369,6 +369,16 @@ class TestFitSingle:
         with pytest.raises(InputError, match=f"initial partition given for {n} nodes, the network has 30"):
             fit_single(adj, 2, "dyad", init=Partition.from_labels(np.arange(n) % 2, 2))
 
+    def test_covariates_of_mixed_node_counts_are_refused(self):
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 12, rng_seed=16)
+        mixed = "covariates must share one node count, got \\[12, 20\\]"
+        with pytest.raises(InputError, match=mixed):
+            fit_single(adj, 2, "covar-dyad",
+                       covariates=CovariateSet.from_dyadic([np.zeros((12, 12)), np.ones((20, 20))]))
+        with pytest.raises(InputError, match=mixed):
+            fit_single(adj, 2, "covar-node",
+                       covariates=CovariateSet.from_nodal([np.zeros(12), np.ones(20)]))
+
     def test_same_seed_bit_identical(self):
         adj, _ = sample_network(planted_params(3, 0.6, 0.1), 40, rng_seed=16)
         observed = observe_network(adj, SamplingDesign("double-standard", [0.9, 0.6]), rng_seed=17)
@@ -676,6 +686,19 @@ class TestEstimateAndExplore:
         two = estimate_miss_sbm(observed, [1, 2, 3], "node",
                                 control=ControlOptions(rng_seed=44, workers=2))
         assert json.dumps(one.to_json()) == json.dumps(two.to_json())
+
+    def test_one_eigendecomposition_serves_every_q(self, monkeypatch):
+        adj, _ = sample_network(planted_params(3, 0.6, 0.1), 30, rng_seed=64)
+        observed = observe_network(adj, SamplingDesign("node", 0.8), rng_seed=65)
+        control = ControlOptions(rng_seed=66, exploration="none", max_iter=3)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        coll = estimate_miss_sbm(observed, range(1, 7), "node", control=control)
+        assert calls == [(30, 30)]
+        for fit in coll.models:
+            alone = fit_single(observed, fit.q, "node", control=control)
+            assert json.dumps(fit.to_json()) == json.dumps(alone.to_json())
 
     def test_best_model_tie_breaks_to_smallest_q(self):
         adj, _ = sample_network(planted_params(1, 0.2, 0.2), 20, rng_seed=45)
