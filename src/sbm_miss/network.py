@@ -513,7 +513,7 @@ def newton_ascent(objective, system, theta: np.ndarray, what: str) -> tuple[np.n
     current = objective(theta)
     for _ in range(25):
         grad, hess = system(theta)
-        hess[np.diag_indices_from(hess)] += 1e-10
+        hess.flat[::len(hess) + 1] += 1e-10
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:

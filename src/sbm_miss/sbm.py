@@ -11,26 +11,25 @@ when the variational state carries nu, and the observed ones otherwise.
 Plain pi is a rate per block pair, fitted from ``block_pair_counts`` by
 ``network.rate_loglik`` and ``rate_update`` as the rate sampling designs are.
 
-Every covariate computation runs through one block-pair kernel over the
-block pairs in play: all pairs (a, b) when directed, the pairs a <= b when
-undirected, where (a, b) and (b, a) share eta (a dyad takes x_ij at i < j).
-The bound and the M step hold the P dyads in play as vectors: values y
-(observed, then nu), covariates x and per block pair the weights
-w_ab = tau_ia tau_jb, plus tau_ib tau_ja for an undirected pair a != b.  A
-dyad's weights sum to 1, so by y log sigma(eta) + (1 - y) log sigma(-eta) =
-y eta + log sigma(-eta), with eta_ab = gamma_ab + beta . x, their expected
-log-likelihood is
+The covariate variant has the block pairs k = (a, b) in play: all pairs when
+directed, a <= b when undirected, where (b, a) shares eta (x_ij at i < j).  A
+dyad p in play has the value y_p (observed, or nu) and the weights w_kp =
+tau_ia tau_jb, plus tau_ib tau_ja for an undirected a != b, which sum to 1.
+By y log sigma(eta) + (1 - y) log sigma(-eta) = y eta + log sigma(-eta), with
+eta_kp = gamma_k + beta . x_p, its expected log-likelihood is
 
-    sum_ab gamma_ab (w_ab . y)  +  y . (beta . x)  +  sum_ab w_ab . log sigma(-eta_ab),
+    beta . (X sy)  +  sum_k gamma_k (w_k . y)  +  sum_kv N_kv log sigma(-gamma_k - beta . X_v),
 
-and only the last term needs a pass over the dyads per block pair; the VE
-coupling runs the same kernels on n x n matrices.  They take the
-overflow-free log sigma(x) = min(x, 0) - log1p(exp(-|x|)) (``network.log_sigmoid``).
+X_v the V distinct covariate columns x_p (the classes; 2 for a binary nodal
+covariate), sy_v and N_kv the sums of y and w_k over class v.  The bound and
+the M step read these ``covariate_counts``; the VE coupling runs the kernels
+log sigma(-eta) per block pair on n x n matrices, all by ``network.log_sigmoid``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -56,6 +55,7 @@ from .network import (
 ALPHA_TOL = 1e-10
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
+SLAB = 8192   # entries per temporary array of the class count walks
 
 
 @dataclass(frozen=True)
@@ -180,14 +180,6 @@ def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet]
     return PartialAdjacency(mat, directed=params.directed), MembershipDraw(labels=z)
 
 
-def _dyads_in_play(adj: PartialAdjacency, state) -> list:
-    """The dyads in play as (rows, cols, y) parts: the observed dyads with
-    their values, then, when the state carries nu, the missing ones at nu."""
-    rows, cols = adj.observed_pairs
-    missing = [] if state.nu is None else [(*adj.missing_pairs, state.nu)]
-    return [(rows, cols, adj.matrix[rows, cols])] + missing
-
-
 def block_pair_counts(adj: PartialAdjacency, state,
                       y: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Q x Q expected edge and dyad counts per block pair over the dyads in
@@ -210,9 +202,8 @@ def _block_pair_etas(gamma: np.ndarray, c: np.ndarray, directed: bool):
     """Yield (a, b, eta) with eta = gamma[a, b] + c for every block pair in
     play, row-major: all pairs when ``directed``, the pairs a <= b otherwise.
 
-    c is beta . x on the dyads in play or an n x n matrix; eta is one buffer
-    of its shape, refilled for each pair, that the caller may overwrite
-    between pairs.  This is the only loop over block pairs.
+    c is beta . x as an n x n matrix; eta is one buffer of its shape,
+    refilled for each pair, that the caller may overwrite between pairs.
     """
     q = gamma.shape[0]
     eta = np.empty_like(c)
@@ -230,35 +221,87 @@ def _log_sigmoid_kernels(gamma: np.ndarray, c: np.ndarray, directed: bool):
         yield a, b, log_sigmoid(eta, out=eta)
 
 
-def _pair_weight(ti, tj, a, b, directed: bool, out: np.ndarray) -> np.ndarray:
-    """Weights w_ab of block pair (a, b) from the dyads' membership rows."""
-    np.multiply(ti[a], tj[b], out=out)
-    if not directed and a != b:
-        out += ti[b] * tj[a]
-    return out
+CovariateCounts = namedtuple("CovariateCounts", "x xy wy n pairs")
 
 
-def _covariate_dyad_loglik(gamma, c, y, ti, tj, directed: bool) -> float:
-    """sum_p sum_ab w_ab,p log p(y_p | eta_ab,p) over the dyads in play, by
-    the kernel identity of the module docstring; c is beta . x."""
-    total = float(y @ c)
-    weight = np.empty_like(y)
-    for a, b, kernel in _log_sigmoid_kernels(gamma, c, directed):
-        _pair_weight(ti, tj, a, b, directed, weight)
-        total += gamma[a, b] * float(weight @ y) + float(weight @ kernel)
+def covariate_classes(adj: PartialAdjacency, covariates: CovariateSet, missing: bool):
+    """Distinct columns X (m x V; -0.0 == 0.0) of the dyads in play, observed then missing if ``missing``,
+    and per part (rows, cols, order, starts, v0): its class order, where classes start, its first class."""
+    cov = transfer_covariates(covariates)
+    columns, parts = [], []
+    for rows, cols in [adj.observed_pairs] + ([adj.missing_pairs] if missing else []):
+        x = cov.at_pairs(rows, cols)
+        order = np.argsort(x[-1])   # lexicographic, so equal columns meet
+        if np.any(x[-1, order[1:]] == x[-1, order[:-1]]):   # earlier rows break ties
+            for row in x[-2::-1]:
+                order = order[np.argsort(row[order], kind="stable")]
+        x = x[:, order]
+        new = np.r_[True, np.any(x[:, 1:] != x[:, :-1], axis=0)][:order.size]
+        starts = np.append(np.flatnonzero(new), order.size)
+        parts.append((rows, cols, order, starts, sum(c.shape[1] for c in columns)))
+        columns.append(x[:, new])
+    return np.hstack(columns), parts
+
+
+def covariate_counts(adj: PartialAdjacency, state, covariates: CovariateSet,
+                     classes=None) -> CovariateCounts:
+    """X (m x V), X sy, w_k . y, N (K x V) and the block pairs (a, b) at ``state``, from
+    ``classes`` if given; the dyads are walked by class, ``SLAB`` / 2 weights at a time."""
+    x, parts = covariate_classes(adj, covariates, state.nu is not None) if classes is None else classes
+    pa, pb = pairs = np.nonzero(np.tri(state.tau.shape[1], dtype=bool).T | adj.directed)
+    ta, tb = state.tau.T[pa], state.tau.T[pb]   # K x n
+    n, wy, xy = np.zeros((pa.size, x.shape[1])), np.zeros(pa.size), np.zeros(len(x))
+    step = max(1, SLAB // (2 * pa.size))
+    for (rows, cols, order, starts, v0), nu in zip(parts, (None, state.nu)):
+        for s in range(0, order.size, step):
+            i, j = rows[order[s:s + step]], cols[order[s:s + step]]
+            w = ta.take(i, axis=1)
+            w *= tb.take(j, axis=1)
+            if not adj.directed:   # (b, a) as well, so a == b is counted twice
+                w += tb.take(i, axis=1) * ta.take(j, axis=1)
+                w *= np.where(pa == pb, 0.5, 1.0)[:, None]
+            y = adj.matrix[i, j] if nu is None else nu[order[s:s + step]]
+            first, last = np.searchsorted(starts, (s, s + i.size - 1), side="right") - 1
+            offsets, cls = np.maximum(starts[first:last + 1] - s, 0), slice(v0 + first, v0 + last + 1)
+            n[:, cls] += np.add.reduceat(w, offsets, axis=1)
+            wy += w @ y
+            xy += x[:, cls] @ np.add.reduceat(y, offsets)
+    return CovariateCounts(x, xy, wy, n, pairs)
+
+
+def _class_slabs(gamma_k: np.ndarray, beta: np.ndarray, counts: CovariateCounts):
+    """Yield (X, slabs) per chunk of classes, slabs iterating (pairs, N, -gamma_k - beta . X)
+    over contiguous slabs of <= ``SLAB`` counts: whole rows when V is small, else parts of one."""
+    k, v = counts.n.shape
+    width = min(v, SLAB)
+    height = max(1, SLAB // width)
+    for s in range(0, v, width):
+        x = counts.x[:, s:s + width]
+        c = beta @ x
+        yield x, ((p, counts.n[p, s:s + width], -gamma_k[p, None] - c)
+                  for p in (slice(r, r + height) for r in range(0, k, height)))
+
+
+def _covariate_loglik(gamma_k: np.ndarray, beta: np.ndarray, counts: CovariateCounts) -> float:
+    """The expected dyad log-likelihood of the module docstring."""
+    total = float(beta @ counts.xy + gamma_k @ counts.wy)
+    for _, slabs in _class_slabs(gamma_k, beta, counts):
+        for _, n, minus_eta in slabs:
+            total += float(np.vdot(n, log_sigmoid(minus_eta, out=minus_eta)))
     return total
 
 
 def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
                         covariates: Optional[CovariateSet] = None,
-                        counts: Optional[tuple[np.ndarray, np.ndarray]] = None) -> float:
+                        counts=None) -> float:
     """Variational expectation of the complete-data SBM log-likelihood.
 
     Covers the membership factor and the dyad factor over the observed dyads
     (no imputation state) or over every dyad with missing values replaced by
-    nu (imputation state present).  The plain variant reads
-    ``block_pair_counts(adj, state)``, or ``counts`` when the caller already
-    holds them for this state.
+    nu (imputation state present).  The dyad factor reads the variant's
+    statistics, ``block_pair_counts(adj, state)`` or ``covariate_counts(adj,
+    state, covariates)``, or ``counts`` when the caller already holds them
+    for this state.
     """
     tau = state.tau
     if tau.shape != (adj.n, params.q):
@@ -268,12 +311,10 @@ def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
         if counts is None:
             counts = block_pair_counts(adj, state)
         return total + rate_loglik(*counts, params.pi)
-    # one part at a time, so the working set is that of the larger part
     cov = _dyad_covariates(params, covariates)
-    return total + sum(_covariate_dyad_loglik(params.gamma, params.beta @ cov.at_pairs(rows, cols), y,
-                                              tau.T.take(rows, axis=1), tau.T.take(cols, axis=1),
-                                              adj.directed)
-                       for rows, cols, y in _dyads_in_play(adj, state))
+    if counts is None:
+        counts = covariate_counts(adj, state, cov)
+    return total + _covariate_loglik(params.gamma[counts.pairs], params.beta, counts)
 
 
 def predict_probabilities(params: SbmParams, state,
@@ -344,8 +385,9 @@ def spectral_init(adj: PartialAdjacency, q: int, rng_seed: int = 0,
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Plain Lloyd k-means, squared Euclidean, best inertia over restarts.
 
-    Centers start from a k-means++ draw; a cluster that empties is reseeded
-    from the point farthest from its center.
+    Centers start from a k-means++ draw; a cluster that empties, also by
+    the repair of another, is reseeded from the point farthest from its
+    center among those not moved yet in that step.
     """
     n = points.shape[0]
     if k >= n:
@@ -357,11 +399,10 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         for _ in range(KMEANS_MAX_ITER):
             dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = dist.argmin(axis=1)
-            for empty in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
+            while (empty := np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)).size:
                 farthest = int(np.argmax(dist[np.arange(n), new_labels]))
-                new_labels[farthest] = empty
-                dist[farthest, :] = np.inf
-                dist[farthest, empty] = 0.0
+                new_labels[farthest] = empty[0]
+                dist[farthest, :] = -np.inf
             if np.array_equal(new_labels, labels):
                 labels = new_labels
                 break
@@ -391,7 +432,8 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def fit_covariate_connectivity(adj: PartialAdjacency, state, covariates: CovariateSet,
-                               start: Optional[tuple[np.ndarray, np.ndarray]] = None
+                               start: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                               counts: Optional[CovariateCounts] = None
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the tau-weighted logistic dyad likelihood in (gamma, beta).
 
@@ -400,68 +442,52 @@ def fit_covariate_connectivity(adj: PartialAdjacency, state, covariates: Covaria
     weights w_ab.  The objective keeps the scale of ordered pairs, twice the
     sum over undirected dyads, which the Newton ridge and stop rule assume.
 
-    The working set is O(Q P) floats for the P dyads in play: y, x (m x P)
-    and the membership rows tau_i', tau_j' (Q x P), formed once per call,
-    and per Newton step (:func:`_newton_system`) beta . x and four P-vectors
-    that its block-pair loop reuses:
-
-    - eta: gamma_ab + beta . x, turned into mu = sigma(eta), then 1 - mu;
-    - w_ab, then w_ab * mu, then the pair's curvature w_ab * mu * (1 - mu);
-    - the residual y - sum_ab w_ab * mu, started from y (weights sum to 1);
-    - the curvature summed over block pairs.
+    It reads ``covariate_counts`` at ``state``, or ``counts``; each pass walks the K x V
+    counts N in slabs of ``SLAB``, forming -eta, mu, 1 - mu, N mu and N mu (1 - mu).
     """
-    directed = adj.directed
-    q = state.tau.shape[1]
-    rows, cols, y = (np.concatenate(part) for part in zip(*_dyads_in_play(adj, state)))
-    x = transfer_covariates(covariates).at_pairs(rows, cols)
-    ti, tj = state.tau.T.take(rows, axis=1), state.tau.T.take(cols, axis=1)
-    pairs = np.nonzero(np.ones((q, q)) if directed else np.triu(np.ones((q, q))))
+    if counts is None:
+        counts = covariate_counts(adj, state, covariates)
+    q, pairs, k = state.tau.shape[1], counts.pairs, len(counts.wy)
     slot = np.zeros((q, q), dtype=int)   # free intercept of each block pair
-    slot[pairs] = np.arange(pairs[0].size)
-    slot = slot if directed else np.maximum(slot, slot.T)
-    scale = 1.0 if directed else 2.0
-    gamma0, beta0 = (np.zeros((q, q)), np.zeros(x.shape[0])) if start is None else start
+    slot[pairs] = np.arange(k)
+    slot = slot if adj.directed else np.maximum(slot, slot.T)
+    scale = 1.0 if adj.directed else 2.0
+    gamma0, beta0 = (np.zeros((q, q)), np.zeros(len(counts.x))) if start is None else start
     theta = np.concatenate([gamma0[pairs], beta0])
 
-    def unpack(vec):
-        return vec[slot], vec[pairs[0].size:]
-
     def objective(vec):
-        gamma, beta = unpack(vec)
-        return scale * _covariate_dyad_loglik(gamma, beta @ x, y, ti, tj, directed)
+        return scale * _covariate_loglik(vec[:k], vec[k:], counts)
 
     def system(vec):
-        grad, hess = _newton_system(*unpack(vec), y, x, ti, tj, directed)
+        grad, hess = _newton_system(vec[:k], vec[k:], counts)
         return scale * grad, scale * hess
 
     theta, _ = newton_ascent(objective, system, theta, "covariate connectivity fit")
-    return unpack(theta)
+    return theta[slot], theta[k:]
 
 
-def _newton_system(gamma, beta, y, x, ti, tj, directed):
-    """Gradient and negated Hessian of the dyads-in-play log-likelihood in
-    theta = (gamma of the block pairs in play, beta); the beta terms apply x
-    once, to the residuals and curvatures summed over block pairs."""
-    resid = y.copy()
-    curv = np.zeros_like(y)
-    weight = np.empty_like(y)
-    per_pair = []   # columns: gradient, curvature, cross terms
-    for a, b, eta in _block_pair_etas(gamma, beta @ x, directed):
-        mu = expit(eta, out=eta)
-        _pair_weight(ti, tj, a, b, directed, weight)
-        observed = weight @ y
-        weight *= mu
-        resid -= weight
-        fitted = weight.sum()
-        np.subtract(1.0, mu, out=mu)
-        weight *= mu
-        curv += weight
-        per_pair.append([observed - fitted, weight.sum(), *(x @ weight)])
-    per_pair = np.array(per_pair)
-    k = len(per_pair)
-    hess = np.zeros((k + len(x),) * 2)
-    hess[:k, :k] = np.diag(per_pair[:, 1])
-    hess[:k, k:] = per_pair[:, 2:]
-    hess[k:, :k] = per_pair[:, 2:].T
-    hess[k:, k:] = (x * curv) @ x.T
-    return np.concatenate([per_pair[:, 0], x @ resid]), hess
+def _newton_system(gamma_k, beta, counts: CovariateCounts):
+    """Gradient and negated Hessian of :func:`_covariate_loglik` in (gamma_k, beta), summed by class."""
+    k = gamma_k.size
+    grad = np.concatenate([counts.wy, counts.xy])
+    hess = np.zeros((k + beta.size,) * 2)
+    curv, cross = hess.reshape(-1)[::len(hess) + 1][:k], hess[:k, k:]   # views
+    for x, slabs in _class_slabs(gamma_k, beta, counts):
+        fitted, curved = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+        for p, n, mu in slabs:
+            with np.errstate(over="ignore"):   # mu = 1 / (1 + exp(-eta)), 0 on overflow
+                np.exp(mu, out=mu)
+            mu += 1.0
+            np.reciprocal(mu, out=mu)
+            n = n * mu
+            grad[:k][p] -= n.sum(axis=1)
+            fitted += n.sum(axis=0)
+            np.subtract(1.0, mu, out=mu)
+            n *= mu
+            curv[p] += n.sum(axis=1)
+            curved += n.sum(axis=0)
+            cross[p] += n @ x.T
+        grad[k:] -= x @ fitted
+        hess[k:, k:] += (x * curved) @ x.T
+    hess[k:, :k] = cross.T
+    return grad, hess

@@ -76,6 +76,8 @@ from .sbm import (
     SbmParams,
     _log_sigmoid_kernels,
     block_pair_counts,
+    covariate_classes,
+    covariate_counts,
     dyad_covariate_effect,
     expected_loglik_sbm,
     fit_covariate_connectivity,
@@ -221,8 +223,9 @@ class _Engine:
         # transferred once per fit; nodal vectors stay on it for covar-node
         self.covariates = transfer_covariates(covariates) if covariates is not None else None
         self.sbm_covariates = self.covariates if use_cov else None
+        self._classes = covariate_classes(adj, self.covariates, self.mnar) if use_cov else None
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
-        self._counts = (None, None)   # (state, its block_pair_counts)
+        self._counts = (None, None)   # (state, its block_counts)
         self._y = None   # MNAR: the one n x n buffer y = A_obs + nu of the fit
 
     # -- initialization ------------------------------------------------------
@@ -236,7 +239,7 @@ class _Engine:
 
     def sbm_state(self, state: VariationalState) -> VariationalState:
         """The state as the SBM factor sees it: without nu unless MNAR."""
-        return state if self.mnar else VariationalState(tau=state.tau)
+        return state if self.mnar or state.nu is None else VariationalState(tau=state.tau)
 
     def filled(self, nu: Optional[np.ndarray]) -> np.ndarray:
         """The pair matrix y of the SBM factor: the observed network with the
@@ -255,13 +258,15 @@ class _Engine:
             self.adj.fill_missing(self._y, nu)
         return self._y
 
-    def block_counts(self, state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
-        """``block_pair_counts`` of the SBM factor at ``state``, kept for the
-        last state seen: the M step and the bound that follows it read the
-        same counts, so tau' y tau is built once per EM iteration."""
+    def block_counts(self, state: VariationalState):
+        """``block_pair_counts``, or ``covariate_counts`` under ``use_cov``, of
+        the SBM factor at ``state``, kept for the last state seen: the M step
+        and the bound that follows it read the same counts, built once per EM iteration."""
         if self._counts[0] is not state:
             sbm_state = self.sbm_state(state)
-            self._counts = (state, block_pair_counts(self.adj, sbm_state, self.filled(sbm_state.nu)))
+            counts = (covariate_counts(self.adj, sbm_state, self.covariates, self._classes) if self.use_cov
+                      else block_pair_counts(self.adj, sbm_state, self.filled(sbm_state.nu)))
+            self._counts = (state, counts)
         return self._counts[1]
 
     # -- M step ---------------------------------------------------------------
@@ -273,7 +278,7 @@ class _Engine:
         if self.use_cov:
             start = (prev.gamma, prev.beta) if prev is not None and prev.variant == "covariate" else None
             gamma, beta = fit_covariate_connectivity(self.adj, self.sbm_state(state), self.covariates,
-                                                     start=start)
+                                                     start=start, counts=self.block_counts(state))
             params = SbmParams(alpha=alpha, gamma=gamma, beta=beta, directed=self.directed)
         else:
             fallback = prev.pi if prev is not None else np.full((alpha.size,) * 2, self.adj.observed_density)
@@ -446,7 +451,7 @@ class _Engine:
                    state: VariationalState) -> tuple[float, float, float]:
         """(elbo, SBM expectation, sampling expectation)."""
         sbm_state = self.sbm_state(state)
-        counts = self.block_counts(state) if params.variant == "plain" else None
+        counts = self.block_counts(state)
         vexpec = expected_loglik_sbm(params, self.adj, sbm_state, self.sbm_covariates, counts)
         s_ll = 0.0
         if design is not None:

@@ -19,7 +19,7 @@ from sbm_miss import (
     spectral_init,
 )
 from sbm_miss.network import fit_logistic
-from sbm_miss.sbm import fit_covariate_connectivity, kmeans, spectral_embedding
+from sbm_miss.sbm import covariate_classes, fit_covariate_connectivity, kmeans, spectral_embedding
 from sbm_miss.vem import _Engine
 
 from util import adjacency_from_edges, dyad_values, planted_params, random_partial
@@ -42,15 +42,24 @@ def counting_loglik(adj, labels, alpha, pi):
 
 
 def covariate_case(directed, mnar, n=12, q=3, seed=0, kind="dyadic"):
-    """Partially observed covariate-SBM network with two dyadic covariates
-    (or, for kind "nodal", one nodal covariate under the l1 similarity), a
+    """Partially observed covariate-SBM network with two dyadic covariates, a
     diffuse tau and, for an MNAR state, random imputation means nu.  x holds
-    the dyad-level covariates as an m x n x n array."""
+    the dyad-level covariates as an m x n x n array.
+
+    The other kinds have one covariate: "nodal" a normal nodal covariate
+    under the l1 similarity, "binary" a 0/1 nodal one under l1 (two values,
+    -0.0 and -1.0, on the dyads), "levels" a dyadic one with the three
+    values -1, 0 and 1."""
     rng = np.random.default_rng([seed, directed, mnar])
-    if kind == "nodal":
-        v = rng.normal(size=n)
+    if kind in ("nodal", "binary"):
+        v = rng.normal(size=n) if kind == "nodal" else rng.integers(2, size=n).astype(float)
         x = -np.abs(v[:, None] - v[None, :])[None]
         cov = CovariateSet.from_nodal([v], similarity="l1")
+    elif kind == "levels":
+        x = rng.integers(-1, 2, size=(1, n, n)).astype(float)
+        if not directed:
+            x = np.triu(x, 1) + np.triu(x, 1).transpose(0, 2, 1)
+        cov = CovariateSet.from_dyadic(list(x))
     else:
         x = rng.normal(size=(2, n, n))
         if not directed:
@@ -70,8 +79,10 @@ def covariate_case(directed, mnar, n=12, q=3, seed=0, kind="dyadic"):
 COVARIATE_CASES = [(d, m) for d in (False, True) for m in (False, True)]
 COVARIATE_IDS = [f"{'directed' if d else 'undirected'}-{'mnar' if m else 'mar'}"
                  for d, m in COVARIATE_CASES]
-COVARIATE_KIND_CASES = [(d, m, k) for k in ("dyadic", "nodal") for d, m in COVARIATE_CASES]
-COVARIATE_KIND_IDS = COVARIATE_IDS + [f"{case}-nodal" for case in COVARIATE_IDS]
+# "binary" and "levels" have a few covariate classes, far fewer than dyads
+COVARIATE_KINDS = ("dyadic", "nodal", "binary", "levels")
+COVARIATE_KIND_CASES = [(d, m, k) for k in COVARIATE_KINDS for d, m in COVARIATE_CASES]
+COVARIATE_KIND_IDS = COVARIATE_IDS + [f"{case}-{k}" for k in COVARIATE_KINDS[1:] for case in COVARIATE_IDS]
 
 
 class TestSampleNetwork:
@@ -315,6 +326,20 @@ class TestFitCovariateConnectivity:
         np.testing.assert_allclose(beta, coef[len(pairs):], atol=1e-6)
 
 
+def test_signed_zeros_share_a_covariate_class():
+    # the l1 transfer of two equal values gives -0.0, which equals 0.0
+    adj = random_partial(12, False, 4)
+    x = np.zeros((12, 12))
+    x[::2] = -0.0
+    x[:, ::3] = 1.0
+    cov = CovariateSet.from_dyadic([x])
+    values = x[adj.observed_pairs]
+    assert np.any(np.signbit(values) & (values == 0)) and np.any(~np.signbit(values) & (values == 0))
+    classes, [(_, _, order, starts, _)] = covariate_classes(adj, cov, missing=False)
+    np.testing.assert_array_equal(np.sort(classes[0]), [0.0, 1.0])
+    np.testing.assert_array_equal(np.repeat(classes[0], np.diff(starts)), values[order])
+
+
 def peak_floats(fn, n):
     """Peak memory that fn allocates above what is held on entry, in n x n
     float arrays."""
@@ -330,11 +355,13 @@ def peak_floats(fn, n):
 
 class TestCovariateWorkingSet:
     # Measured peaks of the M step and the bound over the dyads in play
-    # (n = 200, Q = 3, two covariates, 70 % of the dyads observed), in n x n
-    # arrays: 5.94 / 3.84 (MAR) and 8.48 / 3.84 (MNAR).  The bounds allow 0.05
-    # of an array for rounding, so one more vector over the observed dyads
-    # (0.35 of an array here) fails.
-    PEAK = {False: {"fit": 5.99, "elbo": 3.89}, True: {"fit": 8.53, "elbo": 3.89}}
+    # (n = 200, Q = 3, two continuous covariates, 70 % of the dyads observed),
+    # in n x n arrays: 4.46 / 2.72 (MAR) and 5.65 / 3.61 (MNAR).  Every dyad is
+    # its own covariate class here, so the K x V class counts take 6 vectors
+    # over the dyads in play (2.99 arrays under MNAR).  The bounds allow 0.05
+    # of an array for rounding, so one more slab of sbm.SLAB entries (0.2 of
+    # an array here) fails.
+    PEAK = {False: {"fit": 4.51, "elbo": 2.77}, True: {"fit": 5.70, "elbo": 3.67}}
 
     @pytest.mark.parametrize("mnar", [False, True], ids=["mar", "mnar"])
     def test_fit_and_bound_do_not_outgrow_earlier_kernels(self, mnar):
@@ -453,12 +480,16 @@ def reference_kmeans(points, k, rng, restarts=10, max_iter=100):
 KMEANS_CASES = {
     "uniform": (np.random.default_rng(1).random((40, 3)), 3),
     "binary": ((np.random.default_rng(2).random((30, 12)) < 0.4).astype(float), 2),
-    "duplicated rows": (np.repeat(np.random.default_rng(3).random((3, 2)), 5, axis=0), 5),
     "d = 1": (np.random.default_rng(4).random((25, 1)), 3),
     "k = n - 1": (np.random.default_rng(5).random((6, 2)), 5),
 }
-# repairing one empty cluster empties another, so a centre is the mean of no rows
+# inputs where repairing one empty cluster empties another: the reference
+# loop leaves that cluster empty, its centre the mean of no rows
 CASCADE = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+CASCADE_CASES = {
+    "cascade": (CASCADE, 5, [9]),
+    "duplicated rows": (np.repeat(np.random.default_rng(3).random((3, 2)), 5, axis=0), 5, range(5)),
+}
 
 
 class TestKmeans:
@@ -477,12 +508,20 @@ class TestKmeans:
         for seed in range(5):
             self.assert_matches_reference(points, k, seed)
 
-    def test_cascading_empty_cluster_repair_matches_reference(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            reference_kmeans(CASCADE, 5, np.random.default_rng(9))
-        assert any("Mean of empty slice" in str(w.message) for w in caught)
-        self.assert_matches_reference(CASCADE, 5, 9)
+    @pytest.mark.parametrize("case", list(CASCADE_CASES))
+    def test_cascading_empty_cluster_repair_fills_every_cluster(self, case):
+        points, k, seeds = CASCADE_CASES[case]
+        for seed in seeds:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                reference_kmeans(points, k, np.random.default_rng(seed))
+            assert any("Mean of empty slice" in str(w.message) for w in caught)
+            with warnings.catch_warnings():   # no cluster is left empty, so no NaN centre
+                warnings.simplefilter("error")
+                labels = kmeans(points, k, np.random.default_rng(seed))
+            assert np.unique(labels).size == k
+            centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
+            assert np.isfinite(((points - centers[labels]) ** 2).sum())
 
 
 def test_undirected_symmetry_check_keeps_its_tolerance():
