@@ -28,7 +28,6 @@ log sigma(-eta) per block pair on n x n matrices, all by ``network.log_sigmoid``
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -248,8 +247,10 @@ def covariate_counts(adj: PartialAdjacency, state, covariates: CovariateSet,
     """X (m x V), X sy, w_k . y, N (K x V) and the block pairs (a, b) at ``state``, from
     ``classes`` if given; the dyads are walked by class, ``SLAB`` / 2 weights at a time."""
     x, parts = covariate_classes(adj, covariates, state.nu is not None) if classes is None else classes
+    if len(parts) > 1 and (0 if state.nu is None else state.nu.size) != parts[1][2].size:
+        raise InputError("nu must hold one value per missing dyad")
     pa, pb = pairs = np.nonzero(np.tri(state.tau.shape[1], dtype=bool).T | adj.directed)
-    ta, tb = state.tau.T[pa], state.tau.T[pb]   # K x n
+    ta, tb = state.tau.T[pa], state.tau.T[pb] * np.where((pa == pb) & (not adj.directed), 0.5, 1.0)[:, None]
     n, wy, xy = np.zeros((pa.size, x.shape[1])), np.zeros(pa.size), np.zeros(len(x))
     step = max(1, SLAB // (2 * pa.size))
     for (rows, cols, order, starts, v0), nu in zip(parts, (None, state.nu)):
@@ -257,9 +258,8 @@ def covariate_counts(adj: PartialAdjacency, state, covariates: CovariateSet,
             i, j = rows[order[s:s + step]], cols[order[s:s + step]]
             w = ta.take(i, axis=1)
             w *= tb.take(j, axis=1)
-            if not adj.directed:   # (b, a) as well, so a == b is counted twice
+            if not adj.directed:   # (b, a) as well, so tb (K x n) is halved where a == b
                 w += tb.take(i, axis=1) * ta.take(j, axis=1)
-                w *= np.where(pa == pb, 0.5, 1.0)[:, None]
             y = adj.matrix[i, j] if nu is None else nu[order[s:s + step]]
             first, last = np.searchsorted(starts, (s, s + i.size - 1), side="right") - 1
             offsets, cls = np.maximum(starts[first:last + 1] - s, 0), slice(v0 + first, v0 + last + 1)
@@ -473,7 +473,7 @@ def _newton_system(gamma_k, beta, counts: CovariateCounts):
     hess = np.zeros((k + beta.size,) * 2)
     curv, cross = hess.reshape(-1)[::len(hess) + 1][:k], hess[:k, k:]   # views
     for x, slabs in _class_slabs(gamma_k, beta, counts):
-        fitted, curved = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+        curved = np.zeros(x.shape[1])
         for p, n, mu in slabs:
             with np.errstate(over="ignore"):   # mu = 1 / (1 + exp(-eta)), 0 on overflow
                 np.exp(mu, out=mu)
@@ -481,13 +481,12 @@ def _newton_system(gamma_k, beta, counts: CovariateCounts):
             np.reciprocal(mu, out=mu)
             n = n * mu
             grad[:k][p] -= n.sum(axis=1)
-            fitted += n.sum(axis=0)
+            grad[k:] -= (n @ x.T).sum(axis=0)
             np.subtract(1.0, mu, out=mu)
             n *= mu
             curv[p] += n.sum(axis=1)
             curved += n.sum(axis=0)
             cross[p] += n @ x.T
-        grad[k:] -= x @ fitted
         hess[k:, k:] += (x * curved) @ x.T
     hess[k:, :k] = cross.T
     return grad, hess

@@ -223,7 +223,7 @@ class _Engine:
         # transferred once per fit; nodal vectors stay on it for covar-node
         self.covariates = transfer_covariates(covariates) if covariates is not None else None
         self.sbm_covariates = self.covariates if use_cov else None
-        self._classes = covariate_classes(adj, self.covariates, self.mnar) if use_cov else None
+        self._classes = None   # use_cov: the dyads in play by covariate class, sorted on first use
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
         self._counts = (None, None)   # (state, its block_counts)
         self._y = None   # MNAR: the one n x n buffer y = A_obs + nu of the fit
@@ -264,6 +264,8 @@ class _Engine:
         and the bound that follows it read the same counts, built once per EM iteration."""
         if self._counts[0] is not state:
             sbm_state = self.sbm_state(state)
+            if self.use_cov and self._classes is None:
+                self._classes = covariate_classes(self.adj, self.covariates, self.mnar)
             counts = (covariate_counts(self.adj, sbm_state, self.covariates, self._classes) if self.use_cov
                       else block_pair_counts(self.adj, sbm_state, self.filled(sbm_state.nu)))
             self._counts = (state, counts)

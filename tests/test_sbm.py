@@ -20,7 +20,7 @@ from sbm_miss import (
 )
 from sbm_miss.network import fit_logistic
 from sbm_miss.sbm import covariate_classes, fit_covariate_connectivity, kmeans, spectral_embedding
-from sbm_miss.vem import _Engine
+from sbm_miss.vem import _Engine, elbo
 
 from util import adjacency_from_edges, dyad_values, planted_params, random_partial
 
@@ -340,6 +340,15 @@ def test_signed_zeros_share_a_covariate_class():
     np.testing.assert_array_equal(np.repeat(classes[0], np.diff(starts)), values[order])
 
 
+@pytest.mark.parametrize("nu", ["none", "one short"])
+def test_mnar_covariate_bound_needs_nu_at_every_missing_dyad(nu):
+    # the MNAR SBM factor runs over the missing dyads too, at nu
+    adj, cov, _, params, state = covariate_case(False, True)
+    state = VariationalState(tau=state.tau, nu=None if nu == "none" else state.nu[1:])
+    with pytest.raises(InputError, match="one value per missing dyad"):
+        elbo(adj, SamplingDesign("double-standard", [0.8, 0.2]), params, state, cov)
+
+
 def peak_floats(fn, n):
     """Peak memory that fn allocates above what is held on entry, in n x n
     float arrays."""
@@ -356,20 +365,23 @@ def peak_floats(fn, n):
 class TestCovariateWorkingSet:
     # Measured peaks of the M step and the bound over the dyads in play
     # (n = 200, Q = 3, two continuous covariates, 70 % of the dyads observed),
-    # in n x n arrays: 4.46 / 2.72 (MAR) and 5.65 / 3.61 (MNAR).  Every dyad is
+    # in n x n arrays: 4.25 / 2.72 (MAR) and 5.53 / 3.61 (MNAR).  Every dyad is
     # its own covariate class here, so the K x V class counts take 6 vectors
-    # over the dyads in play (2.99 arrays under MNAR).  The bounds allow 0.05
-    # of an array for rounding, so one more slab of sbm.SLAB entries (0.2 of
-    # an array here) fails.
-    PEAK = {False: {"fit": 4.51, "elbo": 2.77}, True: {"fit": 5.70, "elbo": 3.67}}
+    # over the dyads in play (2.99 arrays under MNAR).  The bound runs after
+    # the fit has sorted the dyads into classes.  The bounds allow 0.05 of an
+    # array for rounding, so one more slab of sbm.SLAB entries (0.2 of an
+    # array here) fails.
+    PEAK = {False: {"fit": 4.30, "elbo": 2.77}, True: {"fit": 5.58, "elbo": 3.67}}
 
     @pytest.mark.parametrize("mnar", [False, True], ids=["mar", "mnar"])
     def test_fit_and_bound_do_not_outgrow_earlier_kernels(self, mnar):
         n = 200
         adj, cov, _, params, state = covariate_case(False, mnar, n=n, q=3)
         engine = _Engine(adj, "double-standard" if mnar else "dyad", cov, use_cov=True)
-        # cached inputs, held by every fit
+        # cached inputs, held by every fit: the adjacency's indices and the
+        # covariate classes, sorted by the counts of a copy of the state
         adj.missing_flat, adj.observed_pairs, adj.observed_mask
+        engine.block_counts(VariationalState(tau=state.tau, nu=state.nu))
         fit = peak_floats(lambda: fit_covariate_connectivity(adj, state, engine.covariates), n)
         bound = peak_floats(lambda: engine.elbo_parts(params, None, state), n)
         assert fit <= self.PEAK[mnar]["fit"]
@@ -484,11 +496,20 @@ KMEANS_CASES = {
     "k = n - 1": (np.random.default_rng(5).random((6, 2)), 5),
 }
 # inputs where repairing one empty cluster empties another: the reference
-# loop leaves that cluster empty, its centre the mean of no rows
+# loop leaves that cluster empty, its centre the mean of no rows.  Repaired,
+# kmeans finds the reference's clusters, numbered as its first best restart
+# drew their centres; the labels below pin them per seed.
 CASCADE = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+DUPLICATED = np.repeat(np.random.default_rng(3).random((3, 2)), 5, axis=0)
 CASCADE_CASES = {
-    "cascade": (CASCADE, 5, [9]),
-    "duplicated rows": (np.repeat(np.random.default_rng(3).random((3, 2)), 5, axis=0), 5, range(5)),
+    "cascade": (CASCADE, 5, {9: [1, 3, 2, 4, 0, 0]}),
+    "duplicated rows": (DUPLICATED, 5, {
+        0: [3, 4, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
+        1: [3, 4, 2, 2, 2, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+        2: [3, 4, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
+        3: [3, 4, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
+        4: [3, 4, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
+    }),
 }
 
 
@@ -510,18 +531,21 @@ class TestKmeans:
 
     @pytest.mark.parametrize("case", list(CASCADE_CASES))
     def test_cascading_empty_cluster_repair_fills_every_cluster(self, case):
-        points, k, seeds = CASCADE_CASES[case]
-        for seed in seeds:
+        points, k, pinned = CASCADE_CASES[case]
+        for seed, expected in pinned.items():
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
-                reference_kmeans(points, k, np.random.default_rng(seed))
+                reference = reference_kmeans(points, k, ref_rng)
             assert any("Mean of empty slice" in str(w.message) for w in caught)
             with warnings.catch_warnings():   # no cluster is left empty, so no NaN centre
                 warnings.simplefilter("error")
-                labels = kmeans(points, k, np.random.default_rng(seed))
-            assert np.unique(labels).size == k
+                labels = kmeans(points, k, rng)
+            np.testing.assert_array_equal(labels, expected)
+            assert np.unique(labels).size == k and ari(labels, reference) == 1.0
             centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
             assert np.isfinite(((points - centers[labels]) ** 2).sum())
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_undirected_symmetry_check_keeps_its_tolerance():
