@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .errors import InputError, NumericalError
-from .evaluation import ExperimentSpec, ari, auc, compare_designs, run_auc_sweep
+from .evaluation import SWEEP_DESIGNS, ExperimentSpec, ari, auc, compare_designs, run_auc_sweep
 from .network import CovariateSet, PartialAdjacency, Partition
 from .sampling import AVAILABLE_SAMPLINGS, SamplingDesign, design_spec, observe_network
 from .sbm import SbmParams, sample_network
@@ -159,8 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--pi-within", type=float, default=0.3)
     p.add_argument("--pi-between", type=float, default=0.03)
-    p.add_argument("--sampling", default="block-node",
-                   choices=["dyad", "double-standard", "node", "block-node"])
+    p.add_argument("--sampling", default="block-node", choices=list(SWEEP_DESIGNS))
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--rate-min", type=float, default=0.4)
     p.add_argument("--rate-max", type=float, default=0.9)

@@ -15,9 +15,12 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .network import CovariateSet, PartialAdjacency, Partition, as_rng
-from .sampling import SamplingDesign, observe_network
+from .sampling import SamplingDesign, design_spec, make_default_design, observe_network
 from .sbm import SbmParams, sample_network
 from .vem import ControlOptions, derive_seed, estimate_miss_sbm, fit_single, impute
+
+# the designs whose psi the AUC sweep draws: one-rate, edge-value or block strata
+SWEEP_DESIGNS = ("dyad", "double-standard", "node", "block-node")
 
 
 def ari(labels_a, labels_b) -> float:
@@ -101,7 +104,7 @@ def _draw_sweep_design(spec: ExperimentSpec, q: int, rng) -> SamplingDesign:
 
     Dyad-centered designs draw their rates in ``[lo, hi]`` directly.
     Node-centered designs draw node rates in ``[v_lo, v_hi]``, the interval
-    whose dyad rates ``1 - (1 - v)^2`` span ``[lo, hi]``; block-node jitters a
+    whose dyad rates ``1 - (1 - v)^2`` span ``[lo, hi]``; block strata jitter a
     per-replicate base rate by block and clips each block's rate back into
     that interval, so every dyad's observation probability
     ``1 - (1 - psi_a)(1 - psi_b)`` lies in ``[lo, hi]``.  A range narrower
@@ -111,23 +114,22 @@ def _draw_sweep_design(spec: ExperimentSpec, q: int, rng) -> SamplingDesign:
     """
     lo, hi = spec.rate_range
     tag = spec.design
-    if tag == "dyad":
-        return SamplingDesign(tag, np.float64(rng.uniform(lo, hi)))
-    if tag == "double-standard":
-        return SamplingDesign(tag, rng.uniform(lo, hi, size=2))
-    # node-centered rates: a dyad is observed unless both ends are missed,
-    # so a node rate v yields a dyad rate 1 - (1 - v)^2
-    v_lo = 1.0 - np.sqrt(1.0 - lo)
-    v_hi = 1.0 - np.sqrt(1.0 - hi)
-    if tag == "node":
-        return SamplingDesign(tag, np.float64(rng.uniform(v_lo, v_hi)))
-    if tag == "block-node":
+    if tag not in SWEEP_DESIGNS:
+        raise InputError(f"sweep does not support the {tag!r} design")
+    design = design_spec(tag)
+    if design.centering == "node-centered":
+        # a dyad is observed unless both ends are missed, so a node rate v
+        # yields a dyad rate 1 - (1 - v)^2
+        lo = 1.0 - np.sqrt(1.0 - lo)
+        hi = 1.0 - np.sqrt(1.0 - hi)
+    if design.psi == "block":
         # one base rate per replicate spreads the realized rates over the
         # requested range; per-block jitter keeps the design heterogeneous
-        base = rng.uniform(v_lo, v_hi)
-        psi = np.clip(base + rng.uniform(-0.2, 0.2, size=q), v_lo, v_hi)
+        base = rng.uniform(lo, hi)
+        psi = np.clip(base + rng.uniform(-0.2, 0.2, size=q), lo, hi)
         return SamplingDesign(tag, psi)
-    raise InputError(f"sweep does not support the {tag!r} design")
+    # one rate, or the two edge-value rates
+    return SamplingDesign(tag, rng.uniform(lo, hi, size=make_default_design(tag, q).psi.shape))
 
 
 def _sweep_replicate(args):

@@ -377,14 +377,6 @@ class Partition:
     def n(self) -> int:
         return self.labels.size
 
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.q)
-
-    def onehot(self) -> np.ndarray:
-        out = np.zeros((self.n, self.q))
-        out[np.arange(self.n), self.labels] = 1.0
-        return out
-
 
 @dataclass(frozen=True)
 class CovariateSet:

@@ -5,19 +5,26 @@ designs decide each dyad on its own; node-centered designs draw a set of
 observed nodes, and observing a node reveals every dyad involving it.  The
 table ``DESIGNS`` states, once per design, its missingness mechanism (MCAR,
 MAR or MNAR), its centering, what it needs besides the network (a clustering
-or covariates) and the layout of its parameter vector psi.  Everything else
-follows from two likelihood families:
+or covariates), its family, the layout of its parameter vector psi and
+whether it draws waves.  Code reads these traits, not the tag.  Everything
+else follows from two likelihood families:
 
-* rate designs hold one observation rate per stratum (everything, edge
-  value, block or block pair).  ``_rate_counts`` gives the expected observed
-  and total unit counts of each stratum; the log-likelihood and the M step
-  obs / total are ``network.rate_loglik`` and ``network.rate_update``, the
-  same pair that fits the SBM connectivity pi.
-* logistic designs observe unit u with probability logistic(x_u . psi).
-  ``_features`` gives the units' covariates: dyad covariates on canonical
-  dyads, or nodal covariates or expected degrees on nodes.  The
-  log-likelihood and the damped Newton M step are ``network.logistic_loglik``
-  and ``network.fit_logistic``.
+* rate designs hold one observation rate per stratum, named by the layout:
+  one rate, edge value, block or block pair.  ``_rate_counts`` (expected
+  observed and total unit counts per stratum) and ``_unit_rates`` read the
+  layout, and the centering for one rate.  The log-likelihood and the M
+  step obs / total are ``network.rate_loglik`` and ``network.rate_update``,
+  the same pair that fits the SBM connectivity pi.
+* logistic designs observe unit u with probability logistic(x_u . psi); the
+  layout names the features.  ``_features`` gives dyad covariates on
+  canonical dyads or nodal covariates on nodes, by centering, or expected
+  degrees on nodes.  The log-likelihood and the damped Newton M step are
+  ``network.logistic_loglik`` and ``network.fit_logistic``.
+
+The VE terms read the layout too: block strata give ``tau_static_terms``,
+block-pair strata ``tau_pairwise_logs``, and edge-value strata or
+expected-degree features ``nu_logit_correction``.  The AUC sweep of
+``evaluation`` draws psi by centering and layout.
 
 The observation itself, the mask R and the observed nodes V, is read from
 the partially observed network (``PartialAdjacency.observed_mask`` and
@@ -33,6 +40,7 @@ same unit probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -66,41 +74,48 @@ class DesignSpec:
     centering: str          # dyad-centered or node-centered
     needs: Optional[str]    # clusters, covariates or nothing
     family: str             # rate or logistic
-    psi: str                # psi layout, a key of _LAYOUT_TEXT
+    psi: str                # psi layout, a key of _LAYOUTS: the strata or the features
+    waves: bool             # further waves add the neighbors of observed nodes
 
 
 DESIGNS = {
-    # tag:             DesignSpec(mechanism, centering, needs, family, psi layout)
-    "dyad":            DesignSpec("MCAR", "dyad-centered", None,         "rate",     "rate"),
-    "covar-dyad":      DesignSpec("MAR",  "dyad-centered", "covariates", "logistic", "coefficients"),
-    "node":            DesignSpec("MCAR", "node-centered", None,         "rate",     "rate"),
-    "covar-node":      DesignSpec("MAR",  "node-centered", "covariates", "logistic", "coefficients"),
-    "block-node":      DesignSpec("MNAR", "node-centered", "clusters",   "rate",     "block"),
-    "block-dyad":      DesignSpec("MNAR", "dyad-centered", "clusters",   "rate",     "block pair"),
-    "double-standard": DesignSpec("MNAR", "dyad-centered", None,         "rate",     "pair"),
-    "degree":          DesignSpec("MNAR", "node-centered", None,         "logistic", "pair"),
-    "snowball":        DesignSpec("MAR",  "node-centered", None,         "rate",     "rate"),
+    # tag:             DesignSpec(mechanism, centering, needs, family, psi layout, waves)
+    "dyad":            DesignSpec("MCAR", "dyad-centered", None,         "rate",     "one rate",        False),
+    "covar-dyad":      DesignSpec("MAR",  "dyad-centered", "covariates", "logistic", "covariates",      False),
+    "node":            DesignSpec("MCAR", "node-centered", None,         "rate",     "one rate",        False),
+    "covar-node":      DesignSpec("MAR",  "node-centered", "covariates", "logistic", "covariates",      False),
+    "block-node":      DesignSpec("MNAR", "node-centered", "clusters",   "rate",     "block",           False),
+    "block-dyad":      DesignSpec("MNAR", "dyad-centered", "clusters",   "rate",     "block pair",      False),
+    "double-standard": DesignSpec("MNAR", "dyad-centered", None,         "rate",     "edge value",      False),
+    "degree":          DesignSpec("MNAR", "node-centered", None,         "logistic", "expected degree", False),
+    "snowball":        DesignSpec("MAR",  "node-centered", None,         "rate",     "one rate",        True),
 }
 
 AVAILABLE_SAMPLINGS = tuple(DESIGNS)
 NODE_CENTERED = frozenset(t for t, spec in DESIGNS.items() if spec.centering == "node-centered")
-MISSINGNESS_CLASS = {t: spec.mechanism for t, spec in DESIGNS.items()}
 
-# what each psi layout holds, as error messages name it
-_LAYOUT_TEXT = {
-    "rate": "a single rate",
-    "pair": "two values",
-    "block": "one rate per block",
-    "block pair": "a Q x Q rate matrix",
-    "coefficients": "(intercept, slopes...)",
+# psi layouts, the strata of a rate design or the features of a logistic one:
+# what psi holds, as error messages name it, and its shape for q blocks and m covariates
+_LAYOUTS = {
+    "one rate":        ("a single rate",          lambda q, m: ()),
+    "edge value":      ("two values",             lambda q, m: (2,)),
+    "block":           ("one rate per block",     lambda q, m: (q,)),
+    "block pair":      ("a Q x Q rate matrix",    lambda q, m: (q, q)),
+    "covariates":      ("(intercept, slopes...)", lambda q, m: (1 + m,)),
+    "expected degree": ("two values",             lambda q, m: (2,)),
 }
 
 
-def design_spec(tag: str) -> DesignSpec:
+def design_spec(tag: str, **given) -> DesignSpec:
+    """The design's spec, once the tag is known and the inputs it needs
+    among ``given`` (clusters, covariates) are there."""
     try:
-        return DESIGNS[tag]
+        spec = DESIGNS[tag]
     except KeyError:
         raise InputError(f"unknown sampling design {tag!r}") from None
+    if spec.needs in given and given[spec.needs] is None:
+        raise InputError(f"{tag} sampling requires {spec.needs}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -124,30 +139,21 @@ class SamplingDesign:
             psi = np.array(self.psi, dtype=float)
         except (TypeError, ValueError):
             raise InputError(f"{self.tag}: psi must be numeric") from None
-        if spec.psi == "rate" and psi.size == 1:
+        if spec.psi == "one rate" and psi.size == 1:
             psi = psi.reshape(())
-        if not _fits_layout(psi, spec.psi):
-            raise InputError(f"{self.tag} expects {_LAYOUT_TEXT[spec.psi]}")
+        # psi must have the layout's shape for some q >= 1 blocks and m >= 1 covariates
+        text, shape = _LAYOUTS[spec.psi]
+        q = psi.shape[0] if psi.ndim else 1
+        if psi.size < 1 or psi.shape != shape(q, max(psi.size - 1, 1)):
+            raise InputError(f"{self.tag} expects {text}")
         if not np.isfinite(psi).all():
             raise InputError(f"{self.tag}: psi entries must be finite")
         if spec.family == "rate" and (np.any(psi < 0.0) or np.any(psi > 1.0)):
             raise InputError(f"{self.tag}: rates must lie in [0, 1]")
-        if self.waves < 1 or (self.waves > 1 and self.tag != "snowball"):
+        if self.waves < 1 or (self.waves > 1 and not spec.waves):
             raise InputError("waves must be 1, or at least 1 for snowball sampling")
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
-
-
-def _fits_layout(psi: np.ndarray, layout: str) -> bool:
-    if layout == "rate":
-        return psi.shape == ()
-    if layout == "pair":
-        return psi.shape == (2,)
-    if layout == "block":
-        return psi.ndim == 1 and psi.size >= 1
-    if layout == "block pair":
-        return psi.ndim == 2 and psi.shape[0] == psi.shape[1]
-    return psi.ndim == 1 and psi.size >= 2
 
 
 def design_df(design: SamplingDesign, q: int, directed: bool = False) -> int:
@@ -155,11 +161,9 @@ def design_df(design: SamplingDesign, q: int, directed: bool = False) -> int:
     if q < 1:
         raise InputError("block count must be >= 1")
     layout = DESIGNS[design.tag].psi
-    if layout == "block pair":
-        return q * q if directed else q * (q + 1) // 2
-    if layout == "block":
-        return q
-    return int(design.psi.size)
+    if layout == "block pair" and not directed:
+        return q * (q + 1) // 2   # a symmetric Q x Q matrix
+    return math.prod(_LAYOUTS[layout][1](q, design.psi.size - 1))
 
 
 def make_default_design(tag: str, q: int, covariates: Optional[CovariateSet] = None,
@@ -170,8 +174,7 @@ def make_default_design(tag: str, q: int, covariates: Optional[CovariateSet] = N
     m = 0
     if spec.needs == "covariates":
         m = covariates.m_nodal if spec.centering == "node-centered" else covariates.m
-    shape = {"rate": (), "pair": (2,), "block": (q,), "block pair": (q, q),
-             "coefficients": (1 + m,)}[spec.psi]
+    shape = _LAYOUTS[spec.psi][1](q, m)
     return SamplingDesign(tag, np.full(shape, 0.5 if spec.family == "rate" else 0.0), waves=waves)
 
 
@@ -184,15 +187,16 @@ def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
     """Design matrix of a logistic design, one row per unit, intercept first.
 
     The units are the canonical dyads with their dyad covariates, or the
-    nodes with their nodal covariates or, for degree sampling, their
-    expected degrees (row sums under nu).
+    nodes with their nodal covariates or their expected degrees (row sums
+    under nu).
     """
-    if design.tag == "covar-dyad":
-        x = [transfer_covariates(covariates).at_pairs(*adj.pairs).T]
-    elif design.tag == "covar-node":
+    spec = DESIGNS[design.tag]
+    if spec.psi == "expected degree":
+        x = [degrees(adj, nu)]
+    elif spec.centering == "node-centered":
         x = [covariates.nodal_matrix()]
     else:
-        x = [degrees(adj, nu)]
+        x = [transfer_covariates(covariates).at_pairs(*adj.pairs).T]
     x = np.column_stack([np.ones(x[0].shape[0])] + x)
     if x.shape[1] != design.psi.size:
         raise InputError(f"{design.tag} slope count does not match the covariates")
@@ -202,7 +206,7 @@ def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
 def _logistic_data(design, state, adj, covariates) -> tuple[np.ndarray, np.ndarray]:
     """Features and 0/1 responses (node or canonical-dyad indicators)."""
     x = _features(design, adj, state.nu, covariates)
-    if design.tag in NODE_CENTERED:
+    if DESIGNS[design.tag].centering == "node-centered":
         return x, adj.observed_nodes
     return x, adj.observed_mask[adj.pairs]
 
@@ -210,19 +214,19 @@ def _logistic_data(design, state, adj, covariates) -> tuple[np.ndarray, np.ndarr
 def _rate_counts(design, state, adj) -> tuple[np.ndarray, np.ndarray]:
     """Expected observed and total unit counts per stratum, shaped like psi.
 
-    Nodes or canonical dyads, counted whole, split by edge value
-    (double-standard: observed edges and non-edges, then the missing dyads
-    at their imputation means nu), or weighted by tau (block-node) or by
-    tau_ia tau_jb (block-dyad).
+    Nodes or canonical dyads, counted whole, split by edge value (observed
+    edges and non-edges, then the missing dyads at their imputation means
+    nu), or weighted by tau (block strata of nodes) or by tau_ia tau_jb
+    (block-pair strata of dyads).
     """
-    tag = design.tag
-    if tag in ("node", "snowball"):
+    spec = DESIGNS[design.tag]
+    if spec.psi == "one rate" and spec.centering == "node-centered":
         return adj.observed_nodes.sum(), adj.n
-    if tag == "block-node":
-        return state.tau.T @ adj.observed_nodes, state.tau.sum(axis=0)
-    if tag == "dyad":
+    if spec.psi == "one rate":
         return adj.n_observed, adj.n_dyads
-    if tag == "double-standard":
+    if spec.psi == "block":
+        return state.tau.T @ adj.observed_nodes, state.tau.sum(axis=0)
+    if spec.psi == "edge value":
         if state.nu is None and adj.n_missing:
             raise InputError("MNAR computation needs imputation probabilities for missing dyads")
         obs = np.array([adj.n_edges, adj.n_observed - adj.n_edges])
@@ -248,17 +252,15 @@ def observe_network(adj: PartialAdjacency, design: SamplingDesign,
     """
     if not adj.fully_observed:
         raise InputError("observe_network needs a fully observed network")
-    spec = DESIGNS[design.tag]
-    if spec.needs and {"clusters": clusters, "covariates": covariates}[spec.needs] is None:
-        raise InputError(f"{design.tag} sampling requires {spec.needs}")
+    spec = design_spec(design.tag, clusters=clusters, covariates=covariates)
     check_nodes("clusters", clusters, adj.n)
     check_nodes("covariates", covariates, adj.n)
     rng = as_rng(rng_seed)
     n = adj.n
     rate = _unit_rates(design, adj, clusters, covariates)
-    if design.tag in NODE_CENTERED:
+    if spec.centering == "node-centered":
         v = rng.random(n) < rate
-        for _ in range(design.waves - 1):   # each snowball wave adds the neighbors
+        for _ in range(design.waves - 1):   # each further wave adds the neighbors
             v |= (adj.matrix == 1) @ v
         return adj.mask_where(v[:, None] | v[None, :])
     # dyad-centered: decide each canonical dyad independently
@@ -279,16 +281,16 @@ def _unit_rates(design, adj, clusters, covariates) -> np.ndarray:
     if spec.needs == "clusters":
         if rate.shape[0] != clusters.q:
             raise InputError(f"{design.tag} rates do not match the clustering")
-        if rate.ndim == 2 and not adj.directed and not np.array_equal(rate, rate.T):
+        if spec.psi == "block pair" and not adj.directed and not np.array_equal(rate, rate.T):
             raise InputError(f"{design.tag} rates must be symmetric on an undirected network")
         z = clusters.labels
-        if rate.ndim == 1:
+        if spec.psi == "block":
             return rate[z]
         rows, cols = adj.pairs
         return rate[z[rows], z[cols]]
-    if design.tag == "double-standard":
+    if spec.psi == "edge value":
         return np.where(adj.matrix[adj.pairs] > 0, rate[0], rate[1])
-    return np.broadcast_to(rate, adj.n if design.tag in NODE_CENTERED else adj.n_dyads)
+    return np.broadcast_to(rate, adj.n if spec.centering == "node-centered" else adj.n_dyads)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +338,9 @@ def update_psi(design: SamplingDesign, state, adj: PartialAdjacency,
 def tau_static_terms(design: SamplingDesign, adj: PartialAdjacency) -> Optional[np.ndarray]:
     """n x Q additive log terms for the tau update that do not couple nodes.
 
-    Only block-node sampling contributes: V_i log psi_q + (1-V_i) log(1-psi_q).
+    Only block strata of nodes contribute: V_i log psi_q + (1-V_i) log(1-psi_q).
     """
-    if design.tag != "block-node":
+    if DESIGNS[design.tag].psi != "block":
         return None
     v = adj.observed_nodes
     lp = safe_log(design.psi)
@@ -348,7 +350,7 @@ def tau_static_terms(design: SamplingDesign, adj: PartialAdjacency) -> Optional[
 
 def tau_pairwise_logs(design: SamplingDesign) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(log psi, log(1-psi)) matrices for designs whose mask couples block pairs."""
-    if design.tag != "block-dyad":
+    if DESIGNS[design.tag].psi != "block pair":
         return None
     return safe_log(design.psi), np.log1p(-clamp_prob(design.psi))
 
@@ -356,16 +358,16 @@ def tau_pairwise_logs(design: SamplingDesign) -> Optional[tuple[np.ndarray, np.n
 def nu_logit_correction(design: SamplingDesign, adj: PartialAdjacency, nu: np.ndarray):
     """Additive logit-scale correction for the imputation update of missing dyads.
 
-    Double-standard sampling shifts every missing dyad by
-    log((1-rho1)/(1-rho0)); degree sampling propagates the sensitivity of the
-    node observation rates to the expected degrees.  Other designs leave the
+    Edge-value strata shift every missing dyad by log((1-rho1)/(1-rho0));
+    expected-degree features propagate the sensitivity of the node
+    observation rates to the expected degrees.  Other designs leave the
     imputation at the model prediction.
     """
-    tag = design.tag
-    if tag == "double-standard":
+    layout = DESIGNS[design.tag].psi
+    if layout == "edge value":
         rho1, rho0 = clamp_prob(design.psi)
         return float(np.log1p(-rho1) - np.log1p(-rho0))
-    if tag == "degree":
+    if layout == "expected degree":
         g = logistic(_features(design, adj, nu, None) @ design.psi)
         mi, mj = adj.missing_pairs
         v = adj.observed_nodes

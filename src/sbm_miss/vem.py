@@ -5,19 +5,19 @@ missing dyads themselves.  The variational family factorizes completely:
 multinomial rows tau for memberships, independent Bernoulli means nu for the
 missing dyads.  The VE step runs a fixed-point update of (tau, nu).  Each
 round updates all tau rows at once, by the mean-field fixed point of the
-classical SBM VEM (row-softmax of log alpha plus the design's block-node
-terms plus the node-coupling gradient P(tau), computed with whole-matrix
+classical SBM VEM (row-softmax of log alpha plus the terms of block strata
+of nodes plus the node-coupling gradient P(tau), computed with whole-matrix
 products).  A backtracking safeguard takes the longest step towards that
 proposal, halving it as needed, that does not lower the bound at fixed
 parameters and nu, so the ELBO stays monotone.  nu is then updated jointly
-(the bound separates over missing dyads for every design except degree
-sampling, whose coupled update is safeguarded by backtracking); the model
-logit of every missing dyad is gathered from the rank-Q product tau L tau'
-at the dyads' flat indices.  In the M step, pi and the psi of the rate
+(the bound separates over missing dyads for every design except those whose
+logistic features are expected degrees, whose coupled update is safeguarded
+by backtracking); the model logit of every missing dyad is gathered from the
+rank-Q product tau L tau' at the dyads' flat indices.  In the M step, pi and the psi of the rate
 designs are one rate family: expected counts per stratum, then
 ``network.rate_update``.  The logistic designs take damped Newton fits.  The
 mask R and the observed nodes V come from the network itself; R is read only
-by the designs whose terms weight it (MAR designs and block-dyad sampling),
+by the designs whose terms weight it (MAR designs and block-pair strata),
 so other MNAR fits never build it.  The M step and the bound that follows it
 share one set of block-pair counts.
 
@@ -61,10 +61,10 @@ from .network import (
     xlogx,
 )
 from .sampling import (
-    AVAILABLE_SAMPLINGS,
     DESIGNS,
     SamplingDesign,
     design_df,
+    design_spec,
     make_default_design,
     nu_logit_correction,
     sampling_loglik,
@@ -206,10 +206,7 @@ class _Engine:
 
     def __init__(self, adj: PartialAdjacency, tag: Optional[str],
                  covariates: Optional[CovariateSet], use_cov: bool):
-        if tag is not None and tag not in AVAILABLE_SAMPLINGS:
-            raise InputError(f"unknown sampling design {tag!r}")
-        if tag is not None and DESIGNS[tag].needs == "covariates" and covariates is None:
-            raise InputError(f"{tag} sampling requires covariates")
+        spec = design_spec(tag, covariates=covariates) if tag is not None else None
         if use_cov and covariates is None:
             raise InputError("use_cov requires covariates")
         check_nodes("covariates", covariates, adj.n)
@@ -218,9 +215,9 @@ class _Engine:
         self.directed = adj.directed
         self.scale = 1.0 if adj.directed else 0.5
         # nu enters the SBM factor only under MNAR designs (see sbm_state)
-        self.mnar = tag is not None and DESIGNS[tag].mechanism == "MNAR"
+        self.mnar = spec is not None and spec.mechanism == "MNAR"
         self.use_cov = use_cov
-        # transferred once per fit; nodal vectors stay on it for covar-node
+        # transferred once per fit; nodal vectors stay on it for nodal covariate features
         self.covariates = transfer_covariates(covariates) if covariates is not None else None
         self.sbm_covariates = self.covariates if use_cov else None
         self._classes = None   # use_cov: the dyads in play by covariate class, sorted on first use
@@ -337,7 +334,7 @@ class _Engine:
     def _ve_terms(self, params, design):
         """Per-call pieces of the tau update.
 
-        Returns the linear term (log alpha plus the block-node terms), the
+        Returns the linear term (log alpha plus the block-strata terms), the
         Q x Q log tables that weight the pair matrices y, R and the all-ones
         matrix off the diagonal (None where a matrix does not enter), and
         beta . x for the covariate SBM.
@@ -359,7 +356,7 @@ class _Engine:
             else:
                 r_table = lb
         pair_logs = tau_pairwise_logs(design) if design is not None else None
-        if pair_logs is not None:   # block-dyad sampling, always MNAR
+        if pair_logs is not None:   # block-pair strata, always MNAR
             lpsi, lpsic = pair_logs
             r_table = lpsi - lpsic
             off_table = lpsic if off_table is None else off_table + lpsic
@@ -376,7 +373,7 @@ class _Engine:
         """
         out = np.zeros_like(t)
         # R is read (and built) only when a design weights it: MAR designs
-        # and block-dyad sampling; other MNAR fits never hold the n x n mask
+        # and block-pair strata; other MNAR fits never hold the n x n mask
         r = None if tables[1] is None else self.adj.observed_mask
         for m, table in zip((y, r, None), tables):
             if table is None:
@@ -427,9 +424,9 @@ class _Engine:
             base = (tau @ params.gamma @ tau.T).take(flat) + cov_effect.take(flat)
         corr = nu_logit_correction(design, self.adj, nu)
         proposed = logistic(base + corr)
-        if design.tag != "degree":
+        if DESIGNS[design.tag].psi != "expected degree":
             return proposed
-        # Degree sampling couples the missing dyads through the expected
+        # Expected-degree features couple the missing dyads through the
         # degrees; accept the fixed-point proposal only if it does not lower
         # the nu-dependent part of the bound.
         current = self._nu_objective(base, tau, nu, design)
@@ -540,7 +537,7 @@ class FitResult:
         design_json = None
         if self.design is not None:
             design_json = {"tag": self.design.tag, "psi": np.atleast_1d(self.design.psi).tolist()}
-            if self.design.tag == "snowball":
+            if DESIGNS[self.design.tag].waves:
                 design_json["waves"] = self.design.waves
         sbm = {"alpha": self.params.alpha.tolist(), **{k: v.tolist() for k, v in self.params.arrays.items()}}
         return {
@@ -586,12 +583,6 @@ class FitCollection:
     def best_model(self) -> FitResult:
         icl = self.icl
         return self.models[int(np.argmin(icl))]  # argmin takes the first (smallest Q) on ties
-
-    def model_for(self, q: int) -> FitResult:
-        for fit in self.models:
-            if fit.q == q:
-                return fit
-        raise InputError(f"no model with {q} blocks in the collection")
 
     def optimization_status(self) -> list[dict]:
         rows = []

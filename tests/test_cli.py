@@ -7,6 +7,8 @@ import pytest
 
 from sbm_miss import cli
 from sbm_miss.errors import NumericalError
+from sbm_miss.evaluation import SWEEP_DESIGNS
+from sbm_miss.sampling import AVAILABLE_SAMPLINGS
 
 
 def run(*args):
@@ -86,6 +88,13 @@ def test_sweep_auc_determinism(tmp_path):
     header, *rows = outs[0].decode().strip().splitlines()
     assert header == "replicate,rate,auc,flag"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("tag", [t for t in AVAILABLE_SAMPLINGS if t not in SWEEP_DESIGNS])
+def test_sweep_auc_offers_only_the_sweep_designs(tag, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run("sweep-auc", "--nodes", 10, "--sampling", tag, "--out", tmp_path / "s.csv")
+    assert f"invalid choice: '{tag}'" in capsys.readouterr().err
 
 
 def test_compare_designs_command(pipeline, tmp_path):

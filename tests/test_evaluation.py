@@ -154,6 +154,30 @@ class TestAucSweep:
         dyad_rates = 1.0 - np.outer(1.0 - psi, 1.0 - psi)
         assert np.all(dyad_rates >= lo - 1e-12) and np.all(dyad_rates <= hi + 1e-12)
 
+    # psi drawn at rate range (0.3, 0.8), 3 blocks, default_rng(2024), pinned bit
+    # for bit: the draws, their order and psi's shape are part of the sweep
+    PINNED_SWEEP_PSI = {
+        "dyad": 0.6379156689906409,
+        "double-standard": [0.6379156689906409, 0.4071616006191288],
+        "node": 0.42654007602374716,
+        "block-node": [0.3122693565190502, 0.35032088837642383, 0.5463265147336804],
+    }
+
+    @pytest.mark.parametrize("tag", list(PINNED_SWEEP_PSI))
+    def test_sweep_draws_are_pinned(self, tag):
+        spec = self.make_spec(params=planted_params(3, 0.6, 0.05), design=tag, rate_range=(0.3, 0.8))
+        psi = _draw_sweep_design(spec, 3, np.random.default_rng(2024)).psi
+        expected = np.array(self.PINNED_SWEEP_PSI[tag])
+        assert psi.shape == expected.shape and psi.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("tag", ["covar-dyad", "covar-node", "block-dyad", "degree", "snowball"])
+    def test_sweep_refuses_other_designs(self, tag):
+        with pytest.raises(InputError, match=f"sweep does not support the '{tag}' design"):
+            _draw_sweep_design(self.make_spec(design=tag), 2, np.random.default_rng(0))
+
+    def test_sweep_designs_are_the_pinned_ones(self):
+        assert set(evaluation.SWEEP_DESIGNS) == set(self.PINNED_SWEEP_PSI)
+
     def test_rows_carry_rate_and_auc(self):
         rows = run_auc_sweep(self.make_spec())
         scored = [r for r in rows if r["auc"] is not None]

@@ -282,11 +282,6 @@ class TestPartition:
         with pytest.raises(InputError):
             Partition(labels=np.array([0]), q=0)
 
-    def test_onehot(self):
-        part = Partition.from_labels([0, 1, 1], 2)
-        np.testing.assert_array_equal(part.onehot(), [[1, 0], [0, 1], [0, 1]])
-        np.testing.assert_array_equal(part.sizes(), [1, 2])
-
 
 class TestFitLogistic:
     def test_recovers_known_slope(self):

@@ -18,7 +18,7 @@ from sbm_miss import (
     update_psi,
 )
 from sbm_miss.network import PROB_CLAMP, as_rng
-from sbm_miss.sampling import MISSINGNESS_CLASS, NODE_CENTERED
+from sbm_miss.sampling import DESIGNS, NODE_CENTERED
 
 from util import adjacency_from_edges, planted_params
 
@@ -58,9 +58,9 @@ class TestDesignDf:
 
 
 def test_missingness_classes_match_taxonomy():
-    assert {t for t, c in MISSINGNESS_CLASS.items() if c == "MCAR"} == {"dyad", "node"}
-    assert {t for t, c in MISSINGNESS_CLASS.items() if c == "MAR"} == {"covar-dyad", "covar-node", "snowball"}
-    assert {t for t, c in MISSINGNESS_CLASS.items() if c == "MNAR"} == {
+    assert {t for t, spec in DESIGNS.items() if spec.mechanism == "MCAR"} == {"dyad", "node"}
+    assert {t for t, spec in DESIGNS.items() if spec.mechanism == "MAR"} == {"covar-dyad", "covar-node", "snowball"}
+    assert {t for t, spec in DESIGNS.items() if spec.mechanism == "MNAR"} == {
         "double-standard", "block-dyad", "degree", "block-node"}
 
 
@@ -565,3 +565,21 @@ def test_design_validation():
         SamplingDesign("snowball", 0.5, waves=0)
     with pytest.raises(InputError):
         SamplingDesign("node", 0.5, waves=2)
+
+
+@pytest.mark.parametrize("tag,psi,ok", [
+    ("dyad", 0.5, True), ("dyad", [0.5], True), ("dyad", [], False),
+    ("double-standard", [0.5, 0.5], True), ("double-standard", [[0.5, 0.5]], False),
+    ("degree", [0.0, 1.0], True), ("degree", [0.0, 1.0, 2.0], False),
+    ("block-node", [0.5], True), ("block-node", [], False), ("block-node", 0.5, False),
+    ("block-dyad", [[0.5]], True), ("block-dyad", np.full((2, 3), 0.5), False),
+    ("block-dyad", np.zeros((0, 0)), False),
+    ("covar-node", [0.0, 1.0, 2.0], True), ("covar-node", [0.0], False),
+    ("covar-dyad", [[0.0, 1.0]], False),
+])
+def test_psi_must_fit_the_design_layout(tag, psi, ok):
+    if ok:
+        SamplingDesign(tag, psi)
+    else:
+        with pytest.raises(InputError, match=f"{tag} expects "):
+            SamplingDesign(tag, psi)

@@ -555,11 +555,11 @@ class TestSquarem:
                                beta=rng.normal(size=2), directed=directed)
         spec = DESIGNS[tag]
         if spec.family == "rate":
-            psi = {"rate": rng.uniform(0.01, 0.99), "pair": rng.uniform(0.01, 0.99, 2),
+            psi = {"one rate": rng.uniform(0.01, 0.99), "edge value": rng.uniform(0.01, 0.99, 2),
                    "block": rng.uniform(0.01, 0.99, q),
                    "block pair": pair_matrix(rng.uniform(0.01, 0.99, (q, q)))}[spec.psi]
         else:
-            psi = rng.normal(size=3 if spec.psi == "coefficients" else 2)
+            psi = rng.normal(size=3 if spec.psi == "covariates" else 2)
         design = SamplingDesign(tag, psi, waves=2 if tag == "snowball" else 1)
         x = vem._pack(params, design)
         # the vector SQUAREM's step length is taken over, pinned bit for bit
@@ -674,9 +674,9 @@ class TestEstimateAndExplore:
         control = ControlOptions(rng_seed=41, exploration="none")
         inits = [spectral_init(adj, 1, rng_seed=1), spectral_init(adj, 2, rng_seed=1), bad]
         coll = estimate_miss_sbm(adj, [1, 2, 3], "node", control=control, inits=inits)
-        icl_before = coll.model_for(3).icl
+        icl_before = coll.models[2].icl
         explored = explore(coll, "forward", control)
-        assert explored.model_for(3).icl < icl_before
+        assert explored.models[2].icl < icl_before
 
     def test_workers_do_not_change_results(self):
         adj, _ = sample_network(planted_params(2, 0.7, 0.1), 40, rng_seed=42)
@@ -728,7 +728,7 @@ class TestEstimateAndExplore:
         adj, _ = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=62)
         control = ControlOptions(rng_seed=63, exploration="none")
         coll = estimate_miss_sbm(adj, [1, 2], "dyad", control=control)
-        current = coll.model_for(2)
+        current = coll.models[1]
         relabelled = fit_single(adj, 2, "dyad", control=control,
                                 init=Partition(labels=1 - current.memberships, q=2))
         assert ari(relabelled.memberships, current.memberships) == 1.0
@@ -736,7 +736,7 @@ class TestEstimateAndExplore:
                                (10 * ICL_TIE_TOL * abs(current.icl), True)):
             candidate = dataclasses.replace(relabelled, icl=current.icl - gain)
             monkeypatch.setattr(vem, "fit_single", lambda *args, **kwargs: candidate)
-            kept = explore(coll, "forward", control).model_for(2)
+            kept = explore(coll, "forward", control).models[1]
             assert kept is (candidate if accepted else current)
 
 
