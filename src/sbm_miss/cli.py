@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -54,6 +55,7 @@ def main(argv=None) -> int:
         log.setLevel(level)
 
 
+@functools.cache   # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sbm-miss",
                                      description="SBM estimation for partially observed networks")

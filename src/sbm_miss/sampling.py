@@ -151,7 +151,7 @@ class SamplingDesign:
         if spec.family == "rate" and (np.any(psi < 0.0) or np.any(psi > 1.0)):
             raise InputError(f"{self.tag}: rates must lie in [0, 1]")
         if self.waves < 1 or (self.waves > 1 and not spec.waves):
-            raise InputError("waves must be 1, or at least 1 for snowball sampling")
+            raise InputError("waves must be 1, or any count >= 1 for snowball sampling")
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
 

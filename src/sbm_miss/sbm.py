@@ -22,8 +22,8 @@ eta_kp = gamma_k + beta . x_p, its expected log-likelihood is
 
 X_v the V distinct covariate columns x_p (the classes; 2 for a binary nodal
 covariate), sy_v and N_kv the sums of y and w_k over class v.  The bound and
-the M step read these ``covariate_counts``; the VE coupling runs the kernels
-log sigma(-eta) per block pair on n x n matrices, all by ``network.log_sigmoid``.
+the M step read these ``covariate_counts``; the VE coupling gathers log sigma(-gamma_k - beta . X_v)
+per block pair into n x n kernels by ``covariate_class_index``, all by ``network.log_sigmoid``.
 """
 
 from __future__ import annotations
@@ -155,9 +155,15 @@ def _dyad_covariates(params: SbmParams, covariates: Optional[CovariateSet]) -> C
     return cov
 
 
+def covariate_effect(params: SbmParams, x) -> np.ndarray:
+    """beta . x over the m rows of x: the dyadic matrices, or the m x V class
+    columns, whose values then equal those of their dyads bit for bit."""
+    return sum(coef * row for coef, row in zip(params.beta, x))
+
+
 def dyad_covariate_effect(params: SbmParams, covariates: Optional[CovariateSet]) -> np.ndarray:
     """n x n matrix of beta . x_ij; undirected, a dyad takes x_ij at i < j."""
-    c = sum(coef * x for coef, x in zip(params.beta, _dyad_covariates(params, covariates).dyadic))
+    c = covariate_effect(params, _dyad_covariates(params, covariates).dyadic)
     return c if params.directed else np.triu(c) + np.triu(c, 1).T
 
 
@@ -201,8 +207,8 @@ def _block_pair_etas(gamma: np.ndarray, c: np.ndarray, directed: bool):
     """Yield (a, b, eta) with eta = gamma[a, b] + c for every block pair in
     play, row-major: all pairs when ``directed``, the pairs a <= b otherwise.
 
-    c is beta . x as an n x n matrix; eta is one buffer of its shape,
-    refilled for each pair, that the caller may overwrite between pairs.
+    c is beta . x as an n x n matrix, for ``predict_probabilities``; eta is one
+    buffer of its shape, refilled for each pair, that the caller may overwrite.
     """
     q = gamma.shape[0]
     eta = np.empty_like(c)
@@ -210,14 +216,6 @@ def _block_pair_etas(gamma: np.ndarray, c: np.ndarray, directed: bool):
         for b in range(0 if directed else a, q):
             np.add(gamma[a, b], c, out=eta)
             yield a, b, eta
-
-
-def _log_sigmoid_kernels(gamma: np.ndarray, c: np.ndarray, directed: bool):
-    """Yield (a, b, log sigma(-eta_ab)) for every block pair in play, in the
-    reused buffer of :func:`_block_pair_etas`."""
-    for a, b, eta in _block_pair_etas(gamma, c, directed):
-        np.negative(eta, out=eta)
-        yield a, b, log_sigmoid(eta, out=eta)
 
 
 CovariateCounts = namedtuple("CovariateCounts", "x xy wy n pairs")
@@ -240,6 +238,19 @@ def covariate_classes(adj: PartialAdjacency, covariates: CovariateSet, missing: 
         parts.append((rows, cols, order, starts, sum(c.shape[1] for c in columns)))
         columns.append(x[:, new])
     return np.hstack(columns), parts
+
+
+def covariate_class_index(classes, n: int, directed: bool) -> np.ndarray:
+    """n x n intp index of each dyad's class in ``covariate_classes`` (both orders of an
+    undirected dyad); the diagonal and the dyads out of play point at the extra slot V."""
+    index = np.full((n, n), classes[0].shape[1], dtype=np.intp)
+    for rows, cols, order, starts, v0 in classes[1]:
+        cls = np.empty(order.size, dtype=np.intp)
+        cls[order] = np.repeat(np.arange(v0, v0 + starts.size - 1), np.diff(starts))
+        index[rows, cols] = cls
+        if not directed:
+            index[cols, rows] = cls
+    return index
 
 
 def covariate_counts(adj: PartialAdjacency, state, covariates: CovariateSet,

@@ -13,7 +13,9 @@ parameters and nu, so the ELBO stays monotone.  nu is then updated jointly
 (the bound separates over missing dyads for every design except those whose
 logistic features are expected degrees, whose coupled update is safeguarded
 by backtracking); the model logit of every missing dyad is gathered from the
-rank-Q product tau L tau' at the dyads' flat indices.  In the M step, pi and the psi of the rate
+rank-Q product tau L tau' at the dyads' flat indices.  The covariate SBM's coupling takes
+log sigma per block pair at the V covariate classes only (``sbm.covariate_class_index``).  In
+the M step, pi and the psi of the rate
 designs are one rate family: expected counts per stratum, then
 ``network.rate_update``.  The logistic designs take damped Newton fits.  The
 mask R and the observed nodes V come from the network itself; R is read only
@@ -53,6 +55,7 @@ from .network import (
     Partition,
     check_nodes,
     clamp_prob,
+    log_sigmoid,
     logistic,
     rate_update,
     safe_log,
@@ -74,11 +77,12 @@ from .sampling import (
 )
 from .sbm import (
     SbmParams,
-    _log_sigmoid_kernels,
+    _dyad_covariates,
     block_pair_counts,
+    covariate_class_index,
     covariate_classes,
     covariate_counts,
-    dyad_covariate_effect,
+    covariate_effect,
     expected_loglik_sbm,
     fit_covariate_connectivity,
     kmeans,
@@ -221,6 +225,7 @@ class _Engine:
         self.covariates = transfer_covariates(covariates) if covariates is not None else None
         self.sbm_covariates = self.covariates if use_cov else None
         self._classes = None   # use_cov: the dyads in play by covariate class, sorted on first use
+        self._class_index = None   # use_cov: n x n index of each dyad's class, built with them
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
         self._counts = (None, None)   # (state, its block_counts)
         self._y = None   # MNAR: the one n x n buffer y = A_obs + nu of the fit
@@ -261,12 +266,17 @@ class _Engine:
         and the bound that follows it read the same counts, built once per EM iteration."""
         if self._counts[0] is not state:
             sbm_state = self.sbm_state(state)
-            if self.use_cov and self._classes is None:
-                self._classes = covariate_classes(self.adj, self.covariates, self.mnar)
-            counts = (covariate_counts(self.adj, sbm_state, self.covariates, self._classes) if self.use_cov
+            counts = (covariate_counts(self.adj, sbm_state, self.covariates, self.classes()) if self.use_cov
                       else block_pair_counts(self.adj, sbm_state, self.filled(sbm_state.nu)))
             self._counts = (state, counts)
         return self._counts[1]
+
+    def classes(self):
+        """use_cov: ``covariate_classes`` of the dyads in play, and their ``covariate_class_index``."""
+        if self._classes is None:
+            self._classes = covariate_classes(self.adj, self.covariates, self.mnar)
+            self._class_index = covariate_class_index(self._classes, self.adj.n, self.directed)
+        return self._classes
 
     # -- M step ---------------------------------------------------------------
 
@@ -337,7 +347,7 @@ class _Engine:
         Returns the linear term (log alpha plus the block-strata terms), the
         Q x Q log tables that weight the pair matrices y, R and the all-ones
         matrix off the diagonal (None where a matrix does not enter), and
-        beta . x for the covariate SBM.
+        beta . X_v per covariate class for the covariate SBM.
         """
         linear = safe_log(params.alpha)[None, :]
         static = tau_static_terms(design, self.adj) if design is not None else None
@@ -345,7 +355,8 @@ class _Engine:
             linear = linear + static
         r_table = off_table = cov_effect = None
         if params.variant == "covariate":
-            cov_effect = dyad_covariate_effect(params, self.sbm_covariates)
+            _dyad_covariates(params, self.sbm_covariates)   # InputError unless beta fits the covariates
+            cov_effect = covariate_effect(params, self.classes()[0])
             y_table = params.gamma
         else:
             la = safe_log(params.pi)
@@ -369,7 +380,9 @@ class _Engine:
         P is linear in t, and those terms equal sum(tau * P(tau)) / 2 up to a
         constant.  A pair matrix m with log table L adds
         scale * sum_ij m_ij t_i' L t_j to the bound; m is symmetric when the
-        network is undirected.
+        network is undirected.  The covariate SBM adds, per block pair, the kernel
+        log sigma(-eta) on the dyads in play: log sigma at the V class values of
+        ``cov_effect``, gathered into one n x n buffer through the class index.
         """
         out = np.zeros_like(t)
         # R is read (and built) only when a design weights it: MAR designs
@@ -382,16 +395,18 @@ class _Engine:
             cols = m.T @ t if self.directed and m is not None else rows
             out += self.scale * (rows @ table.T + cols @ table)
         if cov_effect is not None:
-            # kernel of block pair (a, b), and of (b, a) when undirected, on the dyads
-            # in play; with y * gamma it is the logistic dyad term up to y * beta.x
-            for a, b, kernel in _log_sigmoid_kernels(params.gamma, cov_effect, self.directed):
-                if self.mnar:
-                    np.fill_diagonal(kernel, 0.0)
-                else:
-                    kernel *= self.adj.observed_mask
-                out[:, a] += kernel @ t[:, b]
-                if self.directed or a != b:
-                    out[:, b] += kernel.T @ t[:, a]
+            # with y * gamma, the logistic dyad term up to y * beta.x; dyads out of
+            # play read the last slot, 0 (-0.0 under MAR, the sign of log sigma * R)
+            table = np.append(cov_effect, 0.0 if self.mnar else -0.0)
+            eta, kernel = table[:-1], np.empty(self._class_index.shape)
+            for a in range(params.q):
+                for b in range(0 if self.directed else a, params.q):
+                    np.add(params.gamma[a, b], cov_effect, out=eta)
+                    log_sigmoid(np.negative(eta, out=eta), out=eta)
+                    np.take(table, self._class_index, out=kernel, mode="clip")
+                    out[:, a] += kernel @ t[:, b]
+                    if self.directed or a != b:
+                        out[:, b] += kernel.T @ t[:, a]
         return out
 
     @staticmethod
@@ -413,7 +428,7 @@ class _Engine:
         """Imputation means at fixed tau and parameters.
 
         The model logit of missing dyad (i, j) is tau_i' L tau_j, with L the
-        logit of pi (or gamma plus beta . x_ij for the covariate SBM).  It is
+        logit of pi (or gamma plus beta . x_ij, per class, for the covariate SBM).  It is
         gathered from the rank-Q product tau L tau' at the missing dyads'
         flat indices, one BLAS call in place of two |M| x Q row gathers.
         """
@@ -421,7 +436,7 @@ class _Engine:
         if params.variant == "plain":
             base = (tau @ safe_logit(params.pi) @ tau.T).take(flat)
         else:
-            base = (tau @ params.gamma @ tau.T).take(flat) + cov_effect.take(flat)
+            base = (tau @ params.gamma @ tau.T).take(flat) + cov_effect.take(self._class_index.take(flat))
         corr = nu_logit_correction(design, self.adj, nu)
         proposed = logistic(base + corr)
         if DESIGNS[design.tag].psi != "expected degree":
@@ -570,6 +585,7 @@ class FitCollection:
     sampling: Optional[str]
     covariates: Optional[CovariateSet]
     control: ControlOptions
+    starts: set = field(default_factory=set, repr=False)   # _start_key of each fit; not serialized
 
     @property
     def v_blocks(self) -> list[int]:
@@ -728,12 +744,13 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     control = control or ControlOptions()
     if q < 1:
         raise InputError("block count must be >= 1")
-    start_design = None
-    if isinstance(sampling, SamplingDesign):
-        tag, start_design, waves = sampling.tag, sampling, sampling.waves
-    else:
-        tag = sampling
+    start_design = sampling if isinstance(sampling, SamplingDesign) else None
+    tag, waves = (sampling.tag, sampling.waves) if start_design is not None else (sampling, waves)
     eng = _Engine(adj, tag, covariates, control.use_cov)
+    default = make_default_design(tag, q, covariates=covariates, waves=waves) if tag is not None else None
+    if start_design is not None and start_design.psi.shape != default.psi.shape:
+        raise InputError(f"a {q}-block {tag} fit needs a starting psi of shape {default.psi.shape}")
+    start_design = start_design or default
     if init is None:
         init = spectral_init(adj, q, derive_seed(control.rng_seed, q, 0))
     check_nodes("initial partition", init, adj.n)
@@ -744,8 +761,6 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     rounds = control.fix_point_iter
     try:
         state = eng.initial_state(init, q)
-        if start_design is None and tag is not None:
-            start_design = make_default_design(tag, q, covariates=covariates, waves=waves)
         params, design, flags = eng.m_step(state, None, start_design)
         point = _Point(params, design, state, *eng.elbo_parts(params, design, state), flags)
         monitoring = [MonitorRow(0, point.elbo, math.inf, flags)]
@@ -788,14 +803,9 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     except NumericalError as exc:
         raise NumericalError(f"Q={q}: {exc}") from exc
 
-    if tag is not None:
-        k = design_df(point.design, q, directed=adj.directed)
-        centering_kind = DESIGNS[tag].centering
-    else:
-        k = 0
-        centering_kind = "dyad-centered"
-    n_cov_pen = eng.covariates.m if control.use_cov else 0
-    penalty = icl_penalty(q, k, adj.n, centering_kind, adj.directed, n_cov_pen)
+    k = design_df(point.design, q, directed=adj.directed) if tag is not None else 0
+    centering = DESIGNS[tag].centering if tag is not None else "dyad-centered"
+    penalty = icl_penalty(q, k, adj.n, centering, adj.directed, eng.covariates.m if control.use_cov else 0)
     icl = -2.0 * (point.vexpec + point.sampling_ll) + penalty
     return FitResult(
         q=q, adj=adj, design=point.design, params=point.params, state=point.state,
@@ -913,8 +923,10 @@ def estimate_miss_sbm(adj: PartialAdjacency, v_blocks: Sequence[int], sampling,
     else:
         models = [_fit_task(t) for t in tasks]
     tag = sampling.tag if isinstance(sampling, SamplingDesign) else sampling
-    collection = FitCollection(models=models, adj=adj, sampling=tag,
-                               covariates=covariates, control=control)
+    # a fit from a starting design is not what a candidate's fit from the tag would be
+    fitted = [] if isinstance(sampling, SamplingDesign) else zip(qs, inits)
+    collection = FitCollection(models=models, adj=adj, sampling=tag, covariates=covariates, control=control,
+                               starts={_start_key(q, init.labels) for q, init in fitted})
     if control.exploration != "none" and len(qs) > 1:
         for _ in range(control.iterates):
             if control.exploration in ("forward", "both"):
@@ -933,11 +945,14 @@ def explore(collection: FitCollection, direction: str,
     every pairwise merge of the (Q+1)-neighbor, closest connectivity rows
     first.  A candidate replaces the entry only if its ICL is lower by more
     than ICL_TIE_TOL relative, so no entry can get worse and rounding-level
-    ties keep the current fit.
+    ties keep the current fit.  A candidate that repeats a start (Q and labels) fitted
+    into the collection under the same control is skipped: its fit would be the same,
+    and the entry it was measured against can only have fallen since.
     """
     control = control or collection.control
     if direction not in ("forward", "backward"):
         raise InputError("direction must be 'forward' or 'backward'")
+    starts = set(collection.starts) if control == collection.control else set()
     models = {fit.q: fit for fit in collection.models}
     qs = sorted(models)
     order = qs if direction == "forward" else list(reversed(qs))
@@ -950,6 +965,9 @@ def explore(collection: FitCollection, direction: str,
                       else _merge_candidates(base, q))
         design = models[q].design
         for labels in candidates:
+            if _start_key(q, labels) in starts:
+                continue
+            starts.add(_start_key(q, labels))
             candidate = fit_single(collection.adj, q, collection.sampling,
                                    covariates=collection.covariates,
                                    init=Partition(labels=labels, q=q),
@@ -958,9 +976,13 @@ def explore(collection: FitCollection, direction: str,
             # an ICL lower only by rounding (say, a relabelled copy) is a tie
             if candidate.icl < models[q].icl - ICL_TIE_TOL * abs(models[q].icl):
                 models[q] = candidate
-    return FitCollection(models=[models[q] for q in qs], adj=collection.adj,
-                         sampling=collection.sampling, covariates=collection.covariates,
-                         control=collection.control)
+    return replace(collection, models=[models[q] for q in qs],
+                   starts=starts if control == collection.control else collection.starts)
+
+
+def _start_key(q: int, labels: np.ndarray) -> bytes:
+    """The labels and then Q, each in the fewest bytes that hold Q: one set key per start."""
+    return np.append(labels, q).astype(np.min_scalar_type(q)).tobytes()
 
 
 def _split_candidates(base: FitResult, q_target: int, control: ControlOptions):

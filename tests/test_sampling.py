@@ -320,6 +320,12 @@ class TestSnowballWaves:
             nodes.append(out.observed_nodes)
         assert np.all(nodes[1] >= nodes[0]) and np.all(nodes[2] >= nodes[1])
 
+    @pytest.mark.parametrize("tag,waves", [("snowball", 0), ("dyad", 2)])
+    def test_wave_counts_other_than_snowballs_are_refused(self, tag, waves):
+        SamplingDesign("snowball", 0.2, waves=7)
+        with pytest.raises(InputError, match=r"waves must be 1, or any count >= 1 for snowball sampling"):
+            SamplingDesign(tag, 0.2, waves=waves)
+
     def test_waves_cover_connected_graph(self):
         # a path graph: enough waves reach every node from any seed
         n = 12

@@ -136,7 +136,7 @@ class TestNuUpdate:
         eng = _Engine(observed, design.tag, cov, use_cov)
         tau = rng.dirichlet(np.ones(q), size=n)
         nu = rng.random(observed.n_missing)
-        cov_effect = vem.dyad_covariate_effect(params, cov) if use_cov else None
+        cov_effect = eng._ve_terms(params, design)[2]
         out = eng._nu_update(params, design, tau, nu, cov_effect)
         logit = params.gamma if use_cov else np.log(params.pi) - np.log1p(-params.pi)
         shift = math.log1p(-0.8) - math.log1p(-0.3)
@@ -352,6 +352,16 @@ class TestFitSingle:
         assert fit.converged
         assert len(fit.monitoring) - 1 <= 2
         assert fit.params.pi[0, 0] == pytest.approx(adj.observed_density, abs=1e-12)
+
+    @pytest.mark.parametrize("psi", [[0.5, 0.5], np.full((2, 2), 0.5)], ids=["block-node", "block-dyad"])
+    def test_starting_design_must_match_the_block_count(self, psi):
+        # a psi sized for two blocks used to fail in the rate M step, with a bare ValueError
+        adj, _ = sample_network(planted_params(3, 0.6, 0.1), 30, rng_seed=70)
+        observed = observe_network(adj, SamplingDesign("node", 0.8), rng_seed=71)
+        design = SamplingDesign("block-node" if np.ndim(psi) == 1 else "block-dyad", psi)
+        with pytest.raises(InputError, match="3-block .* psi of shape"):
+            fit_single(observed, 3, design)
+        assert fit_single(observed, 2, design, control=ControlOptions(max_iter=1)).design.psi.shape == design.psi.shape
 
     @pytest.mark.parametrize("n", [20, 40], ids=["shorter", "longer"])
     def test_covariates_and_init_must_match_the_node_count(self, n):
@@ -700,6 +710,32 @@ class TestEstimateAndExplore:
             alone = fit_single(observed, fit.q, "node", control=control)
             assert json.dumps(fit.to_json()) == json.dumps(alone.to_json())
 
+    def test_repeated_starts_are_not_refitted(self, monkeypatch):
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 40, rng_seed=67)
+        observed = observe_network(adj, SamplingDesign("dyad", 0.8), rng_seed=68)
+        control = ControlOptions(rng_seed=69)
+        starts = []
+        fit = vem.fit_single
+
+        def counting(adj, q, *args, init=None, **kwargs):
+            starts.append(vem._start_key(q, init.labels))
+            return fit(adj, q, *args, init=init, **kwargs)
+
+        monkeypatch.setattr(vem, "fit_single", counting)
+        coll = estimate_miss_sbm(observed, [1, 2, 3], "dyad", control=control)
+        assert len(starts) == len(set(starts)) == len(coll.starts)
+        # the key tells Q apart, also across the label widths of Q < 256 and Q >= 256
+        assert len({vem._start_key(q, np.full(40, v)) for q in (2, 3, 256, 257) for v in (0, 1)}) == 8
+        # a merge into one block starts where the Q = 1 fit did: never refitted
+        assert starts.count(vem._start_key(1, np.zeros(40, dtype=int))) == 1
+        # under another (equal) control nothing is skipped, and the fits agree
+        starts.clear()
+        other = dataclasses.replace(control, workers=2)
+        ref = estimate_miss_sbm(observed, [1, 2, 3], "dyad", control=dataclasses.replace(control, exploration="none"))
+        ref = explore(explore(ref, "forward", other), "backward", other)
+        assert len(starts) > len(set(starts))
+        assert json.dumps(ref.to_json()) == json.dumps(coll.to_json())
+
     def test_best_model_tie_breaks_to_smallest_q(self):
         adj, _ = sample_network(planted_params(1, 0.2, 0.2), 20, rng_seed=45)
         coll = estimate_miss_sbm(adj, [1, 2, 3], "dyad",
@@ -728,6 +764,9 @@ class TestEstimateAndExplore:
         adj, _ = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=62)
         control = ControlOptions(rng_seed=63, exploration="none")
         coll = estimate_miss_sbm(adj, [1, 2], "dyad", control=control)
+        # the split candidate repeats the Q = 2 start; without the record of
+        # starts it is fitted (here: replaced) all the same
+        coll = dataclasses.replace(coll, starts=set())
         current = coll.models[1]
         relabelled = fit_single(adj, 2, "dyad", control=control,
                                 init=Partition(labels=1 - current.memberships, q=2))
