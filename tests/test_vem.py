@@ -728,7 +728,7 @@ class TestEstimateAndExplore:
         assert len({vem._start_key(q, np.full(40, v)) for q in (2, 3, 256, 257) for v in (0, 1)}) == 8
         # a merge into one block starts where the Q = 1 fit did: never refitted
         assert starts.count(vem._start_key(1, np.zeros(40, dtype=int))) == 1
-        # under another (equal) control nothing is skipped, and the fits agree
+        # under another control (it differs in workers only) nothing is skipped, and the fits agree
         starts.clear()
         other = dataclasses.replace(control, workers=2)
         ref = estimate_miss_sbm(observed, [1, 2, 3], "dyad", control=dataclasses.replace(control, exploration="none"))
