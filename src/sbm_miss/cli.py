@@ -41,13 +41,10 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except InputError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:

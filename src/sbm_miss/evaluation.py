@@ -7,7 +7,6 @@ and ICL comparison across candidate sampling designs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -17,7 +16,7 @@ from .errors import InputError, NumericalError
 from .network import CovariateSet, PartialAdjacency, Partition, as_rng
 from .sampling import SamplingDesign, design_spec, make_default_design, observe_network
 from .sbm import SbmParams, sample_network
-from .vem import ControlOptions, derive_seed, estimate_miss_sbm, fit_single, impute
+from .vem import ControlOptions, derive_seed, estimate_miss_sbm, fan_out, fit_single, impute
 
 # the designs whose psi the AUC sweep draws: one-rate, edge-value or block strata
 SWEEP_DESIGNS = ("dyad", "double-standard", "node", "block-node")
@@ -172,12 +171,7 @@ def run_auc_sweep(spec: ExperimentSpec) -> list[dict]:
     adj, draw = sample_network(spec.params, spec.n_nodes,
                                rng_seed=derive_seed(spec.base_seed, 0))
     tasks = [(spec, r, adj, draw.labels) for r in range(spec.replicates)]
-    if spec.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_sweep_replicate, tasks))
-    else:
-        rows = [_sweep_replicate(t) for t in tasks]
-    return rows
+    return fan_out(_sweep_replicate, tasks, spec.workers)
 
 
 def compare_designs(adj: PartialAdjacency, designs: Sequence[str],
@@ -186,9 +180,9 @@ def compare_designs(adj: PartialAdjacency, designs: Sequence[str],
                     covariates: Optional[CovariateSet] = None) -> list[dict]:
     """ICL table over candidate sampling designs (long format: design, Q, ICL).
 
-    A design that fails to fit (bad input or a numerical failure)
+    A design that fails to fit (``InputError`` or ``NumericalError``)
     contributes a single row with missing values instead of aborting the
-    comparison; any other exception propagates.
+    comparison; any other exception, a bug, propagates.
     """
     control = control or ControlOptions()
     rows = []
@@ -196,7 +190,7 @@ def compare_designs(adj: PartialAdjacency, designs: Sequence[str],
         try:
             collection = estimate_miss_sbm(adj, v_blocks, tag,
                                            covariates=covariates, control=control)
-        except (InputError, NumericalError, np.linalg.LinAlgError) as exc:
+        except (InputError, NumericalError) as exc:
             rows.append({"design": tag, "Q": None, "ICL": None, "error": str(exc)})
             continue
         for fit in collection.models:

@@ -5,6 +5,11 @@ the diagonal must be ``NA`` or ``0`` and is ignored either way.  Triplet
 format: whitespace-separated lines ``i j v`` with 1-based indices and
 ``v`` in {0, 1, NA}; unlisted dyads default to 0, or to missing when
 requested.  Real numbers are always written with 17 significant digits.
+
+Every comma-separated reader (dense, covariate, labels, vector, float
+matrix) parses its lines in one loop, ``_read_rows``: blank lines are
+skipped, and an error names ``path:line``, lines counted from the file's
+first.
 """
 
 from __future__ import annotations
@@ -23,34 +28,42 @@ def format_real(x: float) -> str:
 
 
 _TRISTATE = {"0": 0.0, "1": 1.0, "NA": np.nan}
+_NOT_REAL = "{where}: expected a real number"
+_INVALID_TOKEN = "invalid token {token!r} in {where} (expected 0, 1 or NA)"
 
 
-def _invalid_token(token: str, where: str) -> InputError:
-    return InputError(f"invalid token {token!r} in {where} (expected 0, 1 or NA)")
+def _read_rows(path, parse, error: str) -> np.ndarray:
+    """The non-blank lines of a comma-separated file as the rows of a float
+    matrix, ``parse(tokens)`` of each, all of the first row's length.
 
-
-def _tokenize_tristate(token: str, where: str) -> float:
-    try:
-        return _TRISTATE[token]
-    except KeyError:
-        raise _invalid_token(token, where) from None
+    A line that ``parse`` refuses with a KeyError or ValueError raises
+    ``error`` formatted with ``where`` (``path:line``, lines counted from
+    the file's first) and ``token`` (the exception's first argument).  The
+    matrix is filled a row at a time, so only one row's token strings are
+    alive at once.
+    """
+    lines = Path(path).read_text().splitlines()
+    out, count = None, 0
+    for k, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            row = parse(line.split(","))
+        except (KeyError, ValueError) as exc:
+            raise InputError(error.format(where=f"{path}:{k}", token=exc.args[0])) from None
+        if out is None:
+            out = np.empty((len(lines), len(row)))
+        elif len(row) != out.shape[1]:
+            raise InputError(f"{path}:{k}: row has {len(row)} entries, the first row {out.shape[1]}")
+        out[count] = row
+        count += 1
+    if out is None:
+        raise InputError(f"{path}: empty file")
+    return out[:count]
 
 
 def read_dense_csv(path, directed: bool = False) -> PartialAdjacency:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise InputError(f"{path}: empty adjacency file")
-    width = lines[0].count(",") + 1
-    mat = np.empty((len(lines), width))
-    # a row at a time, so only one row's token strings are alive at once
-    for k, line in enumerate(lines):
-        tokens = [t.strip() for t in line.split(",")]
-        if len(tokens) != width:
-            raise InputError(f"{path}:{k + 1}: row has {len(tokens)} entries, the first row {width}")
-        try:
-            mat[k] = [_TRISTATE[t] for t in tokens]
-        except KeyError as exc:   # exc names the row's first invalid token
-            raise _invalid_token(exc.args[0], f"{path}:{k + 1}") from None
+    mat = _read_rows(path, lambda tokens: [_TRISTATE[t.strip()] for t in tokens], _INVALID_TOKEN)
     if mat.shape[0] != mat.shape[1]:
         raise InputError(f"{path}: adjacency must be square, got {mat.shape}")
     diag = np.diag(mat)
@@ -87,7 +100,9 @@ def read_triplets(path, n: int | None = None, directed: bool = False,
             raise InputError(f"{path}:{k + 1}: indices are 1-based")
         if i == j:
             raise InputError(f"{path}:{k + 1}: self-dyads are not allowed")
-        v = _tokenize_tristate(parts[2], f"{path}:{k + 1}")
+        if parts[2] not in _TRISTATE:
+            raise InputError(_INVALID_TOKEN.format(token=parts[2], where=f"{path}:{k + 1}"))
+        v = _TRISTATE[parts[2]]
         key = (i - 1, j - 1)
         if not directed:
             key = (min(key), max(key))
@@ -175,17 +190,7 @@ def load_graphml(path, label_attribute: str | None = None,
 
 def read_covariate_csv(path) -> np.ndarray:
     """One covariate per file: n x 1 (nodal) or n x n (dyadic)."""
-    rows = []
-    for k, line in enumerate(Path(path).read_text().strip().splitlines()):
-        try:
-            rows.append([float(t) for t in line.split(",")])
-        except ValueError:
-            raise InputError(f"{path}:{k + 1}: covariate entries must be numeric") from None
-        if len(rows[-1]) != len(rows[0]):
-            raise InputError(f"{path}:{k + 1}: row has {len(rows[-1])} entries, the first row {len(rows[0])}")
-    arr = np.array(rows, dtype=float)
-    if arr.ndim != 2:
-        raise InputError(f"{path}: malformed covariate file")
+    arr = read_float_matrix(path)
     if arr.shape[1] == 1:
         return arr[:, 0]
     if arr.shape[0] != arr.shape[1]:
@@ -208,16 +213,8 @@ def load_covariates(paths, similarity="l1") -> CovariateSet | None:
 
 def read_labels_csv(path) -> np.ndarray:
     """Read a one-column vector of 1-based block labels (returned 0-based)."""
-    values = []
-    for k, line in enumerate(Path(path).read_text().strip().splitlines()):
-        token = line.split(",")[0].strip()
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise InputError(f"{path}:{k + 1}: labels must be integers") from None
-    labels = np.array(values, dtype=int)
-    if labels.size == 0:
-        raise InputError(f"{path}: empty label file")
+    labels = _read_rows(path, lambda tokens: [int(tokens[0])], "{where}: labels must be integers")
+    labels = labels[:, 0].astype(int)
     if labels.min() < 1:
         raise InputError(f"{path}: labels are 1-based")
     return labels - 1
@@ -229,13 +226,7 @@ def write_labels_csv(path, labels: np.ndarray) -> None:
 
 def read_vector_csv(path) -> np.ndarray:
     """Read a one-column vector of reals."""
-    values = []
-    for k, line in enumerate(Path(path).read_text().strip().splitlines()):
-        try:
-            values.append(float(line.split(",")[0]))
-        except ValueError:
-            raise InputError(f"{path}:{k + 1}: expected a real number") from None
-    return np.array(values)
+    return _read_rows(path, lambda tokens: [float(tokens[0])], _NOT_REAL)[:, 0]
 
 
 def write_float_matrix(path, matrix: np.ndarray) -> None:
@@ -244,11 +235,7 @@ def write_float_matrix(path, matrix: np.ndarray) -> None:
 
 
 def read_float_matrix(path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
-    try:
-        return np.array([[float(t) for t in line.split(",")] for line in lines], dtype=float)
-    except ValueError:
-        raise InputError(f"{path}: expected rows of real numbers, all of one length") from None
+    return _read_rows(path, lambda tokens: [float(t) for t in tokens], _NOT_REAL)
 
 
 def read_json(path):

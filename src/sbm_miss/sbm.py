@@ -203,21 +203,6 @@ def block_pair_counts(adj: PartialAdjacency, state,
     return scale * (tau.T @ y @ tau), scale * dyads
 
 
-def _block_pair_etas(gamma: np.ndarray, c: np.ndarray, directed: bool):
-    """Yield (a, b, eta) with eta = gamma[a, b] + c for every block pair in
-    play, row-major: all pairs when ``directed``, the pairs a <= b otherwise.
-
-    c is beta . x as an n x n matrix, for ``predict_probabilities``; eta is one
-    buffer of its shape, refilled for each pair, that the caller may overwrite.
-    """
-    q = gamma.shape[0]
-    eta = np.empty_like(c)
-    for a in range(q):
-        for b in range(0 if directed else a, q):
-            np.add(gamma[a, b], c, out=eta)
-            yield a, b, eta
-
-
 CovariateCounts = namedtuple("CovariateCounts", "x xy wy n pairs")
 
 
@@ -337,13 +322,14 @@ def predict_probabilities(params: SbmParams, state,
     else:
         c = dyad_covariate_effect(params, covariates)
         out = np.zeros_like(c)
-        weight = np.empty_like(c)
-        for a, b, eta in _block_pair_etas(params.gamma, c, params.directed):
-            expit(eta, out=eta)
-            eta *= np.multiply.outer(tau[:, a], tau[:, b], out=weight)
-            out += eta
-            if not params.directed and a != b:   # eta is symmetric: pair (b, a)
-                out += eta.T
+        eta, weight = np.empty_like(c), np.empty_like(c)
+        for a in range(params.q):   # every block pair, or the pairs a <= b when undirected
+            for b in range(0 if params.directed else a, params.q):
+                expit(np.add(params.gamma[a, b], c, out=eta), out=eta)
+                eta *= np.multiply.outer(tau[:, a], tau[:, b], out=weight)
+                out += eta
+                if not params.directed and a != b:   # eta is symmetric: pair (b, a)
+                    out += eta.T
     np.fill_diagonal(out, np.nan)
     return out
 

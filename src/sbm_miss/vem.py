@@ -42,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,10 +132,6 @@ class VariationalState:
             if np.any(nu < 0) or np.any(nu > 1):
                 raise InputError("nu values must lie in [0, 1]")
 
-    @property
-    def q(self) -> int:
-        return self.tau.shape[1]
-
     def memberships(self) -> np.ndarray:
         return self.tau.argmax(axis=1)
 
@@ -172,16 +168,6 @@ class MonitorRow:
     elbo: float
     delta: float
     flags: tuple[str, ...] = ()
-
-
-def soften_partition(partition: Partition, q: int) -> np.ndarray:
-    """Hard labels to near-hard tau; exact zeros would freeze the fixed point."""
-    n = partition.n
-    if q == 1:
-        return np.ones((n, 1))
-    tau = np.full((n, q), INIT_SOFTENING)
-    tau[np.arange(n), partition.labels] = 1.0 - (q - 1) * INIT_SOFTENING
-    return tau
 
 
 def icl_penalty(q: int, k: int, n: int, centering_kind: str,
@@ -233,7 +219,10 @@ class _Engine:
     # -- initialization ------------------------------------------------------
 
     def initial_state(self, init: Partition, q: int) -> VariationalState:
-        return VariationalState(tau=soften_partition(init, q), nu=self.initial_nu())
+        """Hard labels to near-hard tau; exact zeros would freeze the fixed point."""
+        tau = np.full((init.n, q), INIT_SOFTENING)
+        tau[np.arange(init.n), init.labels] = 1.0 - (q - 1) * INIT_SOFTENING
+        return VariationalState(tau=tau, nu=self.initial_nu())
 
     def initial_nu(self) -> Optional[np.ndarray]:
         """Starting imputation means: the observed density under MNAR, None otherwise."""
@@ -585,7 +574,8 @@ class FitCollection:
     sampling: Optional[str]
     covariates: Optional[CovariateSet]
     control: ControlOptions
-    starts: set = field(default_factory=set, repr=False)   # _start_key of each fit; not serialized
+    # astuple(control) -> the _start_key of each fit under that control; not serialized
+    starts: dict = field(default_factory=dict, repr=False)
 
     @property
     def v_blocks(self) -> list[int]:
@@ -723,8 +713,9 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
                waves: int = 1) -> FitResult:
     """Fit one SBM with q blocks under a sampling design.
 
-    ``sampling`` is a design tag, a SamplingDesign providing starting
-    parameters, or None for a pure SBM fit on the observed dyads.  The EM
+    ``sampling`` is a design tag, or None for a pure SBM fit on the observed
+    dyads; ``waves`` is the snowball wave count.  The fit starts from the
+    design's neutral parameters (``make_default_design``).  The EM
     map (VE step, M step) runs in SQUAREM cycles: two plain EM steps, then
     one stabilising EM step from the extrapolated parameters and the state
     of the second step, kept only if its bound is at least that of the
@@ -744,13 +735,10 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     control = control or ControlOptions()
     if q < 1:
         raise InputError("block count must be >= 1")
-    start_design = sampling if isinstance(sampling, SamplingDesign) else None
-    tag, waves = (sampling.tag, sampling.waves) if start_design is not None else (sampling, waves)
-    eng = _Engine(adj, tag, covariates, control.use_cov)
-    default = make_default_design(tag, q, covariates=covariates, waves=waves) if tag is not None else None
-    if start_design is not None and start_design.psi.shape != default.psi.shape:
-        raise InputError(f"a {q}-block {tag} fit needs a starting psi of shape {default.psi.shape}")
-    start_design = start_design or default
+    if isinstance(sampling, SamplingDesign):
+        raise InputError("sampling must be a design tag or None, not a SamplingDesign")
+    eng = _Engine(adj, sampling, covariates, control.use_cov)
+    start = None if sampling is None else make_default_design(sampling, q, covariates=covariates, waves=waves)
     if init is None:
         init = spectral_init(adj, q, derive_seed(control.rng_seed, q, 0))
     check_nodes("initial partition", init, adj.n)
@@ -761,7 +749,7 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     rounds = control.fix_point_iter
     try:
         state = eng.initial_state(init, q)
-        params, design, flags = eng.m_step(state, None, start_design)
+        params, design, flags = eng.m_step(state, None, start)
         point = _Point(params, design, state, *eng.elbo_parts(params, design, state), flags)
         monitoring = [MonitorRow(0, point.elbo, math.inf, flags)]
         _log_row(q, monitoring[0])
@@ -803,8 +791,8 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     except NumericalError as exc:
         raise NumericalError(f"Q={q}: {exc}") from exc
 
-    k = design_df(point.design, q, directed=adj.directed) if tag is not None else 0
-    centering = DESIGNS[tag].centering if tag is not None else "dyad-centered"
+    k = design_df(point.design, q, directed=adj.directed) if sampling is not None else 0
+    centering = DESIGNS[sampling].centering if sampling is not None else "dyad-centered"
     penalty = icl_penalty(q, k, adj.n, centering, adj.directed, eng.covariates.m if control.use_cov else 0)
     icl = -2.0 * (point.vexpec + point.sampling_ll) + penalty
     return FitResult(
@@ -884,6 +872,15 @@ def impute(fit: FitResult) -> np.ndarray:
 # Estimation over a range of block counts, with exploration
 # ---------------------------------------------------------------------------
 
+def fan_out(func, tasks: list, workers: int) -> list:
+    """``func`` of every task, in order; in a pool of ``workers`` processes
+    when there is more than one of each."""
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(func, tasks))
+    return [func(task) for task in tasks]
+
+
 def _fit_task(args):
     adj, q, sampling, covariates, init, control, waves = args
     return fit_single(adj, q, sampling, covariates=covariates, init=init,
@@ -897,9 +894,11 @@ def estimate_miss_sbm(adj: PartialAdjacency, v_blocks: Sequence[int], sampling,
                       waves: int = 1) -> FitCollection:
     """Fit the SBM for every block count in ``v_blocks`` and explore.
 
-    Each block count starts from spectral clustering (or a user-supplied
-    partition), then split/merge exploration reinitializes neighbors per the
-    control options and keeps every improvement in ICL.  The spectral starts
+    ``sampling`` and ``waves`` are as for :func:`fit_single`: a design tag,
+    or None for a pure SBM fit.  Each block count starts from spectral
+    clustering (or a user-supplied partition), then split/merge exploration
+    reinitializes neighbors per the control options and keeps every
+    improvement in ICL.  The spectral starts
     share one eigendecomposition, and each equals ``fit_single``'s own start.
     Fits for different block counts may run in parallel workers; results are
     byte-identical regardless of the worker count because every fit seeds
@@ -916,17 +915,11 @@ def estimate_miss_sbm(adj: PartialAdjacency, v_blocks: Sequence[int], sampling,
     if inits is None:
         embedding = spectral_embedding(adj, qs[-1]) if qs[-1] > 1 else None
         inits = [spectral_init(adj, q, derive_seed(control.rng_seed, q, 0), embedding) for q in qs]
-    tasks = [(adj, q, sampling, covariates, init, control, waves) for q, init in zip(qs, inits)]
-    if control.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=control.workers) as pool:
-            models = list(pool.map(_fit_task, tasks))
-    else:
-        models = [_fit_task(t) for t in tasks]
-    tag = sampling.tag if isinstance(sampling, SamplingDesign) else sampling
-    # a fit from a starting design is not what a candidate's fit from the tag would be
-    fitted = [] if isinstance(sampling, SamplingDesign) else zip(qs, inits)
-    collection = FitCollection(models=models, adj=adj, sampling=tag, covariates=covariates, control=control,
-                               starts={_start_key(q, init.labels) for q, init in fitted})
+    models = fan_out(_fit_task, [(adj, q, sampling, covariates, init, control, waves)
+                                 for q, init in zip(qs, inits)], control.workers)
+    starts = {astuple(control): {_start_key(q, init.labels) for q, init in zip(qs, inits)}}
+    collection = FitCollection(models=models, adj=adj, sampling=sampling, covariates=covariates,
+                               control=control, starts=starts)
     if control.exploration != "none" and len(qs) > 1:
         for _ in range(control.iterates):
             if control.exploration in ("forward", "both"):
@@ -947,12 +940,15 @@ def explore(collection: FitCollection, direction: str,
     than ICL_TIE_TOL relative, so no entry can get worse and rounding-level
     ties keep the current fit.  A candidate that repeats a start (Q and labels) fitted
     into the collection under the same control is skipped: its fit would be the same,
-    and the entry it was measured against can only have fallen since.
+    and the entry it was measured against can only have fallen since.  The
+    starts are recorded per control, so a collection whose control was
+    replaced skips nothing that an earlier control fitted.
     """
     control = control or collection.control
     if direction not in ("forward", "backward"):
         raise InputError("direction must be 'forward' or 'backward'")
-    starts = set(collection.starts) if control == collection.control else set()
+    starts = dict(collection.starts)
+    seen = starts[astuple(control)] = set(starts.get(astuple(control), ()))
     models = {fit.q: fit for fit in collection.models}
     qs = sorted(models)
     order = qs if direction == "forward" else list(reversed(qs))
@@ -965,9 +961,9 @@ def explore(collection: FitCollection, direction: str,
                       else _merge_candidates(base, q))
         design = models[q].design
         for labels in candidates:
-            if _start_key(q, labels) in starts:
+            if _start_key(q, labels) in seen:
                 continue
-            starts.add(_start_key(q, labels))
+            seen.add(_start_key(q, labels))
             candidate = fit_single(collection.adj, q, collection.sampling,
                                    covariates=collection.covariates,
                                    init=Partition(labels=labels, q=q),
@@ -976,8 +972,7 @@ def explore(collection: FitCollection, direction: str,
             # an ICL lower only by rounding (say, a relabelled copy) is a tie
             if candidate.icl < models[q].icl - ICL_TIE_TOL * abs(models[q].icl):
                 models[q] = candidate
-    return replace(collection, models=[models[q] for q in qs],
-                   starts=starts if control == collection.control else collection.starts)
+    return replace(collection, models=[models[q] for q in qs], starts=starts)
 
 
 def _start_key(q: int, labels: np.ndarray) -> bytes:

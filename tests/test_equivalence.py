@@ -27,6 +27,7 @@ def test_tiny_grid_runs_every_design_and_agrees_across_threads():
     for tag in DESIGNS:
         for directed in ("undirected", "directed"):
             assert any(line.startswith(f"same {tag} {directed} seed=0 use_cov=True") for line in lines), tag
+    assert {line.split(":")[0] for line in lines} >= {"same cli block-node", "same cli covar-node"}
     assert lines[-1].endswith("0 differ; CLI outputs equal across --threads 1 and 2: True")
 
 

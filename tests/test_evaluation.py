@@ -18,7 +18,7 @@ from sbm_miss import (
     SamplingDesign,
 )
 
-from sbm_miss import evaluation
+from sbm_miss import evaluation, vem
 from sbm_miss.evaluation import _draw_sweep_design
 from util import planted_params
 
@@ -229,4 +229,15 @@ class TestCompareDesigns:
         monkeypatch.setattr(evaluation, "estimate_miss_sbm", broken)
         adj, _ = sample_network(planted_params(2, 0.7, 0.1), 20, rng_seed=8)
         with pytest.raises(TypeError, match="bug in the fitting code"):
+            compare_designs(adj, ["dyad"], [2], control=ControlOptions(rng_seed=9))
+
+    def test_linear_algebra_errors_inside_a_fit_propagate(self, monkeypatch):
+        # the fit code turns every LinAlgError it expects into NumericalError;
+        # one that escapes is a bug, not a "design failed" row
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(vem._Engine, "ve_step", singular)
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 20, rng_seed=8)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             compare_designs(adj, ["dyad"], [2], control=ControlOptions(rng_seed=9))

@@ -32,6 +32,15 @@ def test_dense_names_the_first_bad_token_and_its_line(tmp_path):
         io.read_dense_csv(path)
 
 
+def test_dense_counts_lines_from_the_first_of_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\nNA,1\n1,x\n")
+    with pytest.raises(InputError, match=rf"invalid token 'x' in {path}:3 "):
+        io.read_dense_csv(path)
+    path.write_text("\nNA,1\n\n1,NA\n\n")
+    assert io.read_dense_csv(path).entry(0, 1) == 1
+
+
 def test_dense_rejects_a_ragged_row_by_line(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("NA,1,0\n1,NA\n0,0,NA\n")
@@ -134,6 +143,22 @@ def test_float_matrix_round_trip(tmp_path):
     io.write_float_matrix(path, mat)
     np.testing.assert_array_equal(io.read_float_matrix(path), mat)
     assert "0.33333333333333331" in path.read_text()
+
+
+def test_readers_name_the_line_of_a_bad_row(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("\n\n1.5\ny\n")
+    with pytest.raises(InputError, match=rf"^{path}:4: expected a real number$"):
+        io.read_covariate_csv(path)
+    path.write_text("0,1\n1\n")
+    with pytest.raises(InputError, match=rf"^{path}:2: row has 1 entries, the first row 2$"):
+        io.read_float_matrix(path)
+    path.write_text("1\n\n2.5\n")
+    with pytest.raises(InputError, match=rf"^{path}:3: labels must be integers$"):
+        io.read_labels_csv(path)
+    path.write_text("\n \n")
+    with pytest.raises(InputError, match=rf"^{path}: empty file$"):
+        io.read_vector_csv(path)
 
 
 def test_graphml_loader(tmp_path):

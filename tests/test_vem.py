@@ -353,15 +353,14 @@ class TestFitSingle:
         assert len(fit.monitoring) - 1 <= 2
         assert fit.params.pi[0, 0] == pytest.approx(adj.observed_density, abs=1e-12)
 
-    @pytest.mark.parametrize("psi", [[0.5, 0.5], np.full((2, 2), 0.5)], ids=["block-node", "block-dyad"])
-    def test_starting_design_must_match_the_block_count(self, psi):
-        # a psi sized for two blocks used to fail in the rate M step, with a bare ValueError
-        adj, _ = sample_network(planted_params(3, 0.6, 0.1), 30, rng_seed=70)
-        observed = observe_network(adj, SamplingDesign("node", 0.8), rng_seed=71)
-        design = SamplingDesign("block-node" if np.ndim(psi) == 1 else "block-dyad", psi)
-        with pytest.raises(InputError, match="3-block .* psi of shape"):
-            fit_single(observed, 3, design)
-        assert fit_single(observed, 2, design, control=ControlOptions(max_iter=1)).design.psi.shape == design.psi.shape
+    def test_sampling_must_be_a_tag(self):
+        # a SamplingDesign is unhashable: unchecked, the design lookup raised a bare TypeError
+        adj, _ = sample_network(planted_params(2, 0.6, 0.1), 20, rng_seed=70)
+        design = SamplingDesign("block-node", [0.5, 0.5])
+        with pytest.raises(InputError, match="design tag or None, not a SamplingDesign"):
+            fit_single(adj, 2, design)
+        with pytest.raises(InputError, match="design tag or None, not a SamplingDesign"):
+            estimate_miss_sbm(adj, [1, 2], design)
 
     @pytest.mark.parametrize("n", [20, 40], ids=["shorter", "longer"])
     def test_covariates_and_init_must_match_the_node_count(self, n):
@@ -723,7 +722,7 @@ class TestEstimateAndExplore:
 
         monkeypatch.setattr(vem, "fit_single", counting)
         coll = estimate_miss_sbm(observed, [1, 2, 3], "dyad", control=control)
-        assert len(starts) == len(set(starts)) == len(coll.starts)
+        assert len(starts) == len(set(starts)) == len(coll.starts[dataclasses.astuple(control)])
         # the key tells Q apart, also across the label widths of Q < 256 and Q >= 256
         assert len({vem._start_key(q, np.full(40, v)) for q in (2, 3, 256, 257) for v in (0, 1)}) == 8
         # a merge into one block starts where the Q = 1 fit did: never refitted
@@ -735,6 +734,16 @@ class TestEstimateAndExplore:
         ref = explore(explore(ref, "forward", other), "backward", other)
         assert len(starts) > len(set(starts))
         assert json.dumps(ref.to_json()) == json.dumps(coll.to_json())
+
+    def test_starts_are_skipped_only_under_the_control_they_were_fitted_with(self):
+        adj, _ = sample_network(planted_params(3, 0.6, 0.1), 50, rng_seed=5)
+        observed = observe_network(adj, SamplingDesign("node", 0.8), rng_seed=105)
+        control = ControlOptions(rng_seed=205)
+        coll = estimate_miss_sbm(observed, [1, 2, 3, 4], "node", control=control)
+        # starts fitted at threshold 1e-2 fit differently at 1e-6: none may be skipped
+        fine = dataclasses.replace(coll, control=dataclasses.replace(control, threshold=1e-6))
+        cleared = explore(dataclasses.replace(fine, starts={}), "backward")
+        assert json.dumps(explore(fine, "backward").to_json()) == json.dumps(cleared.to_json())
 
     def test_best_model_tie_breaks_to_smallest_q(self):
         adj, _ = sample_network(planted_params(1, 0.2, 0.2), 20, rng_seed=45)
@@ -766,7 +775,7 @@ class TestEstimateAndExplore:
         coll = estimate_miss_sbm(adj, [1, 2], "dyad", control=control)
         # the split candidate repeats the Q = 2 start; without the record of
         # starts it is fitted (here: replaced) all the same
-        coll = dataclasses.replace(coll, starts=set())
+        coll = dataclasses.replace(coll, starts={})
         current = coll.models[1]
         relabelled = fit_single(adj, 2, "dyad", control=control,
                                 init=Partition(labels=1 - current.memberships, q=2))

@@ -13,8 +13,10 @@ tree, the copy and this checkout, each importing ``sbm_miss`` from its own
   ``estimate_miss_sbm`` over Q = 1..3 with exploration "both", without and
   with ``use_cov``;
 * the psi that the AUC sweep draws for each design it supports, two seeds;
-* one CLI ``generate`` / ``observe`` / ``fit`` / ``impute`` run, fitted and
-  imputed at ``--threads`` 1 and 2.
+* two CLI ``generate`` / ``observe`` / ``fit`` / ``impute`` runs, fitted and
+  imputed at ``--threads`` 1 and 2: block-node on a dense CSV, and
+  covar-node on triplets with a binary nodal covariate file and
+  ``--use-cov``.
 
 Per case the report gives the hash of the mask, of the fit JSON (or of the
 sweep psi, or of the CLI outputs), the largest relative change of alpha,
@@ -58,6 +60,7 @@ GRIDS = {
     "tiny": dict(n=14, blocks=[1, 2], seeds=[0], directed=[False, True], use_cov=[False, True]),
 }
 FIELDS = ("alpha", "pi/gamma", "beta", "psi", "icl")
+CLI_CASES = ("block-node", "covar-node")   # the designs of the CLI runs, see _cli_case
 
 
 def _sha(data: bytes) -> str:
@@ -77,7 +80,9 @@ def _model_numbers(fit) -> dict:
             "icl": [float(fit.icl)], "rows": len(fit.monitoring)}
 
 
-def _cli_case(n: int) -> dict:
+def _cli_case(n: int, tag: str) -> dict:
+    """Hashes of the outputs of one CLI run on 2n nodes: block-node on a dense
+    CSV, or covar-node on triplets with a binary nodal covariate and --use-cov."""
     from sbm_miss import cli
 
     out = {}
@@ -87,17 +92,24 @@ def _cli_case(n: int) -> dict:
             if code != 0:
                 raise SystemExit(f"sbm-miss {argv[0]} exited {code}")
 
-        net, mem, obs = (Path(tmp) / name for name in ("net.csv", "mem.csv", "obs.csv"))
+        net, mem, obs, cov = (Path(tmp) / name for name in ("net.csv", "mem.csv", "obs", "cov.csv"))
+        observe, network, covariates = ["--parameters", "0.7,0.4,0.6"], [], []
+        if tag == "covar-node":
+            cov.write_text("".join(f"{int(i % 3 == 0)}\n" for i in range(2 * n)))
+            covariates = ["--covariates", cov]
+            observe = ["--parameters", "1.5", "--intercept", "-0.2", *covariates, "--out-format", "triplet"]
+            network = ["--format", "triplet", "--nodes", 2 * n]
         run("generate", "--nodes", 2 * n, "--blocks", 3, "--pi-within", 0.5, "--pi-between", 0.05,
             "--seed", 1, "--out", net, "--out-memberships", mem)
-        run("observe", "--input", net, "--sampling", "block-node", "--parameters", "0.7,0.4,0.6",
-            "--clusters", mem, "--seed", 2, "--out", obs)
+        run("observe", "--input", net, "--sampling", tag, *observe, "--clusters", mem, "--seed", 2,
+            "--out", obs)
         out["observed"] = _sha(obs.read_bytes())
         for threads in (1, 2):
             fit, mon, imp = (Path(tmp) / f"{name}{threads}" for name in ("fit.json", "mon.csv", "imp.csv"))
-            run("fit", "--input", obs, "--sampling", "block-node", "--blocks", "1:3", "--seed", 3,
+            run("fit", "--input", obs, *network, "--sampling", tag, *covariates,
+                *(["--use-cov"] if covariates else []), "--blocks", "1:3", "--seed", 3,
                 "--threads", threads, "--out", fit, "--monitoring-csv", mon)
-            run("impute", "--input", obs, "--fit", fit, "--out", imp)
+            run("impute", "--input", obs, *network, *covariates, "--fit", fit, "--out", imp)
             for name, path in (("fit", fit), ("monitoring", mon), ("impute", imp)):
                 out[f"{name} threads={threads}"] = _sha(path.read_bytes())
     return out
@@ -138,7 +150,8 @@ def run_grid(grid: dict) -> dict:
             psi = _draw_sweep_design(spec, 3, np.random.default_rng(seed)).psi
             cases[f"sweep {tag} seed={seed}"] = {"psi": _sha(repr((psi.shape, psi.tolist())).encode())}
     with redirect_stdout(io.StringIO()):
-        cases["cli block-node"] = _cli_case(grid["n"])
+        for tag in CLI_CASES:
+            cases[f"cli {tag}"] = _cli_case(grid["n"], tag)
     return {"package": str(Path(sbm_miss.__file__).resolve().parent), "cases": cases}
 
 
@@ -204,9 +217,8 @@ def _compare(base: dict, tree: dict) -> list[str]:
 
 
 def _thread_mismatches(cases: dict) -> list[str]:
-    cli = cases["cli block-node"]
-    return [name for name in ("fit", "monitoring", "impute")
-            if cli[f"{name} threads=1"] != cli[f"{name} threads=2"]]
+    return [f"{tag} {name}" for tag in CLI_CASES for name in ("fit", "monitoring", "impute")
+            if cases[f"cli {tag}"][f"{name} threads=1"] != cases[f"cli {tag}"][f"{name} threads=2"]]
 
 
 def main(argv=None) -> int:
