@@ -26,9 +26,9 @@ PROB_CLAMP = 1e-12
 _TINY = np.finfo(float).tiny
 
 
-def logistic(x):
-    """Logistic function 1/(1+exp(-x)), overflow-free for any finite float."""
-    return expit(x)
+def logistic(x, out=None):
+    """Logistic function 1/(1+exp(-x)), overflow-free; ``out`` may be ``x``."""
+    return expit(x, out=out)
 
 
 def log_sigmoid(x, out=None):
@@ -66,15 +66,23 @@ def as_rng(seed) -> np.random.Generator:
 
 
 def clamp_prob(p):
-    """Clip probabilities away from 0 and 1 before taking logs."""
-    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    """Clip probabilities away from 0 and 1 before taking logs; NaN stays NaN."""
+    return np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+
+
+def read_only(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array, copied unless it is one: a caller's array is never frozen."""
+    out = np.asarray(values, dtype=dtype)
+    out = out.copy() if out.flags.writeable else out
+    out.flags.writeable = False
+    return out
 
 
 def rate_loglik(obs, total, rate) -> float:
     """Bernoulli log-likelihood of per-stratum rates from expected counts:
     sum(obs log rate + (total - obs) log(1 - rate)), rates clamped."""
     rate = clamp_prob(rate)
-    return float(np.sum(obs * np.log(rate) + (total - obs) * np.log1p(-rate)))
+    return float((obs * np.log(rate) + (total - obs) * np.log1p(-rate)).sum())
 
 
 def logistic_loglik(x, y, coef, weights=None) -> float:
@@ -82,7 +90,7 @@ def logistic_loglik(x, y, coef, weights=None) -> float:
     model p = logistic(x @ coef), probabilities clamped before the logs."""
     prob = clamp_prob(expit(x @ coef))
     ll = y * np.log(prob) + (1.0 - y) * np.log1p(-prob)
-    return float(np.sum(ll if weights is None else weights * ll))
+    return float((ll if weights is None else weights * ll).sum())
 
 
 def rate_update(obs, total, prev, directed: bool) -> tuple[np.ndarray, bool]:
@@ -95,7 +103,7 @@ def rate_update(obs, total, prev, directed: bool) -> tuple[np.ndarray, bool]:
     rate = np.divide(obs, total, out=np.array(prev, dtype=float), where=total > 0)
     if rate.ndim == 2 and not directed:
         rate = 0.5 * (rate + rate.T)
-    return np.clip(rate, 0.0, 1.0), bool(np.any(total <= 0))
+    return np.minimum(np.maximum(rate, 0.0), 1.0), bool(np.any(total <= 0))
 
 
 def pair_mass(tau) -> np.ndarray:
@@ -356,8 +364,7 @@ class Partition:
     q: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        labels.flags.writeable = False
+        labels = read_only(self.labels, dtype=int)
         object.__setattr__(self, "labels", labels)
         if self.q < 1:
             raise InputError("block count must be >= 1")

@@ -148,7 +148,7 @@ class SamplingDesign:
             raise InputError(f"{self.tag} expects {text}")
         if not np.isfinite(psi).all():
             raise InputError(f"{self.tag}: psi entries must be finite")
-        if spec.family == "rate" and (np.any(psi < 0.0) or np.any(psi > 1.0)):
+        if spec.family == "rate" and ((psi < 0.0).any() or (psi > 1.0).any()):
             raise InputError(f"{self.tag}: rates must lie in [0, 1]")
         if self.waves < 1 or (self.waves > 1 and not spec.waves):
             raise InputError("waves must be 1, or any count >= 1 for snowball sampling")
@@ -230,7 +230,7 @@ def _rate_counts(design, state, adj) -> tuple[np.ndarray, np.ndarray]:
         if state.nu is None and adj.n_missing:
             raise InputError("MNAR computation needs imputation probabilities for missing dyads")
         obs = np.array([adj.n_edges, adj.n_observed - adj.n_edges])
-        nu_sum = float(np.sum(state.nu)) if adj.n_missing else 0.0
+        nu_sum = float(state.nu.sum()) if adj.n_missing else 0.0
         return obs, obs + np.array([nu_sum, adj.n_missing - nu_sum])
     tau, scale = state.tau, (1.0 if adj.directed else 0.5)
     return scale * (tau.T @ adj.observed_mask @ tau), scale * pair_mass(tau)

@@ -47,6 +47,7 @@ from .network import (
     newton_ascent,
     pair_mass,
     rate_loglik,
+    read_only,
     safe_log,
     transfer_covariates,
 )
@@ -75,20 +76,22 @@ class SbmParams:
             raise InputError("provide exactly one of pi (plain) or gamma (covariate variant)")
         for name in ("alpha", *self.arrays):
             value = np.array(getattr(self, name), dtype=float)
+            if not np.isfinite(value).all():
+                raise InputError(f"{name} entries must be finite")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         alpha, conn = self.alpha, self.connectivity
         if alpha.ndim != 1 or alpha.size < 1:
             raise InputError("alpha must be a non-empty vector")
-        if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > ALPHA_TOL:
+        if (alpha < 0).any() or abs(alpha.sum() - 1.0) > ALPHA_TOL:
             raise InputError("alpha must be a probability vector summing to 1")
         name = self.VARIANT_ARRAYS[self.variant][0]
         if conn.shape != (alpha.size,) * 2:
             raise InputError(f"{name} must be {alpha.size} x {alpha.size}")
-        if self.pi is not None and (np.any(conn < 0) or np.any(conn > 1)):
+        if self.pi is not None and ((conn < 0).any() or (conn > 1).any()):
             raise InputError("pi entries must lie in [0, 1]")
         # exact symmetry, the common case, skips the slower allclose
-        if not (self.directed or np.array_equal(conn, conn.T) or np.allclose(conn, conn.T)):
+        if not (self.directed or (conn == conn.T).all() or np.allclose(conn, conn.T)):
             raise InputError(f"undirected {name} must be symmetric")
         if self.gamma is not None and (self.beta.ndim != 1 or self.beta.size < 1):
             raise InputError("covariate variant needs a beta vector")
@@ -137,9 +140,7 @@ class MembershipDraw:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", read_only(self.labels, dtype=int))
 
     def partition(self, q: int) -> Partition:
         return Partition(labels=self.labels, q=q)
@@ -302,7 +303,7 @@ def expected_loglik_sbm(params: SbmParams, adj: PartialAdjacency, state,
     tau = state.tau
     if tau.shape != (adj.n, params.q):
         raise InputError("tau shape does not match the network / block count")
-    total = float(np.sum(tau @ safe_log(params.alpha)))
+    total = float((tau @ safe_log(params.alpha)).sum())
     if params.variant == "plain":
         if counts is None:
             counts = block_pair_counts(adj, state)

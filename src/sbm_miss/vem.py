@@ -27,7 +27,7 @@ Under MAR designs the missing dyads drop from the objective: the SBM factor
 restricts to observed dyads and nu is only materialized on demand for
 imputation.  ``_Engine.sbm_state`` makes that choice for the M step and the
 bound alike.  Under MNAR designs the pair matrix y = A_obs + nu is one n x n
-buffer per fit, rewritten in place at the missing dyads.
+buffer per fit, rewritten in place at the missing dyads only when nu changes.
 
 The outer loop is EM accelerated by SQUAREM (Varadhan & Roland 2008, Scand.
 J. Statist. 35:335) for every design.  The map is one EM iteration of the
@@ -58,6 +58,7 @@ from .network import (
     log_sigmoid,
     logistic,
     rate_update,
+    read_only,
     safe_log,
     safe_logit,
     transfer_covariates,
@@ -94,7 +95,7 @@ from .sbm import (
 INIT_SOFTENING = 1e-3
 ELBO_SLACK = 1e-8
 ICL_TIE_TOL = 1e-10     # relative ICL gain an exploration candidate must beat
-VE_MAX_HALVINGS = 10    # step lengths tried by the VE safeguard: 1, 1/2, ..., 1/512
+VE_STEPS = tuple(0.5 ** k for k in range(10))   # step lengths tried by the VE safeguard: 1, 1/2, ..., 1/512
 VE_GAIN_SLACK = 1e-12   # rounding allowance on the gain of one VE round
 
 _LOG = logging.getLogger("sbm_miss")
@@ -111,25 +112,23 @@ class VariationalState:
 
     ``nu`` is aligned with the canonical missing-dyad order of the network it
     was fitted on; it is None for MAR fits, where the missing dyads play no
-    role in the objective.
+    role in the objective.  Both are read-only, copied unless given so.
     """
 
     tau: np.ndarray
     nu: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        tau.flags.writeable = False
+        tau = read_only(self.tau)
         object.__setattr__(self, "tau", tau)
         if tau.ndim != 2:
             raise InputError("tau must be an n x Q matrix")
-        if not np.isfinite(tau).all() or np.any(tau < 0) or np.max(np.abs(tau.sum(axis=1) - 1.0)) > 1e-8:
+        if not np.isfinite(tau).all() or (tau < 0).any() or np.abs(tau.sum(axis=1) - 1.0).max() > 1e-8:
             raise InputError("tau rows must be probability vectors")
         if self.nu is not None:
-            nu = np.asarray(self.nu, dtype=float)
-            nu.flags.writeable = False
+            nu = read_only(self.nu)
             object.__setattr__(self, "nu", nu)
-            if np.any(nu < 0) or np.any(nu > 1):
+            if (nu < 0).any() or (nu > 1).any():
                 raise InputError("nu values must lie in [0, 1]")
 
     def memberships(self) -> np.ndarray:
@@ -203,7 +202,6 @@ class _Engine:
         self.adj = adj
         self.tag = tag
         self.directed = adj.directed
-        self.scale = 1.0 if adj.directed else 0.5
         # nu enters the SBM factor only under MNAR designs (see sbm_state)
         self.mnar = spec is not None and spec.mechanism == "MNAR"
         self.use_cov = use_cov
@@ -215,6 +213,7 @@ class _Engine:
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
         self._counts = (None, None)   # (state, its block_counts)
         self._y = None   # MNAR: the one n x n buffer y = A_obs + nu of the fit
+        self._y_nu = None   # MNAR: the (read-only) nu array that _y holds
 
     # -- initialization ------------------------------------------------------
 
@@ -237,16 +236,18 @@ class _Engine:
         missing dyads at nu under MNAR, at 0 otherwise.
 
         Under MNAR the fit holds one n x n buffer and rewrites it in place at
-        the missing dyads on every call, so a caller's y is valid until the
-        next call.  MAR fits build a fresh zero-filled matrix per call rather
-        than hold one between iterations.
+        the missing dyads when given another nu array than the one it holds
+        (nu arrays are read-only, so the same array holds the same values); a
+        caller's y is valid until the next call.  MAR fits build a fresh
+        zero-filled matrix per call rather than hold one between iterations.
         """
         if not self.mnar:
             return self.adj.filled(0.0)
         if self._y is None:
             self._y = self.adj.filled(nu)
-        elif self.adj.n_missing:
+        elif self.adj.n_missing and nu is not self._y_nu:
             self.adj.fill_missing(self._y, nu)
+        self._y_nu = nu
         return self._y
 
     def block_counts(self, state: VariationalState):
@@ -294,8 +295,7 @@ class _Engine:
 
     def ve_step(self, params: SbmParams, design: Optional[SamplingDesign],
                 state: VariationalState, rounds: int) -> VariationalState:
-        tau = np.array(state.tau)
-        nu = np.array(state.nu) if state.nu is not None else None
+        tau, nu = state.tau, state.nu
         linear, tables, cov_effect = self._ve_terms(params, design)
         y = None if self.mnar else self.filled(None)
         grad = None
@@ -309,25 +309,22 @@ class _Engine:
             if not np.isfinite(s).all():
                 raise NumericalError("non-finite membership update")
             s -= s.max(axis=1, keepdims=True)
-            proposal = np.exp(s)
+            proposal = np.exp(s, out=s)
             proposal /= proposal.sum(axis=1, keepdims=True)
             # longest step towards the proposal that does not lower the
             # bound; P is linear, so P(tau + t step) = grad + t grad_step
             step = proposal - tau
             grad_step = self._coupling(params, tables, cov_effect, y, step)
-            t = 1.0
-            for _ in range(VE_MAX_HALVINGS):
-                if self._tau_gain(linear, grad, tau, step, grad_step, t) >= -VE_GAIN_SLACK:
-                    break
-                t *= 0.5
-            else:
-                t = 0.0
+            gain = self._tau_gain(linear, grad, tau, step, grad_step)
+            t = next((t for t in VE_STEPS if gain(t) >= -VE_GAIN_SLACK), 0.0)
+            del gain   # frees its xlogx(tau) before the nu update
             if t < 1.0:
                 self.damped_rounds += 1
             tau = tau + t * step
+            tau.flags.writeable = False
             grad = grad + t * grad_step
             if self.mnar and self.adj.n_missing:
-                nu = self._nu_update(params, design, tau, nu, cov_effect)
+                nu = self._nu_update(design, tau, nu, tables[0], cov_effect)
         return VariationalState(tau=tau, nu=nu)
 
     def _ve_terms(self, params, design):
@@ -336,7 +333,8 @@ class _Engine:
         Returns the linear term (log alpha plus the block-strata terms), the
         Q x Q log tables that weight the pair matrices y, R and the all-ones
         matrix off the diagonal (None where a matrix does not enter), and
-        beta . X_v per covariate class for the covariate SBM.
+        beta . X_v per covariate class for the covariate SBM.  The y table is
+        the nu update's logit.  Undirected tables are symmetrised (a no-op on a fit's).
         """
         linear = safe_log(params.alpha)[None, :]
         static = tau_static_terms(design, self.adj) if design is not None else None
@@ -360,7 +358,10 @@ class _Engine:
             lpsi, lpsic = pair_logs
             r_table = lpsi - lpsic
             off_table = lpsic if off_table is None else off_table + lpsic
-        return linear, (y_table, r_table, off_table), cov_effect
+        tables = [y_table, r_table, off_table]
+        if not self.directed:
+            tables = [None if table is None else 0.5 * (table + table.T) for table in tables]
+        return linear, tables, cov_effect
 
     def _coupling(self, params, tables, cov_effect, y, t):
         """n x Q matrix P(t): the gradient in tau of the terms of the bound
@@ -368,12 +369,13 @@ class _Engine:
 
         P is linear in t, and those terms equal sum(tau * P(tau)) / 2 up to a
         constant.  A pair matrix m with log table L adds
-        scale * sum_ij m_ij t_i' L t_j to the bound; m is symmetric when the
-        network is undirected.  The covariate SBM adds, per block pair, the kernel
+        sum_ij m_ij t_i' L t_j to the bound, halved when the network is
+        undirected; m and L are then symmetric, so m t L' and m' t L, the
+        two products of the directed gradient, are one.  The covariate SBM adds, per block pair, the kernel
         log sigma(-eta) on the dyads in play: log sigma at the V class values of
         ``cov_effect``, gathered into one n x n buffer through the class index.
         """
-        out = np.zeros_like(t)
+        out = np.zeros(t.shape)
         # R is read (and built) only when a design weights it: MAR designs
         # and block-pair strata; other MNAR fits never hold the n x n mask
         r = None if tables[1] is None else self.adj.observed_mask
@@ -381,8 +383,10 @@ class _Engine:
             if table is None:
                 continue
             rows = t.sum(axis=0) - t if m is None else m @ t
-            cols = m.T @ t if self.directed and m is not None else rows
-            out += self.scale * (rows @ table.T + cols @ table)
+            if self.directed:
+                out += rows @ table.T + (rows if m is None else m.T @ t) @ table
+            else:
+                out += rows @ table
         if cov_effect is not None:
             # with y * gamma, the logistic dyad term up to y * beta.x; dyads out of
             # play read the last slot, 0 (-0.0 under MAR, the sign of log sigma * R)
@@ -399,8 +403,9 @@ class _Engine:
         return out
 
     @staticmethod
-    def _tau_gain(linear, grad, tau, step, grad_step, t) -> float:
-        """F(tau + t step) - F(tau), where grad = P(tau) and grad_step = P(step).
+    def _tau_gain(linear, grad, tau, step, grad_step):
+        """The function t -> F(tau + t step) - F(tau), where grad = P(tau)
+        and grad_step = P(step); its t-free terms are computed once.
 
         F(tau) = sum(tau * (linear + P(tau) / 2)) + H(tau) is the
         tau-dependent part of the bound at fixed parameters and nu.  Taken as
@@ -408,26 +413,26 @@ class _Engine:
         step towards the row-softmax of linear + P(tau) is an ascent
         direction, so some t > 0 has a positive gain.
         """
-        cand = tau + t * step
-        slope = float(np.sum(step * (linear + grad)))
-        curvature = 0.5 * float(np.sum(step * grad_step))
-        return t * slope + t * t * curvature - float(np.sum(xlogx(cand) - xlogx(tau)))
+        slope = float((step * (linear + grad)).sum())
+        curvature = 0.5 * float((step * grad_step).sum())
+        entropy = xlogx(tau)
+        return lambda t: t * slope + t * t * curvature - float((xlogx(tau + t * step) - entropy).sum())
 
-    def _nu_update(self, params, design, tau, nu, cov_effect):
-        """Imputation means at fixed tau and parameters.
+    def _nu_update(self, design, tau, nu, logit, cov_effect):
+        """Imputation means at fixed tau and parameters, as a read-only array.
 
         The model logit of missing dyad (i, j) is tau_i' L tau_j, with L the
-        logit of pi (or gamma plus beta . x_ij, per class, for the covariate SBM).  It is
+        ``logit`` table of ``_ve_terms`` (plus beta . x_ij, per class, for the covariate SBM).  It is
         gathered from the rank-Q product tau L tau' at the missing dyads'
         flat indices, one BLAS call in place of two |M| x Q row gathers.
         """
         flat = self.adj.missing_flat
-        if params.variant == "plain":
-            base = (tau @ safe_logit(params.pi) @ tau.T).take(flat)
-        else:
-            base = (tau @ params.gamma @ tau.T).take(flat) + cov_effect.take(self._class_index.take(flat))
-        corr = nu_logit_correction(design, self.adj, nu)
-        proposed = logistic(base + corr)
+        base = (tau @ logit @ tau.T).take(flat)
+        if cov_effect is not None:
+            base += cov_effect.take(self._class_index.take(flat))
+        z = base + nu_logit_correction(design, self.adj, nu)
+        proposed = logistic(z, out=z)
+        proposed.flags.writeable = False
         if DESIGNS[design.tag].psi != "expected degree":
             return proposed
         # Expected-degree features couple the missing dyads through the
@@ -437,6 +442,7 @@ class _Engine:
         step = 1.0
         for _ in range(6):
             cand = nu + step * (proposed - nu)
+            cand.flags.writeable = False
             if self._nu_objective(base, tau, cand, design) >= current - 1e-12:
                 return cand
             step *= 0.5
@@ -612,7 +618,7 @@ class FitCollection:
 # ---------------------------------------------------------------------------
 
 def _param_delta(prev: SbmParams, new: SbmParams) -> float:
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(new.arrays.values(), prev.arrays.values()))
+    return max(float(np.abs(a - b).max()) for a, b in zip(new.arrays.values(), prev.arrays.values()))
 
 
 @dataclass(frozen=True)
@@ -833,9 +839,9 @@ def fit_from_json(adj: PartialAdjacency, data: dict,
     eng = _Engine(adj, design.tag if design is not None else None, covariates, use_cov)
     nu = eng.initial_nu()
     if nu is not None and nu.size:
-        cov_effect = eng._ve_terms(params, design)[2]
+        _, tables, cov_effect = eng._ve_terms(params, design)
         for _ in range(25):
-            nu, prev = eng._nu_update(params, design, tau, nu, cov_effect), nu
+            nu, prev = eng._nu_update(design, tau, nu, tables[0], cov_effect), nu
             if np.max(np.abs(nu - prev)) < 1e-12:
                 break
     state = VariationalState(tau=tau, nu=nu)

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,24 @@ def test_input_errors_exit_2(tmp_path):
     scores = tmp_path / "scores.csv"
     scores.write_text("\n".join(",".join(["0.5"] * 10) for _ in range(9)) + "\n0.5" + ",x" * 9 + "\n")
     assert run("eval-auc", "--full", net, "--observed", obs, "--imputed", scores) == 2
+
+
+@pytest.mark.parametrize("field,value", [("alpha", [math.nan, math.nan]),
+                                         ("pi", [[math.nan, 0.1], [0.1, 0.5]])])
+def test_non_finite_fit_parameters_exit_2(tmp_path, field, value):
+    # Python's json reads the NaN literal, so a fit JSON can carry one
+    net, obs, fit = (tmp_path / name for name in ("net.csv", "obs.csv", "fit.json"))
+    assert run("generate", "--nodes", 20, "--blocks", 2, "--pi-within", 0.5, "--pi-between", 0.1,
+               "--seed", 1, "--out", net) == 0
+    assert run("observe", "--input", net, "--sampling", "dyad", "--parameters", "0.6",
+               "--seed", 2, "--out", obs) == 0
+    assert run("fit", "--input", obs, "--blocks", "2", "--sampling", "dyad", "--out", fit) == 0
+    data = json.loads(fit.read_text())
+    data["models"][0]["sbm"][field] = value
+    fit.write_text(json.dumps(data))
+    assert "NaN" in fit.read_text()
+    assert run("impute", "--input", obs, "--fit", fit, "--out", tmp_path / "i.csv") == 2
+    assert not (tmp_path / "i.csv").exists()
 
 
 @pytest.mark.parametrize("n", [8, 20], ids=["shorter", "longer"])

@@ -16,7 +16,7 @@ from sbm_miss import (
     transfer_covariates,
 )
 from sbm_miss.errors import NumericalError
-from sbm_miss.network import fit_logistic, log_sigmoid, logistic_loglik, xlogx
+from sbm_miss.network import PROB_CLAMP, clamp_prob, fit_logistic, log_sigmoid, logistic_loglik, xlogx
 
 from util import adjacency_from_edges, random_partial
 
@@ -281,6 +281,21 @@ class TestPartition:
             Partition(labels=np.array([0, 3]), q=2)
         with pytest.raises(InputError):
             Partition(labels=np.array([0]), q=0)
+
+    def test_a_writeable_input_is_copied_and_a_read_only_one_kept(self):
+        labels = np.array([0, 1, 1])
+        part = Partition(labels=labels, q=2)
+        assert labels.flags.writeable and not part.labels.flags.writeable
+        labels[0] = 1   # the caller's array stays the caller's
+        np.testing.assert_array_equal(part.labels, [0, 1, 1])
+        assert Partition(labels=part.labels, q=3).labels is part.labels
+
+
+def test_clamp_prob_equals_clip_nan_included():
+    values = np.array([np.nan, -1.0, 0.0, 1e-13, 0.3, 1.0 - 1e-13, 1.0, 2.0, np.inf, -np.inf])
+    expected = np.clip(values, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    assert clamp_prob(values).tobytes() == expected.tobytes()
+    assert clamp_prob(0.0) == PROB_CLAMP and clamp_prob(np.array(1.0)) == 1.0 - PROB_CLAMP
 
 
 class TestFitLogistic:

@@ -309,7 +309,7 @@ def dense_kernel_coupling(eng, params, tables, y, t):
             continue
         rows = t.sum(axis=0) - t if m is None else m @ t
         cols = m.T @ t if eng.directed and m is not None else rows
-        out += eng.scale * (rows @ table.T + cols @ table)
+        out += (1.0 if eng.directed else 0.5) * (rows @ table.T + cols @ table)
     c = dyad_covariate_effect(params, eng.sbm_covariates)
     eta = np.empty_like(c)
     for a in range(params.q):
@@ -612,14 +612,35 @@ class TestKmeans:
 def test_undirected_symmetry_check_keeps_its_tolerance():
     alpha = np.array([0.5, 0.5])
     SbmParams(alpha=alpha, pi=np.array([[0.5, 0.1], [0.1 + 1e-12, 0.5]]))
-    SbmParams(alpha=alpha, gamma=np.array([[np.inf, 1.0], [1.0, 0.0]]), beta=np.array([1.0]))
-    refused = [np.array([[0.5, 0.1], [0.1 + 1e-3, 0.5]]), np.array([[np.nan, 0.1], [0.1, 0.5]])]
-    for pi in refused:
-        with pytest.raises(InputError, match="symmetric"):
-            SbmParams(alpha=alpha, pi=pi)
+    SbmParams(alpha=alpha, gamma=np.array([[2.0, 1.0], [1.0 + 1e-12, 0.0]]), beta=np.array([1.0]))
+    asymmetric = np.array([[0.5, 0.1], [0.1 + 1e-3, 0.5]])
     with pytest.raises(InputError, match="symmetric"):
-        SbmParams(alpha=alpha, gamma=np.array([[0.0, np.inf], [-np.inf, 0.0]]), beta=np.array([1.0]))
-    SbmParams(alpha=alpha, pi=refused[0], directed=True)
+        SbmParams(alpha=alpha, pi=asymmetric)
+    with pytest.raises(InputError, match="symmetric"):
+        SbmParams(alpha=alpha, gamma=asymmetric, beta=np.array([1.0]))
+    SbmParams(alpha=alpha, pi=asymmetric, directed=True)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("name,value", [
+    ("alpha", [np.nan, np.nan]),
+    ("pi", [[np.nan, 0.1], [0.1, 0.5]]),
+    ("gamma", [[np.nan, 0.1], [0.1, 0.5]]),
+    ("gamma", [[0.0, np.inf], [np.inf, 0.0]]),
+    ("gamma", [[-np.inf, 0.0], [0.0, 0.0]]),
+    ("beta", [np.nan]),
+    ("beta", [np.inf]),
+])
+def test_non_finite_parameters_are_refused(name, value, directed):
+    # a NaN alpha passes the sum check (|nan - 1| > tol is False), a NaN pi
+    # the range check, and an infinite gamma the symmetry check
+    arrays = {"alpha": [0.5, 0.5], "beta": [1.0]}
+    arrays["pi" if name == "pi" else "gamma"] = np.full((2, 2), 0.3)
+    arrays[name] = np.array(value)
+    if "pi" in arrays:
+        del arrays["beta"]
+    with pytest.raises(InputError, match=f"{name} entries must be finite"):
+        SbmParams(**arrays, directed=directed)
 
 
 def test_params_validation_and_json_round_trip():

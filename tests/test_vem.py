@@ -34,7 +34,7 @@ from sbm_miss import (
     ve_step,
 )
 from sbm_miss import vem
-from sbm_miss.network import safe_log, safe_logit
+from sbm_miss.network import log_sigmoid, safe_log, safe_logit
 from sbm_miss.sampling import DESIGNS, make_default_design
 from sbm_miss.vem import ELBO_SLACK, ICL_TIE_TOL, _Engine, fit_from_json
 
@@ -136,8 +136,8 @@ class TestNuUpdate:
         eng = _Engine(observed, design.tag, cov, use_cov)
         tau = rng.dirichlet(np.ones(q), size=n)
         nu = rng.random(observed.n_missing)
-        cov_effect = eng._ve_terms(params, design)[2]
-        out = eng._nu_update(params, design, tau, nu, cov_effect)
+        _, tables, cov_effect = eng._ve_terms(params, design)
+        out = eng._nu_update(design, tau, nu, tables[0], cov_effect)
         logit = params.gamma if use_cov else np.log(params.pi) - np.log1p(-params.pi)
         shift = math.log1p(-0.8) - math.log1p(-0.3)
         expected = []
@@ -159,7 +159,35 @@ def tau_objective_gain(eng, params, design, nu, tau, new):
         return eng._coupling(params, tables, cov_effect, y, t)
 
     step = new - tau
-    return eng._tau_gain(linear, coupling(tau), tau, step, coupling(step), 1.0)
+    return eng._tau_gain(linear, coupling(tau), tau, step, coupling(step))(1.0)
+
+
+def ve_case(tag, directed, use_cov):
+    """An engine on a network of 24 nodes observed under ``tag``, with a
+    nodal covariate; the parameters and design of a VE step at Q = 3, nu
+    (None under MAR), and the generator, to draw tau from."""
+    rng = np.random.default_rng([AVAILABLE_SAMPLINGS.index(tag), directed, use_cov])
+    n, q = 24, 3
+    cov = CovariateSet.from_nodal([rng.random(n)])
+    if use_cov:
+        gamma = rng.normal(size=(q, q))
+        gamma = gamma if directed else 0.5 * (gamma + gamma.T)
+        params = SbmParams(alpha=np.full(q, 1.0 / q), gamma=gamma, beta=np.array([1.3]),
+                           directed=directed)
+    else:
+        params = planted_params(q, 0.6, 0.1, directed=directed)
+    adj, draw = sample_network(params, n, covariates=cov, rng_seed=1)
+    design = make_default_design(tag, q, covariates=cov)
+    if tag == "block-dyad":
+        psi = rng.uniform(0.3, 0.9, size=(q, q))
+        design = SamplingDesign(tag, psi if directed else 0.5 * (psi + psi.T))
+    elif tag == "block-node":
+        design = SamplingDesign(tag, rng.uniform(0.3, 0.9, size=q))
+    observed = observe_network(adj, design, clusters=Partition.from_labels(draw.labels, q),
+                               covariates=cov, rng_seed=2)
+    eng = _Engine(observed, tag, cov, use_cov)
+    nu = rng.random(observed.n_missing) if eng.mnar else None
+    return eng, params, design, nu, rng
 
 
 class TestVeSafeguard:
@@ -169,27 +197,8 @@ class TestVeSafeguard:
     def test_objective_differences_match_elbo(self, tag, directed, use_cov):
         # pins the 1/2 on the coupling terms, the transposed terms of directed
         # networks, the block-dyad channels and the covariate kernel
-        rng = np.random.default_rng([AVAILABLE_SAMPLINGS.index(tag), directed, use_cov])
-        n, q = 24, 3
-        cov = CovariateSet.from_nodal([rng.random(n)])
-        if use_cov:
-            gamma = rng.normal(size=(q, q))
-            gamma = gamma if directed else 0.5 * (gamma + gamma.T)
-            params = SbmParams(alpha=np.full(q, 1.0 / q), gamma=gamma, beta=np.array([1.3]),
-                               directed=directed)
-        else:
-            params = planted_params(q, 0.6, 0.1, directed=directed)
-        adj, draw = sample_network(params, n, covariates=cov, rng_seed=1)
-        design = make_default_design(tag, q, covariates=cov)
-        if tag == "block-dyad":
-            psi = rng.uniform(0.3, 0.9, size=(q, q))
-            design = SamplingDesign(tag, psi if directed else 0.5 * (psi + psi.T))
-        elif tag == "block-node":
-            design = SamplingDesign(tag, rng.uniform(0.3, 0.9, size=q))
-        observed = observe_network(adj, design, clusters=Partition.from_labels(draw.labels, q),
-                                   covariates=cov, rng_seed=2)
-        eng = _Engine(observed, tag, cov, use_cov)
-        nu = rng.random(observed.n_missing) if eng.mnar else None
+        eng, params, design, nu, rng = ve_case(tag, directed, use_cov)
+        n, q = eng.adj.n, params.q
         tau_a = rng.dirichlet(np.ones(q), size=n)
         tau_b = rng.dirichlet(np.ones(q), size=n)
         elbo_a = eng.elbo_parts(params, design, VariationalState(tau=tau_a, nu=nu))[0]
@@ -255,6 +264,111 @@ class TestVeSafeguard:
                 assert elbo_is_monotone(fit)
                 flagged += sum("VE step damped" in row.flags for row in fit.monitoring)
         assert flagged > 0
+
+
+def two_product_coupling(eng, params, tables, cov_effect, y, t):
+    """``_Engine._coupling`` on an undirected network as it was before it took
+    one product per pair matrix: 0.5 * (m t L' + m t L) per pair matrix m
+    with table L, then the covariate kernels from the class tables."""
+    out = np.zeros_like(t)
+    r = None if tables[1] is None else eng.adj.observed_mask
+    for m, table in zip((y, r, None), tables):
+        if table is None:
+            continue
+        rows = t.sum(axis=0) - t if m is None else m @ t
+        out += 0.5 * (rows @ table.T + rows @ table)
+    if cov_effect is not None:
+        table = np.append(cov_effect, 0.0 if eng.mnar else -0.0)
+        eta, kernel = table[:-1], np.empty(eng._class_index.shape)
+        for a in range(params.q):
+            for b in range(a, params.q):
+                np.add(params.gamma[a, b], cov_effect, out=eta)
+                log_sigmoid(np.negative(eta, out=eta), out=eta)
+                np.take(table, eng._class_index, out=kernel, mode="clip")
+                out[:, a] += kernel @ t[:, b]
+                if a != b:
+                    out[:, b] += kernel.T @ t[:, a]
+    return out
+
+
+class TestCoupling:
+    @pytest.mark.parametrize("use_cov", [False, True], ids=["plain", "covariate"])
+    @pytest.mark.parametrize("tag", AVAILABLE_SAMPLINGS)
+    def test_undirected_one_product_equals_the_two_product_form_bitwise(self, tag, use_cov):
+        eng, params, design, nu, rng = ve_case(tag, False, use_cov)
+        _, tables, cov_effect = eng._ve_terms(params, design)
+        # a fit's undirected tables are exactly symmetric: symmetrising keeps their bits
+        raw = params.gamma if use_cov else safe_logit(params.pi)
+        assert tables[0].tobytes() == raw.tobytes()
+        y = eng.filled(nu)
+        tau = rng.dirichlet(np.ones(params.q), size=eng.adj.n)
+        step = rng.dirichlet(np.ones(params.q), size=eng.adj.n) - tau
+        for t in (tau, step):
+            new = eng._coupling(params, tables, cov_effect, y, t)
+            assert new.tobytes() == two_product_coupling(eng, params, tables, cov_effect, y, t).tobytes()
+
+    def test_undirected_pi_symmetric_only_to_allclose_is_symmetrised(self):
+        eng, params, design, _, rng = ve_case("dyad", False, False)
+        pi = np.array(params.pi)
+        pi[0, 1] += 1e-9   # within SbmParams' symmetry tolerance
+        skewed = SbmParams(alpha=params.alpha, pi=pi)
+        _, tables, _ = eng._ve_terms(skewed, design)
+        raw = (safe_logit(pi), np.log1p(-pi), None)   # the dyad design's tables, as they are
+        y = eng.filled(None)
+        tau = rng.dirichlet(np.ones(params.q), size=eng.adj.n)
+        expected = two_product_coupling(eng, skewed, raw, None, y, tau)
+        np.testing.assert_allclose(eng._coupling(skewed, tables, None, y, tau), expected,
+                                   rtol=1e-12, atol=1e-12)
+        assert not np.allclose(eng._coupling(skewed, raw, None, y, tau), expected, rtol=1e-12, atol=1e-12)
+
+
+class TestVeRoundWork:
+    def test_double_standard_fit_fills_the_y_buffer_three_times_per_evaluation(self, monkeypatch):
+        # rounds 2 and 3 of each VE step and the M step; round 1 reads the nu
+        # that the last M step left in the buffer.  The 2: the spectral start's
+        # filled matrix and the buffer's first fill, at the initial M step.
+        calls = []
+        fill_missing = PartialAdjacency.fill_missing
+        monkeypatch.setattr(PartialAdjacency, "fill_missing",
+                            lambda adj, out, values: calls.append(1) or fill_missing(adj, out, values))
+        adj, _ = sample_network(planted_params(2, 0.5, 0.1), 40, rng_seed=1)
+        observed = observe_network(adj, SamplingDesign("double-standard", [0.8, 0.4]), rng_seed=2)
+        calls.clear()
+        fit = fit_single(observed, 2, "double-standard", control=ControlOptions(rng_seed=1))
+        evaluations = fit.monitoring[-1].iter
+        # a refused extrapolation leaves its nu in the buffer, which costs one fill more
+        assert not any("extrapolation refused" in row.flags for row in fit.monitoring)
+        assert evaluations == 10
+        assert len(calls) == 3 * evaluations + 2   # 4 * evaluations + 2 = 42 before
+
+    def test_a_ve_step_starts_from_the_buffer_its_state_left(self, monkeypatch):
+        # ve_step returns its read-only arrays uncopied, and a VE step from
+        # that state does not rewrite the buffer for the nu it already holds
+        params = planted_params(2, 0.5, 0.1)
+        design = SamplingDesign("double-standard", [0.8, 0.4])
+        adj, _ = sample_network(params, 20, rng_seed=3)
+        eng = _Engine(observe_network(adj, design, rng_seed=4), design.tag, None, False)
+        state = eng.ve_step(params, design, eng.initial_state(Partition(labels=np.arange(20) % 2, q=2), 2), 3)
+        assert not state.tau.flags.writeable and not state.nu.flags.writeable
+        y = eng.filled(state.nu)   # as the M step does
+        calls = []
+        monkeypatch.setattr(PartialAdjacency, "fill_missing", lambda *args: calls.append(1))
+        assert eng.filled(state.nu) is y
+        eng.ve_step(params, design, state, 1)   # round 1 reads y; its nu update comes after
+        assert not calls
+
+
+class TestVariationalState:
+    def test_a_writeable_input_is_copied_and_a_read_only_one_kept(self):
+        tau, nu = np.full((4, 2), 0.5), np.full(3, 0.2)
+        state = VariationalState(tau=tau, nu=nu)
+        assert tau.flags.writeable and nu.flags.writeable
+        tau[0] = [1.0, 0.0]   # the caller's arrays stay the caller's
+        nu[0] = 0.9
+        np.testing.assert_array_equal(state.tau, np.full((4, 2), 0.5))
+        np.testing.assert_array_equal(state.nu, np.full(3, 0.2))
+        again = VariationalState(tau=state.tau, nu=state.nu)
+        assert again.tau is state.tau and again.nu is state.nu
 
 
 class TestMStep:

@@ -11,7 +11,9 @@ tree, the copy and this checkout, each importing ``sbm_miss`` from its own
 * every sampling design on an undirected and on a directed planted network
   with one nodal covariate, two seeds: the observation mask, then
   ``estimate_miss_sbm`` over Q = 1..3 with exploration "both", without and
-  with ``use_cov``;
+  with ``use_cov``; and, on the same mask, with ``use_cov`` on one discrete
+  dyadic covariate of 3 levels instead (every design but covar-node, which
+  needs a nodal covariate);
 * the psi that the AUC sweep draws for each design it supports, two seeds;
 * two CLI ``generate`` / ``observe`` / ``fit`` / ``impute`` runs, fitted and
   imputed at ``--threads`` 1 and 2: block-node on a dense CSV, and
@@ -56,8 +58,11 @@ PSI = {
 SWEEP = ("dyad", "double-standard", "node", "block-node")
 GRIDS = {
     # nodes, block counts fitted, seeds, directed values, use_cov values
-    "full": dict(n=30, blocks=[1, 2, 3], seeds=[0, 1], directed=[False, True], use_cov=[False, True]),
-    "tiny": dict(n=14, blocks=[1, 2], seeds=[0], directed=[False, True], use_cov=[False, True]),
+    # and whether to add the fits on a 3-level dyadic covariate
+    "full": dict(n=30, blocks=[1, 2, 3], seeds=[0, 1], directed=[False, True], use_cov=[False, True],
+                 dyadic=True),
+    "tiny": dict(n=14, blocks=[1, 2], seeds=[0], directed=[False, True], use_cov=[False, True],
+                 dyadic=False),
 }
 FIELDS = ("alpha", "pi/gamma", "beta", "psi", "icl")
 CLI_CASES = ("block-node", "covar-node")   # the designs of the CLI runs, see _cli_case
@@ -130,16 +135,22 @@ def run_grid(grid: dict) -> dict:
             params = sbm_miss.SbmParams(alpha=np.full(3, 1 / 3), pi=pi, directed=directed)
             adj, draw = sbm_miss.sample_network(params, grid["n"], rng_seed=100 + seed)
             clusters = sbm_miss.Partition(labels=draw.labels, q=3)
+            levels = np.random.default_rng([seed, directed, 3]).integers(0, 3, size=(grid["n"],) * 2)
+            levels = levels if directed else np.triu(levels) + np.triu(levels, 1).T
+            dyadic = sbm_miss.CovariateSet.from_dyadic([levels.astype(float)])
             for tag, psi in PSI.items():
                 waves = 2 if tag == "snowball" else 1
                 observed = sbm_miss.observe_network(adj, sbm_miss.SamplingDesign(tag, psi, waves=waves),
                                                     clusters=clusters, covariates=cov, rng_seed=200 + seed)
                 mask = _sha(np.isnan(observed.matrix).tobytes())
-                for use_cov in grid["use_cov"]:
+                fits = [(f"use_cov={use_cov}", cov, use_cov) for use_cov in grid["use_cov"]]
+                if grid["dyadic"] and tag != "covar-node":
+                    fits.append(("dyadic3 use_cov=True", dyadic, True))
+                for label, covariates, use_cov in fits:
                     control = sbm_miss.ControlOptions(rng_seed=300 + seed, exploration="both", use_cov=use_cov)
-                    coll = sbm_miss.estimate_miss_sbm(observed, grid["blocks"], tag, covariates=cov,
+                    coll = sbm_miss.estimate_miss_sbm(observed, grid["blocks"], tag, covariates=covariates,
                                                       control=control, waves=waves)
-                    case = f"{tag} {'directed' if directed else 'undirected'} seed={seed} use_cov={use_cov}"
+                    case = f"{tag} {'directed' if directed else 'undirected'} seed={seed} {label}"
                     cases[case] = {"mask": mask,
                                    "fit": _sha(json.dumps(coll.to_json(), sort_keys=True).encode()),
                                    "models": [_model_numbers(fit) for fit in coll.models]}
