@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError, NumericalError
 from .network import (
@@ -326,7 +325,7 @@ def predict_probabilities(params: SbmParams, state,
         eta, weight = np.empty_like(c), np.empty_like(c)
         for a in range(params.q):   # every block pair, or the pairs a <= b when undirected
             for b in range(0 if params.directed else a, params.q):
-                expit(np.add(params.gamma[a, b], c, out=eta), out=eta)
+                logistic(np.add(params.gamma[a, b], c, out=eta), out=eta)
                 eta *= np.multiply.outer(tau[:, a], tau[:, b], out=weight)
                 out += eta
                 if not params.directed and a != b:   # eta is symmetric: pair (b, a)

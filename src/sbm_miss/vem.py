@@ -128,7 +128,7 @@ class VariationalState:
         if self.nu is not None:
             nu = read_only(self.nu)
             object.__setattr__(self, "nu", nu)
-            if (nu < 0).any() or (nu > 1).any():
+            if nu.size and not (nu.min() >= 0 and nu.max() <= 1):   # False on NaN
                 raise InputError("nu values must lie in [0, 1]")
 
     def memberships(self) -> np.ndarray:

@@ -47,3 +47,14 @@ def test_report_flags_a_moved_fit():
     assert "dicl 9.1e-02" in report["DIFF dyad case"] and "rows 5 (base 4)" in report["DIFF dyad case"]
     assert "dpsi 0.0e+00" in report["DIFF dyad case"]
     assert report["DIFF sweep case"].strip() == "psi q (base p)"
+    # the split: a fit that moved at rounding level with equal rows, and the moved cases by name
+    base["round case"] = copy.deepcopy(base["dyad case"])
+    tree["round case"] = copy.deepcopy(base["dyad case"])
+    tree["round case"]["fit"] = "c"
+    tree["round case"]["models"][0]["alpha"] = [0.5 + 1e-12, 0.5 - 1e-12]
+    assert tool._split(base, tree) == ("of 3 differing: 1 at rounding level (every field below 1e-10 relative, "
+                                       "equal EM rows), 2 moved: dyad case; sweep case")
+    tree["round case"]["models"][0]["rows"] = 5   # equal numbers, but not equal rows
+    assert tool._split(base, tree).endswith("0 at rounding level (every field below 1e-10 relative, "
+                                            "equal EM rows), 3 moved: dyad case; round case; sweep case")
+    assert tool._split(base, base).endswith("0 moved: -")

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import log_expit, xlogy
+from scipy.special import expit, log_expit, xlogy
 
 from sbm_miss import (
     CovariateSet,
@@ -50,6 +51,31 @@ class TestLogistic:
     def test_monotone(self, a, b):
         lo, hi = sorted((a, b))
         assert logistic(lo) <= logistic(hi)
+
+    def test_within_four_ulp_of_expit(self):
+        # numpy's vectorised exp and libm's differ in the last bit for about
+        # 2 % of arguments; where 1 + exp(-x) rounds a tie above 2**53
+        # (x near -36.8) that grows to 4 ulp of the result
+        grid = np.linspace(-40.0, 40.0, 800_001)
+        values, reference = logistic(grid), expit(grid)
+        np.testing.assert_array_max_ulp(values, reference, maxulp=4)
+        assert (values == reference).mean() > 0.97
+
+    def test_huge_arguments_give_exact_bounds_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logistic(np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+            assert (logistic(-1000.0), logistic(1000.0)) == (0.0, 1.0)
+
+    def test_writes_into_its_argument(self):
+        x = 3.0 * np.random.default_rng(6).normal(size=(20, 20))
+        expected = expit(x)
+        assert logistic(x, out=x) is x
+        np.testing.assert_array_max_ulp(x, expected, maxulp=4)
+
+    def test_scalar_gives_scalar_and_integers_are_accepted(self):
+        assert np.ndim(logistic(0.5)) == 0 and np.ndim(logistic(np.float64(2))) == 0
+        np.testing.assert_array_equal(logistic(np.arange(-2, 3)), logistic(np.arange(-2.0, 3.0)))
 
 
 class TestLogSigmoid:
@@ -197,7 +223,8 @@ class TestPartialAdjacency:
         # and missing entries
         rows, cols = adj.pairs
         assert list(zip(rows.tolist(), cols.tolist())) == list(adj.dyads())
-        assert not rows.flags.writeable and not cols.flags.writeable
+        for index in (adj.pairs, adj.observed_pairs, adj.missing_pairs):
+            assert all(not a.flags.writeable and a.flags.c_contiguous for a in index)
         known = ~np.isnan(adj.matrix[rows, cols])
         for part, idx in ((known, adj.observed_pairs), (~known, adj.missing_pairs)):
             np.testing.assert_array_equal(rows[part], idx[0])

@@ -370,6 +370,14 @@ class TestVariationalState:
         again = VariationalState(tau=state.tau, nu=state.nu)
         assert again.tau is state.tau and again.nu is state.nu
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    def test_nu_outside_the_unit_interval_is_refused(self, bad):
+        with pytest.raises(InputError, match="nu values must lie in"):
+            VariationalState(tau=np.full((3, 2), 0.5), nu=np.array([bad, 0.5]))
+
+    def test_empty_nu_is_accepted(self):
+        assert VariationalState(tau=np.full((3, 2), 0.5), nu=np.array([])).nu.size == 0
+
 
 class TestMStep:
     def test_hard_tau_gives_block_densities(self):

@@ -23,8 +23,11 @@ tree, the copy and this checkout, each importing ``sbm_miss`` from its own
 Per case the report gives the hash of the mask, of the fit JSON (or of the
 sweep psi, or of the CLI outputs), the largest relative change of alpha,
 pi or gamma, beta, psi and ICL over the collection's models, and the EM row
-counts of the models.  The exit code is 1 when a case differs between the
-trees, or when the CLI outputs differ between thread counts; 0 otherwise.
+counts of the models.  One line then splits the differing cases in two: at
+rounding level (a fit on the same mask, with equal EM row counts and every
+field below ``ROUNDING`` relative) and moved (every other, by name).  The
+exit code is 1 when a case differs between the trees, or when the CLI
+outputs differ between thread counts; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ GRIDS = {
                  dyadic=False),
 }
 FIELDS = ("alpha", "pi/gamma", "beta", "psi", "icl")
+ROUNDING = 1e-10   # a differing fit is at rounding level when every field moved less, relative
 CLI_CASES = ("block-node", "covar-node")   # the designs of the CLI runs, see _cli_case
 
 
@@ -205,6 +209,26 @@ def _with_base(value, base_value) -> str:
     return str(value) if value == base_value else f"{value} (base {base_value})"
 
 
+def _field_changes(b: dict, t: dict) -> list[float]:
+    return [max((_rel_change(mt[f], mb[f]) for mt, mb in zip(t["models"], b["models"])), default=0.0)
+            for f in FIELDS]
+
+
+def _rows(case: dict) -> str:
+    return "/".join(str(m["rows"]) for m in case["models"])
+
+
+def _split(base: dict, tree: dict) -> str:
+    """One report line: how many differing cases are at rounding level, and which moved."""
+    differ = [case for case in sorted(set(base) | set(tree)) if base.get(case) != tree.get(case)]
+    moved = [case for case in differ
+             if not (case in base and case in tree and "models" in tree[case]
+                     and base[case]["mask"] == tree[case]["mask"] and _rows(base[case]) == _rows(tree[case])
+                     and max(_field_changes(base[case], tree[case])) < ROUNDING)]
+    return (f"of {len(differ)} differing: {len(differ) - len(moved)} at rounding level (every field "
+            f"below {ROUNDING:.0e} relative, equal EM rows), {len(moved)} moved: {'; '.join(moved) or '-'}")
+
+
 def _compare(base: dict, tree: dict) -> list[str]:
     """Report lines, one per case; a line starts with DIFF when the case differs."""
     lines = []
@@ -214,9 +238,8 @@ def _compare(base: dict, tree: dict) -> list[str]:
             lines.append(f"DIFF {case}: only on the {'tree' if b is None else 'base'}")
             continue
         if "models" in t:
-            changes = [max((_rel_change(mt[f], mb[f]) for mt, mb in zip(t["models"], b["models"])),
-                           default=0.0) for f in FIELDS]
-            rows = ["/".join(str(m["rows"]) for m in c["models"]) for c in (t, b)]
+            changes = _field_changes(b, t)
+            rows = [_rows(t), _rows(b)]
             detail = "  ".join([f"mask {_with_base(t['mask'], b['mask'])}",
                                 f"fit {_with_base(t['fit'], b['fit'])}",
                                 *(f"d{f} {c:.1e}" for f, c in zip(FIELDS, changes)),
@@ -257,6 +280,7 @@ def main(argv=None) -> int:
     for side, names in threads.items():
         if names:
             print(f"DIFF {side}: CLI {', '.join(names)} differ between --threads 1 and 2")
+    print(_split(base, tree))
     print(f"{len(lines)} cases, {len(lines) - differ} identical, {differ} differ; "
           f"CLI outputs equal across --threads 1 and 2: {not any(threads.values())}")
     return 1 if differ or any(threads.values()) else 0
