@@ -31,15 +31,11 @@ from .vem import (
     FitCollection,
     FitResult,
     VariationalState,
-    elbo,
     estimate_miss_sbm,
     explore,
     fit_single,
-    icl,
     icl_penalty,
     impute,
-    m_step,
-    ve_step,
 )
 
 __all__ = [
@@ -62,17 +58,14 @@ __all__ = [
     "compare_designs",
     "degrees",
     "design_df",
-    "elbo",
     "estimate_miss_sbm",
     "expected_loglik_sbm",
     "explore",
     "fit_single",
-    "icl",
     "icl_penalty",
     "impute",
     "l1_similarity",
     "logistic",
-    "m_step",
     "observe_network",
     "predict_probabilities",
     "run_auc_sweep",
@@ -81,7 +74,6 @@ __all__ = [
     "spectral_init",
     "transfer_covariates",
     "update_psi",
-    "ve_step",
 ]
 
 __version__ = "0.1.0"

@@ -199,7 +199,7 @@ def parse_parameters(tag: str, text: str, intercept: float = 0.0, waves: int = 1
     if text.startswith("[") or text.startswith("{"):
         try:
             values = np.array(json.loads(text), dtype=float)
-        except (json.JSONDecodeError, ValueError):
+        except (ValueError, TypeError):   # TypeError: a JSON object where numbers belong
             raise InputError(f"cannot parse JSON parameters {text!r}") from None
     else:
         try:
@@ -246,8 +246,12 @@ def _generator_params(args) -> SbmParams:
     if args.blocks is None:
         raise InputError("provide --params or --blocks with --pi-within/--pi-between")
     q = args.blocks
-    alpha = (np.array([float(t) for t in args.alpha.split(",")])
-             if args.alpha else np.full(q, 1.0 / q))
+    if q < 1:
+        raise InputError("block count must be >= 1")
+    try:
+        alpha = np.array([float(t) for t in args.alpha.split(",")]) if args.alpha else np.full(q, 1.0 / q)
+    except ValueError:
+        raise InputError(f"cannot parse block proportions {args.alpha!r}") from None
     if getattr(args, "pi_within", None) is None or getattr(args, "pi_between", None) is None:
         raise InputError("planted generator needs --pi-within and --pi-between")
     pi = np.full((q, q), args.pi_between) + (args.pi_within - args.pi_between) * np.eye(q)
@@ -332,6 +336,8 @@ def _cmd_eval_auc(args):
     elif args.full and args.observed and args.imputed:
         full = io.read_dense_csv(args.full, directed=args.directed)
         observed = io.read_dense_csv(args.observed, directed=args.directed)
+        if observed.n != full.n:
+            raise InputError(f"observed network has {observed.n} nodes, the full network {full.n}")
         imputed = io.read_float_matrix(args.imputed)
         if imputed.shape != full.matrix.shape:
             raise InputError("imputed matrix shape does not match the network")
@@ -350,7 +356,7 @@ def _cmd_sweep_auc(args):
     spec = ExperimentSpec(
         params=params, n_nodes=args.nodes, design=args.sampling,
         rate_range=(args.rate_min, args.rate_max), fit_blocks=params.q,
-        replicates=args.replicates, base_seed=args.seed, workers=args.threads,
+        replicates=args.replicates, base_seed=args.seed, control=ControlOptions(workers=args.threads),
     )
     rows = run_auc_sweep(spec)
     io.write_csv_rows(args.out, ["replicate", "rate", "auc", "flag"], rows)

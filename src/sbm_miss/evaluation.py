@@ -72,7 +72,8 @@ def auc(truth, scores) -> float:
 
 @dataclass
 class ExperimentSpec:
-    """A seeded sweep: planted generator, design, rate range, replicates.
+    """A seeded sweep: planted generator, design, rate range, replicates,
+    run in a pool of ``control.workers`` processes.
 
     ``rate_range = (lo, hi)`` bounds the expected observed-dyad rate of every
     replicate's design (see ``_draw_sweep_design``); ``lo = hi`` pins it, and
@@ -87,7 +88,6 @@ class ExperimentSpec:
     fit_blocks: int = 3
     replicates: int = 100
     base_seed: int = 0
-    workers: int = 1
     control: ControlOptions = field(default_factory=ControlOptions)
 
     def __post_init__(self):
@@ -171,7 +171,7 @@ def run_auc_sweep(spec: ExperimentSpec) -> list[dict]:
     adj, draw = sample_network(spec.params, spec.n_nodes,
                                rng_seed=derive_seed(spec.base_seed, 0))
     tasks = [(spec, r, adj, draw.labels) for r in range(spec.replicates)]
-    return fan_out(_sweep_replicate, tasks, spec.workers)
+    return fan_out(_sweep_replicate, tasks, spec.control.workers)
 
 
 def compare_designs(adj: PartialAdjacency, designs: Sequence[str],

@@ -401,20 +401,17 @@ class CovariateSet:
 
     Nodal covariates are length-n vectors (one scalar per node per covariate)
     and are transferred to the dyad level by a symmetric similarity function.
-    Dyadic covariates are n x n matrices.
+    Dyadic covariates are n x n matrices; ``kind`` is "dyadic" when any are held.
     A similarity is a name in ``SIMILARITIES`` or an elementwise callable:
     on read-only n x n views a[i, j] = v[i], b[i, j] = v[j] of a nodal
     covariate v it returns the n x n similarities of (a[i, j], b[i, j]).
     """
 
-    kind: str
     nodal: tuple = ()
     dyadic: tuple = ()
     similarity: str | Callable = "l1"
 
     def __post_init__(self):
-        if self.kind not in ("nodal", "dyadic"):
-            raise InputError(f"covariate kind must be 'nodal' or 'dyadic', got {self.kind!r}")
         object.__setattr__(self, "nodal", tuple(np.asarray(v, dtype=float) for v in self.nodal))
         object.__setattr__(self, "dyadic", tuple(np.asarray(m, dtype=float) for m in self.dyadic))
         for v in self.nodal:
@@ -431,11 +428,15 @@ class CovariateSet:
 
     @classmethod
     def from_nodal(cls, vectors: Sequence, similarity="l1") -> "CovariateSet":
-        return cls(kind="nodal", nodal=tuple(vectors), similarity=similarity)
+        return cls(nodal=tuple(vectors), similarity=similarity)
 
     @classmethod
     def from_dyadic(cls, matrices: Sequence) -> "CovariateSet":
-        return cls(kind="dyadic", dyadic=tuple(matrices))
+        return cls(dyadic=tuple(matrices))
+
+    @property
+    def kind(self) -> str:
+        return "dyadic" if self.dyadic else "nodal"
 
     @property
     def m(self) -> int:
@@ -489,7 +490,7 @@ def transfer_covariates(cov: CovariateSet) -> CovariateSet:
     sim = _resolve_similarity(cov.similarity)
     mats = [sim(np.broadcast_to(vec[:, None], (n, n)), np.broadcast_to(vec[None, :], (n, n)))
             for vec in cov.nodal]
-    return CovariateSet(kind="dyadic", nodal=cov.nodal, dyadic=tuple(mats), similarity=cov.similarity)
+    return CovariateSet(nodal=cov.nodal, dyadic=tuple(mats), similarity=cov.similarity)
 
 
 def degrees(adj: PartialAdjacency, impute=None) -> np.ndarray:

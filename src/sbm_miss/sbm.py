@@ -170,6 +170,8 @@ def dyad_covariate_effect(params: SbmParams, covariates: Optional[CovariateSet])
 def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet] = None,
                    rng_seed: int = 0) -> tuple[PartialAdjacency, MembershipDraw]:
     """Draw memberships and a fully observed network from the model."""
+    if n < 1:
+        raise InputError(f"node count must be >= 1, got {n}")
     rng = as_rng(rng_seed)
     z = rng.choice(params.q, size=n, p=params.alpha)
     if params.variant == "plain":

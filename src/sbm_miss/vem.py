@@ -24,10 +24,10 @@ so other MNAR fits never build it.  The M step and the bound that follows it
 share one set of block-pair counts.
 
 Under MAR designs the missing dyads drop from the objective: the SBM factor
-restricts to observed dyads and nu is only materialized on demand for
-imputation.  ``_Engine.sbm_state`` makes that choice for the M step and the
-bound alike.  Under MNAR designs the pair matrix y = A_obs + nu is one n x n
-buffer per fit, rewritten in place at the missing dyads only when nu changes.
+restricts to observed dyads, a MAR fit's state carries no nu
+(``_Engine.initial_nu``), and imputation predicts the missing dyads post hoc.
+Under MNAR designs the pair matrix y = A_obs + nu is one n x n buffer per
+fit, rewritten in place at the missing dyads only when nu changes.
 
 The outer loop is EM accelerated by SQUAREM (Varadhan & Roland 2008, Scand.
 J. Statist. 35:335) for every design.  The map is one EM iteration of the
@@ -202,7 +202,7 @@ class _Engine:
         self.adj = adj
         self.tag = tag
         self.directed = adj.directed
-        # nu enters the SBM factor only under MNAR designs (see sbm_state)
+        # nu enters the SBM factor only under MNAR designs (see initial_nu)
         self.mnar = spec is not None and spec.mechanism == "MNAR"
         self.use_cov = use_cov
         # transferred once per fit; nodal vectors stay on it for nodal covariate features
@@ -226,10 +226,6 @@ class _Engine:
     def initial_nu(self) -> Optional[np.ndarray]:
         """Starting imputation means: the observed density under MNAR, None otherwise."""
         return np.full(self.adj.n_missing, clamp_prob(self.adj.observed_density)) if self.mnar else None
-
-    def sbm_state(self, state: VariationalState) -> VariationalState:
-        """The state as the SBM factor sees it: without nu unless MNAR."""
-        return state if self.mnar or state.nu is None else VariationalState(tau=state.tau)
 
     def filled(self, nu: Optional[np.ndarray]) -> np.ndarray:
         """The pair matrix y of the SBM factor: the observed network with the
@@ -255,9 +251,8 @@ class _Engine:
         the SBM factor at ``state``, kept for the last state seen: the M step
         and the bound that follows it read the same counts, built once per EM iteration."""
         if self._counts[0] is not state:
-            sbm_state = self.sbm_state(state)
-            counts = (covariate_counts(self.adj, sbm_state, self.covariates, self.classes()) if self.use_cov
-                      else block_pair_counts(self.adj, sbm_state, self.filled(sbm_state.nu)))
+            counts = (covariate_counts(self.adj, state, self.covariates, self.classes()) if self.use_cov
+                      else block_pair_counts(self.adj, state, self.filled(state.nu)))
             self._counts = (state, counts)
         return self._counts[1]
 
@@ -276,7 +271,7 @@ class _Engine:
         flags: tuple[str, ...] = ()
         if self.use_cov:
             start = (prev.gamma, prev.beta) if prev is not None and prev.variant == "covariate" else None
-            gamma, beta = fit_covariate_connectivity(self.adj, self.sbm_state(state), self.covariates,
+            gamma, beta = fit_covariate_connectivity(self.adj, state, self.covariates,
                                                      start=start, counts=self.block_counts(state))
             params = SbmParams(alpha=alpha, gamma=gamma, beta=beta, directed=self.directed)
         else:
@@ -459,53 +454,15 @@ class _Engine:
     def elbo_parts(self, params: SbmParams, design: Optional[SamplingDesign],
                    state: VariationalState) -> tuple[float, float, float]:
         """(elbo, SBM expectation, sampling expectation)."""
-        sbm_state = self.sbm_state(state)
         counts = self.block_counts(state)
-        vexpec = expected_loglik_sbm(params, self.adj, sbm_state, self.sbm_covariates, counts)
+        vexpec = expected_loglik_sbm(params, self.adj, state, self.sbm_covariates, counts)
         s_ll = 0.0
         if design is not None:
             s_ll = sampling_loglik(design, state, self.adj, self.covariates)
         ent = float(-xlogx(state.tau).sum())
-        nu = sbm_state.nu
-        if nu is not None and nu.size:
-            ent += float(-(xlogx(nu) + xlogx(1.0 - nu)).sum())
+        if state.nu is not None and state.nu.size:
+            ent += float(-(xlogx(state.nu) + xlogx(1.0 - state.nu)).sum())
         return vexpec + s_ll + ent, vexpec, s_ll
-
-
-# ---------------------------------------------------------------------------
-# Public spec surface for single steps
-# ---------------------------------------------------------------------------
-
-def _engine_for(adj, design, covariates, use_cov):
-    tag = design.tag if isinstance(design, SamplingDesign) else design
-    return _Engine(adj, tag, covariates, use_cov)
-
-
-def ve_step(adj: PartialAdjacency, design: Optional[SamplingDesign], params: SbmParams,
-            state: VariationalState, covariates: Optional[CovariateSet] = None,
-            fix_point_iter: int = 3) -> VariationalState:
-    """Fixed-point update of (tau, nu) at fixed model parameters."""
-    eng = _engine_for(adj, design, covariates, params.variant == "covariate")
-    return eng.ve_step(params, design, state, fix_point_iter)
-
-
-def m_step(adj: PartialAdjacency, design: Optional[SamplingDesign], state: VariationalState,
-           covariates: Optional[CovariateSet] = None, use_cov: bool = False,
-           prev_params: Optional[SbmParams] = None):
-    """Maximize the bound in (theta, psi) at a fixed variational state.
-
-    Returns (SbmParams, SamplingDesign, flags); flags name any component that
-    was kept for lack of mass.
-    """
-    eng = _engine_for(adj, design, covariates, use_cov)
-    return eng.m_step(state, prev_params, design)
-
-
-def elbo(adj: PartialAdjacency, design: Optional[SamplingDesign], params: SbmParams,
-         state: VariationalState, covariates: Optional[CovariateSet] = None) -> float:
-    """Variational lower bound: expected complete log-likelihood plus entropies."""
-    eng = _engine_for(adj, design, covariates, params.variant == "covariate")
-    return eng.elbo_parts(params, design, state)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -809,11 +766,6 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
     )
 
 
-def icl(fit: FitResult) -> float:
-    """Recompute the ICL of a fitted model from its stored pieces."""
-    return -2.0 * (fit.vexpec + fit.sampling_ll) + fit.penalty
-
-
 def fit_from_json(adj: PartialAdjacency, data: dict,
                   covariates: Optional[CovariateSet] = None) -> FitResult:
     """Rebuild a FitResult from its JSON form and the network it was fitted on.
@@ -929,15 +881,15 @@ def estimate_miss_sbm(adj: PartialAdjacency, v_blocks: Sequence[int], sampling,
     if control.exploration != "none" and len(qs) > 1:
         for _ in range(control.iterates):
             if control.exploration in ("forward", "both"):
-                collection = explore(collection, "forward", control)
+                collection = explore(collection, "forward")
             if control.exploration in ("backward", "both"):
-                collection = explore(collection, "backward", control)
+                collection = explore(collection, "backward")
     return collection
 
 
-def explore(collection: FitCollection, direction: str,
-            control: Optional[ControlOptions] = None) -> FitCollection:
-    """One split (forward) or merge (backward) pass over the collection.
+def explore(collection: FitCollection, direction: str) -> FitCollection:
+    """One split (forward) or merge (backward) pass over the collection,
+    under the collection's control.
 
     Forward walks the block counts upward, refitting each from every
     single-block split of its (Q-1)-neighbor; backward walks downward with
@@ -950,7 +902,7 @@ def explore(collection: FitCollection, direction: str,
     starts are recorded per control, so a collection whose control was
     replaced skips nothing that an earlier control fitted.
     """
-    control = control or collection.control
+    control = collection.control
     if direction not in ("forward", "backward"):
         raise InputError("direction must be 'forward' or 'backward'")
     starts = dict(collection.starts)

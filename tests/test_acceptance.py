@@ -34,8 +34,8 @@ from sbm_miss import (
     run_auc_sweep,
     sample_network,
     spectral_init,
-    ve_step,
 )
+from sbm_miss.vem import _Engine
 
 from util import planted_params
 
@@ -174,7 +174,7 @@ def test_bayes_posterior_exactness():
     rho1, rho0 = fit.design.psi
     posterior = pi * (1 - rho1) / (pi * (1 - rho1) + (1 - pi) * (1 - rho0))
     stored_gap = float(np.max(np.abs(fit.state.nu - posterior)))
-    refreshed = ve_step(observed, fit.design, fit.params, fit.state, fix_point_iter=1)
+    refreshed = _Engine(observed, "double-standard", None, False).ve_step(fit.params, fit.design, fit.state, 1)
     refreshed_gap = float(np.max(np.abs(refreshed.nu - posterior)))
     report("bayes-posterior-exactness",
            stored_gap < 1e-10 and refreshed_gap < 1e-14,

@@ -181,6 +181,33 @@ def test_input_errors_exit_2(tmp_path):
     scores = tmp_path / "scores.csv"
     scores.write_text("\n".join(",".join(["0.5"] * 10) for _ in range(9)) + "\n0.5" + ",x" * 9 + "\n")
     assert run("eval-auc", "--full", net, "--observed", obs, "--imputed", scores) == 2
+    # malformed generator values, node counts below 1, a worker count of 0, a JSON object as psi
+    generator = ("--pi-within", 0.5, "--pi-between", 0.1, "--out", tmp_path / "g.csv")
+    assert run("generate", "--nodes", 10, "--blocks", 2, "--alpha", "0.5,x", *generator) == 2
+    assert run("generate", "--nodes", 10, "--blocks", 0, *generator) == 2
+    assert run("generate", "--nodes", -3, "--blocks", 2, *generator) == 2
+    assert run("sweep-auc", "--nodes", -4, "--out", tmp_path / "s.csv") == 2
+    assert run("sweep-auc", "--nodes", 10, "--threads", 0, "--out", tmp_path / "s.csv") == 2
+    assert run("observe", "--input", net, "--sampling", "dyad", "--parameters", '{"a": 1}',
+               "--out", tmp_path / "o.csv") == 2
+
+
+@pytest.mark.parametrize("n_full,n_observed", [(10, 12), (12, 10)], ids=["observed larger", "observed smaller"])
+def test_eval_auc_refuses_an_observed_network_of_another_size(tmp_path, capsys, n_full, n_observed):
+    networks = {}
+    for n in (n_full, n_observed):
+        net, obs = tmp_path / f"net{n}.csv", tmp_path / f"obs{n}.csv"
+        assert run("generate", "--nodes", n, "--blocks", 2, "--pi-within", 0.5, "--pi-between", 0.1,
+                   "--seed", 1, "--out", net) == 0
+        assert run("observe", "--input", net, "--sampling", "dyad", "--parameters", 0.6,
+                   "--seed", 2, "--out", obs) == 0
+        networks[n] = net, obs
+    imputed = tmp_path / "imputed.csv"
+    imputed.write_text("".join(",".join(["0.5"] * n_full) + "\n" for _ in range(n_full)))
+    capsys.readouterr()
+    assert run("eval-auc", "--full", networks[n_full][0], "--observed", networks[n_observed][1],
+               "--imputed", imputed) == 2
+    assert f"observed network has {n_observed} nodes, the full network {n_full}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [("alpha", [math.nan, math.nan]),

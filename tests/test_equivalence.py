@@ -35,7 +35,7 @@ def test_report_flags_a_moved_fit():
     tool = load_tool()
     base = {"dyad case": {"mask": "m", "fit": "a",
                           "models": [{"alpha": [0.5, 0.5], "pi/gamma": [0.2], "beta": [], "psi": [0.6],
-                                      "icl": [10.0], "rows": 4}]},
+                                      "icl": [10.0], "tau": [0.9, 0.1], "bound": [-5.0], "rows": 4}]},
             "sweep case": {"psi": "p"}}
     tree = copy.deepcopy(base)
     assert not any(line.startswith("DIFF") for line in tool._compare(base, tree))
@@ -58,3 +58,19 @@ def test_report_flags_a_moved_fit():
     assert tool._split(base, tree).endswith("0 at rounding level (every field below 1e-10 relative, "
                                             "equal EM rows), 3 moved: dyad case; round case; sweep case")
     assert tool._split(base, base).endswith("0 moved: -")
+    # a fit whose tau alone moved: the report names the field; tau's change is relative to 1,
+    # so an entry near 0 that moves at rounding level stays at rounding level
+    base = {"tau case": copy.deepcopy(base["dyad case"])}
+    tree = copy.deepcopy(base)
+    tree["tau case"]["fit"] = "d"
+    tree["tau case"]["models"][0]["tau"] = [0.7, 0.3]
+    [line] = tool._compare(base, tree)
+    assert line.startswith("DIFF tau case:") and "dtau 2.0e-01" in line
+    assert all(f"d{f} 0.0e+00" in line for f in tool.FIELDS if f != "tau")
+    assert tool._split(base, tree).endswith("0 at rounding level (every field below 1e-10 relative, "
+                                            "equal EM rows), 1 moved: tau case")
+    base["tau case"]["models"][0]["tau"] = [1.0, 1e-30]
+    tree["tau case"]["models"][0]["tau"] = [1.0, 2e-30]
+    assert "dtau 1.0e-30" in tool._compare(base, tree)[0]
+    assert tool._split(base, tree).endswith("1 at rounding level (every field below 1e-10 relative, "
+                                            "equal EM rows), 0 moved: -")

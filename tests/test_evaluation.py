@@ -188,7 +188,7 @@ class TestAucSweep:
 
     def test_workers_do_not_change_rows(self):
         rows_a = run_auc_sweep(self.make_spec())
-        rows_b = run_auc_sweep(self.make_spec(workers=2))
+        rows_b = run_auc_sweep(self.make_spec(control=ControlOptions(rng_seed=7, exploration="none", workers=2)))
         assert rows_a == rows_b
 
 

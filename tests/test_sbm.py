@@ -21,7 +21,7 @@ from sbm_miss import (
 from sbm_miss.network import fit_logistic, log_sigmoid
 from sbm_miss.sbm import (covariate_classes, dyad_covariate_effect, fit_covariate_connectivity, kmeans,
                           spectral_embedding)
-from sbm_miss.vem import _Engine, elbo
+from sbm_miss.vem import _Engine
 
 from util import adjacency_from_edges, dyad_values, planted_params, random_partial
 
@@ -390,7 +390,8 @@ def test_mnar_covariate_bound_needs_nu_at_every_missing_dyad(nu):
     adj, cov, _, params, state = covariate_case(False, True)
     state = VariationalState(tau=state.tau, nu=None if nu == "none" else state.nu[1:])
     with pytest.raises(InputError, match="one value per missing dyad"):
-        elbo(adj, SamplingDesign("double-standard", [0.8, 0.2]), params, state, cov)
+        _Engine(adj, "double-standard", cov, True).elbo_parts(
+            params, SamplingDesign("double-standard", [0.8, 0.2]), state)
 
 
 def peak_floats(fn, n):

@@ -22,12 +22,14 @@ tree, the copy and this checkout, each importing ``sbm_miss`` from its own
 
 Per case the report gives the hash of the mask, of the fit JSON (or of the
 sweep psi, or of the CLI outputs), the largest relative change of alpha,
-pi or gamma, beta, psi and ICL over the collection's models, and the EM row
-counts of the models.  One line then splits the differing cases in two: at
-rounding level (a fit on the same mask, with equal EM row counts and every
-field below ``ROUNDING`` relative) and moved (every other, by name).  The
-exit code is 1 when a case differs between the trees, or when the CLI
-outputs differ between thread counts; 0 otherwise.
+pi or gamma, beta, psi, ICL, tau and the last monitored bound over the
+collection's models, and the EM row counts of the models.  tau entries are
+probabilities, so their change is taken relative to 1, the row sum.  One
+line then splits the differing cases in two: at rounding level (a fit on
+the same mask, with equal EM row counts and every field below ``ROUNDING``
+relative) and moved (every other, by name).  The exit code is 1 when a
+case differs between the trees, or when the CLI outputs differ between
+thread counts; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ GRIDS = {
     "tiny": dict(n=14, blocks=[1, 2], seeds=[0], directed=[False, True], use_cov=[False, True],
                  dyadic=False),
 }
-FIELDS = ("alpha", "pi/gamma", "beta", "psi", "icl")
+FIELDS = ("alpha", "pi/gamma", "beta", "psi", "icl", "tau", "bound")
+FLOORS = {"tau": 1.0}   # a field's change is relative to max(|value|, its floor), default 0
 ROUNDING = 1e-10   # a differing fit is at rounding level when every field moved less, relative
 CLI_CASES = ("block-node", "covar-node")   # the designs of the CLI runs, see _cli_case
 
@@ -86,7 +89,8 @@ def _model_numbers(fit) -> dict:
             "pi/gamma": (fit.params.gamma if covariate else fit.params.pi).ravel().tolist(),
             "beta": fit.params.beta.tolist() if covariate else [],
             "psi": fit.design.psi.ravel().tolist(),
-            "icl": [float(fit.icl)], "rows": len(fit.monitoring)}
+            "icl": [float(fit.icl)], "tau": fit.state.tau.ravel().tolist(),
+            "bound": [float(fit.monitoring[-1].elbo)], "rows": len(fit.monitoring)}
 
 
 def _cli_case(n: int, tag: str) -> dict:
@@ -195,12 +199,12 @@ def _archive(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _rel_change(a: list, b: list) -> float:
+def _rel_change(a: list, b: list, floor: float = 0.0) -> float:
     if len(a) != len(b):
         return float("inf")
     worst = 0.0
     for x, y in zip(a, b):
-        scale = max(abs(x), abs(y))
+        scale = max(abs(x), abs(y), floor)
         worst = max(worst, abs(x - y) / scale if scale else 0.0)
     return worst
 
@@ -210,7 +214,8 @@ def _with_base(value, base_value) -> str:
 
 
 def _field_changes(b: dict, t: dict) -> list[float]:
-    return [max((_rel_change(mt[f], mb[f]) for mt, mb in zip(t["models"], b["models"])), default=0.0)
+    return [max((_rel_change(mt[f], mb[f], FLOORS.get(f, 0.0)) for mt, mb in zip(t["models"], b["models"])),
+                default=0.0)
             for f in FIELDS]
 
 
