@@ -87,6 +87,21 @@ def read_only(values, dtype=float) -> np.ndarray:
     return out
 
 
+def trusted(cls, **fields):
+    """The frozen dataclass ``cls`` without its ``__post_init__``, for values the EM loop
+    built: how it built them guarantees the shapes, ranges, sums and symmetry checked there.
+    Float arrays, never a caller's, are frozen in place; a non-finite one is a NumericalError."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, (np.ndarray, np.floating)):   # a 0-d result of a ufunc is a scalar
+            value = np.asarray(value)
+            if not np.isfinite(value).all():
+                raise NumericalError(f"{cls.__name__}.{name} entries are not finite")
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def rate_loglik(obs, total, rate) -> float:
     """Bernoulli log-likelihood of per-stratum rates from expected counts:
     sum(obs log rate + (total - obs) log(1 - rate)), rates clamped."""

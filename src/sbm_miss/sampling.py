@@ -41,7 +41,7 @@ same unit probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,6 +63,7 @@ from .network import (
     rate_update,
     safe_log,
     transfer_covariates,
+    trusted,
 )
 
 
@@ -323,12 +324,11 @@ def update_psi(design: SamplingDesign, state, adj: PartialAdjacency,
     labels are not recoverable from the mask (MAR, so theta is unaffected).
     """
     if DESIGNS[design.tag].family == "logistic":
-        x, r = _logistic_data(design, state, adj, covariates)
-        coef, _ = fit_logistic(x, r, start=design.psi)
-        return replace(design, psi=coef), ()
-    psi, kept = rate_update(*_rate_counts(design, state, adj), design.psi, adj.directed)
-    flags = (f"{design.tag}: stratum without mass, rate kept",) if kept else ()
-    return replace(design, psi=psi), flags
+        psi, flags = fit_logistic(*_logistic_data(design, state, adj, covariates), start=design.psi)[0], ()
+    else:
+        psi, kept = rate_update(*_rate_counts(design, state, adj), design.psi, adj.directed)
+        flags = (f"{design.tag}: stratum without mass, rate kept",) if kept else ()
+    return trusted(SamplingDesign, tag=design.tag, psi=psi, waves=design.waves), flags
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,7 @@ class SbmParams:
             raise InputError(f"{name} must be {alpha.size} x {alpha.size}")
         if self.pi is not None and ((conn < 0).any() or (conn > 1).any()):
             raise InputError("pi entries must lie in [0, 1]")
-        # exact symmetry, the common case, skips the slower allclose
-        if not (self.directed or (conn == conn.T).all() or np.allclose(conn, conn.T)):
+        if not (self.directed or np.allclose(conn, conn.T)):
             raise InputError(f"undirected {name} must be symmetric")
         if self.gamma is not None and (self.beta.ndim != 1 or self.beta.size < 1):
             raise InputError("covariate variant needs a beta vector")
@@ -386,27 +385,31 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
     Centers start from a k-means++ draw; a cluster that empties, also by
     the repair of another, is reseeded from the point farthest from its
-    center among those not moved yet in that step.
+    center among those not moved yet in that step.  Distances go a center at
+    a time into one n x k buffer; both they and the centers (sum / count) are
+    the n x k x d differences and ``mean`` bit for bit.
     """
     n = points.shape[0]
     if k >= n:
         return np.arange(n) % k
     best_labels, best_inertia = None, np.inf
+    dist, diff = np.empty((n, k)), np.empty_like(points, dtype=float)
     for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp(points, k, rng)
         labels = np.zeros(n, dtype=int)
         for _ in range(KMEANS_MAX_ITER):
-            dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            for c in range(k):
+                np.square(np.subtract(points, centers[c], out=diff), out=diff).sum(axis=1, out=dist[:, c])
             new_labels = dist.argmin(axis=1)
-            while (empty := np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)).size:
+            while not (counts := np.bincount(new_labels, minlength=k)).all():
                 farthest = int(np.argmax(dist[np.arange(n), new_labels]))
-                new_labels[farthest] = empty[0]
+                new_labels[farthest] = counts.argmin()   # the first empty cluster
                 dist[farthest, :] = -np.inf
-            if np.array_equal(new_labels, labels):
-                labels = new_labels
+            if (new_labels == labels).all():
                 break
             labels = new_labels
-            centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
+            for c in range(k):
+                np.divide(points[labels == c].sum(axis=0), counts[c], out=centers[c])
         inertia = float(((points - centers[labels]) ** 2).sum())
         if inertia < best_inertia - 1e-12:
             best_inertia, best_labels = inertia, labels
@@ -415,15 +418,14 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
-    centers = [points[rng.integers(n)]]
-    for _ in range(1, k):
-        d2 = np.min([(np.square(points - c).sum(axis=1)) for c in centers], axis=0)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.full(n, np.inf)
+    for c in range(1, k):
+        np.minimum(d2, np.square(points - centers[c - 1]).sum(axis=1), out=d2)
         total = d2.sum()
-        if total <= 0:
-            centers.append(points[rng.integers(n)])
-            continue
-        centers.append(points[rng.choice(n, p=d2 / total)])
-    return np.array(centers)
+        centers[c] = points[rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)]
+    return centers
 
 
 # ---------------------------------------------------------------------------

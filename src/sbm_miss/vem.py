@@ -62,6 +62,7 @@ from .network import (
     safe_log,
     safe_logit,
     transfer_covariates,
+    trusted,
     xlogx,
 )
 from .sampling import (
@@ -149,8 +150,8 @@ class ControlOptions:
     workers: int = 1
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise InputError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:   # False on NaN
+            raise InputError("threshold must be finite and positive")
         if self.max_iter < 1 or self.fix_point_iter < 1 or self.iterates < 1 or self.workers < 1:
             raise InputError("iteration counts must be positive")
         if self.exploration not in ("forward", "backward", "both", "none"):
@@ -213,7 +214,7 @@ class _Engine:
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
         self._counts = (None, None)   # (state, its block_counts)
         self._y = None   # MNAR: the one n x n buffer y = A_obs + nu of the fit
-        self._y_nu = None   # MNAR: the (read-only) nu array that _y holds
+        self._y_nu = None   # MNAR: the nu array that _y holds
 
     # -- initialization ------------------------------------------------------
 
@@ -233,7 +234,7 @@ class _Engine:
 
         Under MNAR the fit holds one n x n buffer and rewrites it in place at
         the missing dyads when given another nu array than the one it holds
-        (nu arrays are read-only, so the same array holds the same values); a
+        (nu arrays are never written once built, so the same array holds the same values); a
         caller's y is valid until the next call.  MAR fits build a fresh
         zero-filled matrix per call rather than hold one between iterations.
         """
@@ -273,13 +274,13 @@ class _Engine:
             start = (prev.gamma, prev.beta) if prev is not None and prev.variant == "covariate" else None
             gamma, beta = fit_covariate_connectivity(self.adj, state, self.covariates,
                                                      start=start, counts=self.block_counts(state))
-            params = SbmParams(alpha=alpha, gamma=gamma, beta=beta, directed=self.directed)
+            params = trusted(SbmParams, alpha=alpha, gamma=gamma, beta=beta, directed=self.directed)
         else:
             fallback = prev.pi if prev is not None else np.full((alpha.size,) * 2, self.adj.observed_density)
             pi, kept = rate_update(*self.block_counts(state), fallback, self.directed)
             if kept:
                 flags += ("empty block pair: pi entry kept",)
-            params = SbmParams(alpha=alpha, pi=pi, directed=self.directed)
+            params = trusted(SbmParams, alpha=alpha, pi=pi, directed=self.directed)
         new_design = design
         if self.tag is not None:
             new_design, psi_flags = update_psi(design, state, self.adj, self.covariates)
@@ -316,11 +317,10 @@ class _Engine:
             if t < 1.0:
                 self.damped_rounds += 1
             tau = tau + t * step
-            tau.flags.writeable = False
             grad = grad + t * grad_step
             if self.mnar and self.adj.n_missing:
                 nu = self._nu_update(design, tau, nu, tables[0], cov_effect)
-        return VariationalState(tau=tau, nu=nu)
+        return trusted(VariationalState, tau=tau, nu=nu)
 
     def _ve_terms(self, params, design):
         """Per-call pieces of the tau update.
@@ -414,7 +414,7 @@ class _Engine:
         return lambda t: t * slope + t * t * curvature - float((xlogx(tau + t * step) - entropy).sum())
 
     def _nu_update(self, design, tau, nu, logit, cov_effect):
-        """Imputation means at fixed tau and parameters, as a read-only array.
+        """Imputation means at fixed tau and parameters.
 
         The model logit of missing dyad (i, j) is tau_i' L tau_j, with L the
         ``logit`` table of ``_ve_terms`` (plus beta . x_ij, per class, for the covariate SBM).  It is
@@ -427,7 +427,6 @@ class _Engine:
             base += cov_effect.take(self._class_index.take(flat))
         z = base + nu_logit_correction(design, self.adj, nu)
         proposed = logistic(z, out=z)
-        proposed.flags.writeable = False
         if DESIGNS[design.tag].psi != "expected degree":
             return proposed
         # Expected-degree features couple the missing dyads through the
@@ -437,7 +436,6 @@ class _Engine:
         step = 1.0
         for _ in range(6):
             cand = nu + step * (proposed - nu)
-            cand.flags.writeable = False
             if self._nu_objective(base, tau, cand, design) >= current - 1e-12:
                 return cand
             step *= 0.5
@@ -445,7 +443,7 @@ class _Engine:
 
     def _nu_objective(self, base, tau, nu, design) -> float:
         value = float(base @ nu)
-        value += sampling_loglik(design, VariationalState(tau=tau, nu=nu), self.adj)
+        value += sampling_loglik(design, trusted(VariationalState, tau=tau, nu=nu), self.adj)
         value += float(-(xlogx(nu) + xlogx(1.0 - nu)).sum())
         return value
 
@@ -642,13 +640,13 @@ def _unpack(x: np.ndarray, params: SbmParams, design: Optional[SamplingDesign]
     arrays = {name: take(a.shape) for name, a in params.arrays.items()}
     if "pi" in arrays:
         arrays["pi"] = logistic(arrays["pi"])
-    new = SbmParams(alpha=alpha, directed=directed, **arrays)
+    new = trusted(SbmParams, alpha=alpha, directed=directed, **arrays)
     if design is None:
         return new, None
     psi = take(design.psi.shape)
     if DESIGNS[design.tag].family == "rate":
         psi = logistic(psi)
-    return new, replace(design, psi=psi)
+    return new, trusted(SamplingDesign, tag=design.tag, psi=psi, waves=design.waves)
 
 
 def _squarem_point(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -781,7 +779,7 @@ def fit_from_json(adj: PartialAdjacency, data: dict,
         if data.get("design") is not None:
             design = SamplingDesign(data["design"]["tag"], data["design"]["psi"],
                                     waves=int(data["design"].get("waves", 1)))
-        tau = np.array(data["tau"], dtype=float)
+        tau = VariationalState(tau=np.array(data["tau"], dtype=float)).tau   # checked before the nu loop
         penalty = float(data.get("penalty", 0.0))
         stored_icl = None if data.get("icl") is None else float(data["icl"])
     except (KeyError, TypeError, ValueError) as exc:

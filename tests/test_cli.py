@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbm_miss import cli
+from sbm_miss import cli, io, vem
 from sbm_miss.errors import NumericalError
 from sbm_miss.evaluation import SWEEP_DESIGNS
 from sbm_miss.sampling import AVAILABLE_SAMPLINGS
@@ -147,6 +147,9 @@ def test_input_errors_exit_2(tmp_path):
                "--pi-between", 0.5, "--out", net) == 0
     assert run("fit", "--input", net, "--blocks", "0:2", "--sampling", "dyad",
                "--out", tmp_path / "f.json") == 2
+    for threshold in ("0", "nan", "inf"):   # a NaN would never stop a fit, an inf stops it at once
+        assert run("fit", "--input", net, "--blocks", "1", "--sampling", "dyad", "--threshold", threshold,
+                   "--out", tmp_path / "f.json") == 2
     assert run("observe", "--input", net, "--sampling", "dyad", "--parameters", "zebra",
                "--out", tmp_path / "o.csv") == 2
     obs = tmp_path / "obs.csv"
@@ -265,6 +268,25 @@ def test_numerical_failures_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "estimate_miss_sbm", boom)
     assert run("fit", "--input", net, "--blocks", "1", "--sampling", "dyad",
+               "--out", tmp_path / "f.json") == 3
+
+
+def test_a_non_finite_loop_value_is_a_numerical_failure(tmp_path, monkeypatch):
+    # the EM loop builds its parameters without the input checks; a NaN pi from
+    # the M step is refused where it is built, as a numerical failure (exit 3)
+    net = tmp_path / "net.csv"
+    assert run("generate", "--nodes", 12, "--blocks", 2, "--pi-within", 0.6,
+               "--pi-between", 0.1, "--out", net) == 0
+    rate_update = vem.rate_update
+
+    def nan_pi(*args):
+        pi, kept = rate_update(*args)
+        return np.full_like(pi, np.nan), kept
+
+    monkeypatch.setattr(vem, "rate_update", nan_pi)
+    with pytest.raises(NumericalError, match=r"Q=2: SbmParams.pi entries are not finite"):
+        vem.fit_single(io.read_dense_csv(net), 2, "dyad")
+    assert run("fit", "--input", net, "--blocks", "1:2", "--sampling", "dyad",
                "--out", tmp_path / "f.json") == 3
 
 

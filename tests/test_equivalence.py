@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,8 @@ def test_report_flags_a_moved_fit():
     tool = load_tool()
     base = {"dyad case": {"mask": "m", "fit": "a",
                           "models": [{"alpha": [0.5, 0.5], "pi/gamma": [0.2], "beta": [], "psi": [0.6],
-                                      "icl": [10.0], "tau": [0.9, 0.1], "bound": [-5.0], "rows": 4}]},
+                                      "icl": [10.0], "tau": [0.9, 0.1], "nu": [0.3, 0.6],
+                                      "bound": [-7.0, -5.0], "delta": [math.inf, 0.5], "rows": 4}]},
             "sweep case": {"psi": "p"}}
     tree = copy.deepcopy(base)
     assert not any(line.startswith("DIFF") for line in tool._compare(base, tree))
@@ -74,3 +76,14 @@ def test_report_flags_a_moved_fit():
     assert "dtau 1.0e-30" in tool._compare(base, tree)[0]
     assert tool._split(base, tree).endswith("1 at rounding level (every field below 1e-10 relative, "
                                             "equal EM rows), 0 moved: -")
+    # a fit whose nu alone moved, or an earlier row's bound or delta: each is named
+    for field, moved, change in (("nu", [0.3, 0.65], "dnu 5.0e-02"), ("bound", [-7.5, -5.0], "dbound 6.7e-02"),
+                                 ("delta", [math.inf, 0.25], "ddelta 2.5e-01"), ("delta", [1.0, 0.5], "ddelta inf")):
+        base = {"case": copy.deepcopy(tree["tau case"])}
+        changed = copy.deepcopy(base)
+        changed["case"]["fit"] = "e"
+        changed["case"]["models"][0][field] = moved
+        [line] = tool._compare(base, changed)
+        assert line.startswith("DIFF case:") and change in line
+        assert all(f"d{f} 0.0e+00" in line for f in tool.FIELDS if f != field)
+        assert tool._split(base, changed).endswith("1 moved: case")

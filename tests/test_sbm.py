@@ -551,11 +551,25 @@ def reference_kmeans(points, k, rng, restarts=10, max_iter=100):
     return best_labels
 
 
+def imputed_block(n, seed):
+    """A block's rows of an imputed undirected adjacency, as a split candidate clusters
+    them: observed dyads 0 or 1, missing ones at their nu in (0, 1), a 0 diagonal."""
+    rng = np.random.default_rng(seed)
+    block = (rng.random((n, n)) < 0.3).astype(float)
+    missing = rng.random((n, n)) < 0.25
+    block[missing] = rng.random(missing.sum())
+    block = np.triu(block, 1)
+    return block + block.T
+
+
 KMEANS_CASES = {
     "uniform": (np.random.default_rng(1).random((40, 3)), 3),
     "binary": ((np.random.default_rng(2).random((30, 12)) < 0.4).astype(float), 2),
     "d = 1": (np.random.default_rng(4).random((25, 1)), 3),
     "k = n - 1": (np.random.default_rng(5).random((6, 2)), 5),
+    # the shapes the package feeds it: a split candidate, and a spectral start of 4 blocks
+    "split candidate": (imputed_block(30, 6), 2),
+    "spectral": (spectral_embedding(sample_network(planted_params(4, 0.5, 0.05), 50, rng_seed=7)[0], 4), 4),
 }
 # inputs where repairing one empty cluster empties another: the reference
 # loop leaves that cluster empty, its centre the mean of no rows.  Repaired,

@@ -22,9 +22,11 @@ tree, the copy and this checkout, each importing ``sbm_miss`` from its own
 
 Per case the report gives the hash of the mask, of the fit JSON (or of the
 sweep psi, or of the CLI outputs), the largest relative change of alpha,
-pi or gamma, beta, psi, ICL, tau and the last monitored bound over the
-collection's models, and the EM row counts of the models.  tau entries are
-probabilities, so their change is taken relative to 1, the row sum.  One
+pi or gamma, beta, psi, ICL, tau, nu (empty for MAR fits) and every
+monitoring row's bound and delta (row 0's delta is inf) over the
+collection's models, and the EM row counts of the models.  tau and nu
+entries are probabilities, and a delta is an absolute move held against an
+absolute threshold, so their changes are taken relative to 1.  One
 line then splits the differing cases in two: at rounding level (a fit on
 the same mask, with equal EM row counts and every field below ``ROUNDING``
 relative) and moved (every other, by name).  The exit code is 1 when a
@@ -38,6 +40,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,8 +72,8 @@ GRIDS = {
     "tiny": dict(n=14, blocks=[1, 2], seeds=[0], directed=[False, True], use_cov=[False, True],
                  dyadic=False),
 }
-FIELDS = ("alpha", "pi/gamma", "beta", "psi", "icl", "tau", "bound")
-FLOORS = {"tau": 1.0}   # a field's change is relative to max(|value|, its floor), default 0
+FIELDS = ("alpha", "pi/gamma", "beta", "psi", "icl", "tau", "nu", "bound", "delta")
+FLOORS = {"tau": 1.0, "nu": 1.0, "delta": 1.0}   # a change is relative to max(|value|, the floor), default 0
 ROUNDING = 1e-10   # a differing fit is at rounding level when every field moved less, relative
 CLI_CASES = ("block-node", "covar-node")   # the designs of the CLI runs, see _cli_case
 
@@ -90,7 +93,9 @@ def _model_numbers(fit) -> dict:
             "beta": fit.params.beta.tolist() if covariate else [],
             "psi": fit.design.psi.ravel().tolist(),
             "icl": [float(fit.icl)], "tau": fit.state.tau.ravel().tolist(),
-            "bound": [float(fit.monitoring[-1].elbo)], "rows": len(fit.monitoring)}
+            "nu": [] if fit.state.nu is None else fit.state.nu.tolist(),
+            "bound": [float(row.elbo) for row in fit.monitoring],
+            "delta": [float(row.delta) for row in fit.monitoring], "rows": len(fit.monitoring)}
 
 
 def _cli_case(n: int, tag: str) -> dict:
@@ -204,8 +209,10 @@ def _rel_change(a: list, b: list, floor: float = 0.0) -> float:
         return float("inf")
     worst = 0.0
     for x, y in zip(a, b):
-        scale = max(abs(x), abs(y), floor)
-        worst = max(worst, abs(x - y) / scale if scale else 0.0)
+        if x == y:   # inf included, row 0's delta
+            continue
+        change = abs(x - y)   # inf or NaN when x or y is not finite
+        worst = max(worst, change / max(abs(x), abs(y), floor) if math.isfinite(change) else math.inf)
     return worst
 
 
