@@ -55,6 +55,8 @@ ALPHA_TOL = 1e-10
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
 SLAB = 8192   # entries per temporary array of the class count walks
+LANCZOS_ROWS_PER_VECTOR = 50   # n >= 50 k: the truncated solver is at least as fast as the dense one
+LANCZOS_TOL = 1e-13            # Ritz residual of convergence, and Lanczos step of breakdown, relative
 
 
 @dataclass(frozen=True)
@@ -345,16 +347,56 @@ def spectral_embedding(adj: PartialAdjacency, k: int) -> np.ndarray:
     Missing dyads count as zero; directed matrices are symmetrized.  The
     columns are the eigenvectors in one stable order by decreasing
     |eigenvalue|, so the first q columns are the embedding for q blocks
-    whatever k >= q is.
+    whatever k >= q is.  From n >= 50 k the truncated ``_lanczos`` computes
+    them, and the dense ``eigh`` below that and wherever ``_lanczos`` gives
+    up.  The two agree column by column up to sign, which k-means does not
+    see: negation is exact.
     """
     a = adj.filled(0.0)
     if adj.directed:
         a = 0.5 * (a + a.T)
     try:
+        if adj.n >= LANCZOS_ROWS_PER_VECTOR * k and (eigvec := _lanczos(a, k)) is not None:
+            return eigvec
         eigval, eigvec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed in spectral initialization") from exc
     return eigvec[:, np.argsort(-np.abs(eigval), kind="stable")[:k]]
+
+
+def _lanczos(a: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """The k eigenvectors of largest |eigenvalue| of the symmetric ``a``, in
+    ``spectral_embedding``'s order, or None where the dense solver should run.
+
+    Lanczos from one fixed start vector with full reorthogonalisation (two
+    classical Gram-Schmidt passes).  The tridiagonal's Ritz pairs are checked
+    at a stride growing with m, until each of the k leading by |theta| has a
+    residual |beta_m s_mi| <= LANCZOS_TOL max|theta|.  None on breakdown (an
+    invariant Krylov space: no edge, equal cliques, a complete bipartite
+    graph) and at n / 2 vectors, where the dense solver is cheaper.
+    """
+    n = a.shape[0]
+    basis, diag, off = np.empty((n // 2 + 1, n)), np.empty(n // 2), np.empty(n // 2)
+    start = np.random.default_rng(0).random(n)
+    basis[0] = start / np.linalg.norm(start)
+    scale, due = 0.0, k
+    for m in range(n // 2):
+        w = a @ basis[m]
+        diag[m] = basis[m] @ w
+        for _ in range(2):
+            w -= (basis[:m + 1] @ w) @ basis[:m + 1]
+        off[m] = np.linalg.norm(w)
+        scale = max(scale, abs(diag[m]), off[m])
+        if off[m] <= LANCZOS_TOL * scale:
+            return None
+        basis[m + 1] = w / off[m]
+        if m + 1 >= due:
+            due = m + 1 + max(5, (m + 1) // 4)
+            theta, s = np.linalg.eigh(np.diag(diag[:m + 1]) + np.diag(off[:m], 1) + np.diag(off[:m], -1))
+            top = np.argsort(-np.abs(theta), kind="stable")[:k]
+            if (np.abs(off[m] * s[m, top]) <= LANCZOS_TOL * np.abs(theta).max()).all():
+                return basis[:m + 1].T @ s[:, top]
+    return None
 
 
 def spectral_init(adj: PartialAdjacency, q: int, rng_seed: int = 0,

@@ -7,6 +7,7 @@ import pytest
 from sbm_miss import (
     CovariateSet,
     InputError,
+    PartialAdjacency,
     SamplingDesign,
     SbmParams,
     VariationalState,
@@ -18,6 +19,7 @@ from sbm_miss import (
     sample_network,
     spectral_init,
 )
+from sbm_miss import sbm
 from sbm_miss.network import fit_logistic, log_sigmoid
 from sbm_miss.sbm import (covariate_classes, dyad_covariate_effect, fit_covariate_connectivity, kmeans,
                           spectral_embedding)
@@ -508,6 +510,63 @@ class TestSpectralInit:
         adj = random_partial(10, False, 3)
         with pytest.raises(InputError):
             spectral_init(adj, 3, 0, spectral_embedding(adj, 2))
+
+    @staticmethod
+    def dense_embedding(adj, k):
+        """The embedding by the dense eigh alone, the reference of the truncated solver."""
+        a = adj.filled(0.0)
+        if adj.directed:
+            a = 0.5 * (a + a.T)
+        eigval, eigvec = np.linalg.eigh(a)
+        return eigvec[:, np.argsort(-np.abs(eigval), kind="stable")[:k]]
+
+    @staticmethod
+    def spy_lanczos(monkeypatch):
+        """The rows and the result (None when it gave up) of every ``_lanczos`` call."""
+        calls, lanczos = [], sbm._lanczos
+
+        def spy(a, k):
+            calls.append((a.shape[0], lanczos(a, k)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sbm, "_lanczos", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("case", ["undirected", "directed", "partial"])
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_truncated_embedding_is_the_dense_one(self, n, case, k, monkeypatch):
+        adj, _ = sample_network(planted_params(4, 0.5, 0.05, directed=case == "directed"), n, rng_seed=n + k)
+        if case == "partial":
+            adj = observe_network(adj, SamplingDesign("dyad", 0.7), rng_seed=n)
+        calls = self.spy_lanczos(monkeypatch)
+        embedding, reference = spectral_embedding(adj, k), self.dense_embedding(adj, k)
+        assert len(calls) == 1 and calls[0][1] is not None   # the truncated path ran and converged
+        for col, ref in zip(embedding.T, reference.T):
+            assert min(np.abs(col - ref).max(), np.abs(col + ref).max()) < 1e-10
+        for q in range(2, k + 1):
+            np.testing.assert_array_equal(spectral_init(adj, q, q, embedding).labels,
+                                          spectral_init(adj, q, q, reference).labels)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_truncated_solver_from_50_rows_per_vector(self, k, monkeypatch):
+        calls = self.spy_lanczos(monkeypatch)
+        for n in (50 * k - 1, 50 * k):
+            spectral_embedding(sample_network(planted_params(k, 0.5, 0.05), n, rng_seed=n)[0], k)
+        assert [rows for rows, _ in calls] == [50 * k]
+
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize("case", ["no edge", "equal cliques", "complete bipartite"])
+    def test_degenerate_spectrum_falls_back_to_the_dense_result(self, case, k, monkeypatch):
+        blocks = np.arange(300) // 100
+        mat = {"no edge": np.zeros((300, 300)),
+               "equal cliques": (blocks[:, None] == blocks).astype(float),
+               "complete bipartite": ((blocks[:, None] == 0) != (blocks == 0)).astype(float)}[case]
+        np.fill_diagonal(mat, np.nan)
+        adj = PartialAdjacency(mat)
+        calls = self.spy_lanczos(monkeypatch)
+        np.testing.assert_array_equal(spectral_embedding(adj, k), self.dense_embedding(adj, k))
+        assert calls == [(300, None)]
 
 
 def reference_kmeans_pp(points, k, rng):

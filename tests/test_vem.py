@@ -29,7 +29,7 @@ from sbm_miss import (
     sample_network,
     spectral_init,
 )
-from sbm_miss import sampling, vem
+from sbm_miss import sampling, sbm, vem
 from sbm_miss.network import log_sigmoid, safe_log, safe_logit, trusted
 from sbm_miss.sampling import DESIGNS, make_default_design
 from sbm_miss.vem import ELBO_SLACK, ICL_TIE_TOL, _Engine, fit_from_json
@@ -814,15 +814,22 @@ class TestEstimateAndExplore:
                                 control=ControlOptions(rng_seed=44, workers=2))
         assert json.dumps(one.to_json()) == json.dumps(two.to_json())
 
-    def test_one_eigendecomposition_serves_every_q(self, monkeypatch):
-        adj, _ = sample_network(planted_params(3, 0.6, 0.1), 30, rng_seed=64)
+    # n = 30 takes the dense eigh, n = 200 the truncated solver (n >= 50 x 4 blocks)
+    @pytest.mark.parametrize("n, qmax", [(30, 6), (200, 4)])
+    def test_one_eigendecomposition_serves_every_q(self, n, qmax, monkeypatch):
+        adj, _ = sample_network(planted_params(3, 0.6, 0.1), n, rng_seed=64)
         observed = observe_network(adj, SamplingDesign("node", 0.8), rng_seed=65)
         control = ControlOptions(rng_seed=66, exploration="none", max_iter=3)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-        coll = estimate_miss_sbm(observed, range(1, 7), "node", control=control)
-        assert calls == [(30, 30)]
+        calls, embedding = [], sbm.spectral_embedding
+
+        def spy(adj, k):
+            calls.append((adj.n, k))
+            return embedding(adj, k)
+
+        for module in (vem, sbm):
+            monkeypatch.setattr(module, "spectral_embedding", spy)
+        coll = estimate_miss_sbm(observed, range(1, qmax + 1), "node", control=control)
+        assert calls == [(n, qmax)]
         for fit in coll.models:
             alone = fit_single(observed, fit.q, "node", control=control)
             assert json.dumps(fit.to_json()) == json.dumps(alone.to_json())

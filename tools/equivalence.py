@@ -18,7 +18,13 @@ tree, the copy and this checkout, each importing ``sbm_miss`` from its own
 * two CLI ``generate`` / ``observe`` / ``fit`` / ``impute`` runs, fitted and
   imputed at ``--threads`` 1 and 2: block-node on a dense CSV, and
   covar-node on triplets with a binary nodal covariate file and
-  ``--use-cov``.
+  ``--use-cov``;
+* spectral starts at n = 200 and 300, where the truncated eigensolver runs:
+  on an undirected and a directed planted network, two seeds, the labels of
+  ``spectral_init`` for Q = 2..4 from one ``spectral_embedding`` of 4
+  columns;
+* one block-node ``estimate_miss_sbm`` over Q = 1..3 at n = 200, exploration
+  "none".
 
 Per case the report gives the hash of the mask, of the fit JSON (or of the
 sweep psi, or of the CLI outputs), the largest relative change of alpha,
@@ -65,12 +71,13 @@ PSI = {
 }
 SWEEP = ("dyad", "double-standard", "node", "block-node")
 GRIDS = {
-    # nodes, block counts fitted, seeds, directed values, use_cov values
-    # and whether to add the fits on a 3-level dyadic covariate
+    # nodes, block counts fitted, seeds, directed values, use_cov values,
+    # whether to add the fits on a 3-level dyadic covariate, the nodes of the
+    # spectral-start cases and of the large fit (None: no such fit)
     "full": dict(n=30, blocks=[1, 2, 3], seeds=[0, 1], directed=[False, True], use_cov=[False, True],
-                 dyadic=True),
+                 dyadic=True, spectral=[200, 300], large=200),
     "tiny": dict(n=14, blocks=[1, 2], seeds=[0], directed=[False, True], use_cov=[False, True],
-                 dyadic=False),
+                 dyadic=False, spectral=[], large=None),
 }
 FIELDS = ("alpha", "pi/gamma", "beta", "psi", "icl", "tau", "nu", "bound", "delta")
 FLOORS = {"tau": 1.0, "nu": 1.0, "delta": 1.0}   # a change is relative to max(|value|, the floor), default 0
@@ -138,6 +145,7 @@ def run_grid(grid: dict) -> dict:
     import numpy as np
     import sbm_miss
     from sbm_miss.evaluation import ExperimentSpec, _draw_sweep_design
+    from sbm_miss.sbm import spectral_embedding
 
     cases = {}
     for directed in grid["directed"]:
@@ -173,6 +181,27 @@ def run_grid(grid: dict) -> dict:
             spec = ExperimentSpec(params=params, n_nodes=grid["n"], design=tag, rate_range=(0.3, 0.9))
             psi = _draw_sweep_design(spec, 3, np.random.default_rng(seed)).psi
             cases[f"sweep {tag} seed={seed}"] = {"psi": _sha(repr((psi.shape, psi.tolist())).encode())}
+    large_pi = np.full((3, 3), 0.05) + np.eye(3) * 0.3   # of the spectral starts and the large fit
+    for n in grid["spectral"]:
+        for directed in grid["directed"]:
+            for seed in grid["seeds"]:
+                params = sbm_miss.SbmParams(alpha=np.full(3, 1 / 3), pi=large_pi, directed=directed)
+                adj, _ = sbm_miss.sample_network(params, n, rng_seed=400 + seed)
+                embedding = spectral_embedding(adj, 4)
+                labels = [sbm_miss.spectral_init(adj, q, seed, embedding).labels.tolist() for q in (2, 3, 4)]
+                case = f"spectral n={n} {'directed' if directed else 'undirected'} seed={seed}"
+                cases[case] = {"labels q=2..4": _sha(json.dumps(labels).encode())}
+    if grid["large"]:
+        params = sbm_miss.SbmParams(alpha=np.full(3, 1 / 3), pi=large_pi)
+        adj, draw = sbm_miss.sample_network(params, grid["large"], rng_seed=500)
+        observed = sbm_miss.observe_network(adj, sbm_miss.SamplingDesign("block-node", PSI["block-node"]),
+                                            clusters=sbm_miss.Partition(labels=draw.labels, q=3), rng_seed=501)
+        coll = sbm_miss.estimate_miss_sbm(observed, [1, 2, 3], "block-node",
+                                          control=sbm_miss.ControlOptions(rng_seed=502, exploration="none"))
+        cases[f"block-node undirected n={grid['large']} exploration=none"] = {
+            "mask": _sha(np.isnan(observed.matrix).tobytes()),
+            "fit": _sha(json.dumps(coll.to_json(), sort_keys=True).encode()),
+            "models": [_model_numbers(fit) for fit in coll.models]}
     with redirect_stdout(io.StringIO()):
         for tag in CLI_CASES:
             cases[f"cli {tag}"] = _cli_case(grid["n"], tag)
