@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import sys
@@ -27,10 +26,9 @@ from .vem import ControlOptions, estimate_miss_sbm, fit_from_json, impute
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not hasattr(args, "func"):
-        parser.print_help()
+        _PARSER.print_help()
         return 2
     # --trace: the fit monitoring rows, logged at INFO, go to stderr
     log = logging.getLogger("sbm_miss")
@@ -52,7 +50,6 @@ def main(argv=None) -> int:
         log.setLevel(level)
 
 
-@functools.cache   # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sbm-miss",
                                      description="SBM estimation for partially observed networks")
@@ -369,6 +366,8 @@ def _cmd_compare(args):
                            control=_control(args), covariates=covariates)
     io.write_csv_rows(args.out, ["design", "Q", "ICL", "error"], rows)
 
+
+_PARSER = _build_parser()   # at import: argparse's first parser loads locale, not the first command
 
 if __name__ == "__main__":
     sys.exit(main())

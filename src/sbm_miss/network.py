@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+import numpy.random   # noqa: F401  at import: numpy loads it on first use, and every fit seeds through it
 
 from .errors import InputError, NumericalError
 

@@ -41,12 +41,10 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import InputError, NumericalError
 from .network import (
@@ -636,7 +634,9 @@ def _unpack(x: np.ndarray, params: SbmParams, design: Optional[SamplingDesign]
         out = x[pos - size:pos].reshape(shape)
         return out if directed or len(shape) < 2 else (out + out.T) / 2.0
 
-    alpha = softmax(take((q,)))
+    v = take((q,))
+    alpha = np.exp(v - v.max())   # the softmax, as scipy.special.softmax computes it
+    alpha /= alpha.sum()
     arrays = {name: take(a.shape) for name, a in params.arrays.items()}
     if "pi" in arrays:
         arrays["pi"] = logistic(arrays["pi"])
@@ -832,6 +832,7 @@ def fan_out(func, tasks: list, workers: int) -> list:
     """``func`` of every task, in order; in a pool of ``workers`` processes
     when there is more than one of each."""
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor   # ~15 ms of import, for pools only
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, tasks))
     return [func(task) for task in tasks]
@@ -950,9 +951,7 @@ def _split_candidates(base: FitResult, q_target: int, control: ControlOptions):
             halves = np.arange(members.size) % 2
         else:
             rng = np.random.default_rng(derive_seed(control.rng_seed, q_target, 17, block))
-            halves = kmeans(sub, 2, rng)
-            if len(np.unique(halves)) < 2:
-                halves = np.arange(members.size) % 2
+            halves = kmeans(sub, 2, rng)   # both clusters non-empty
         labels = np.array(z)
         labels[members[halves == 1]] = q_target - 1
         yield labels

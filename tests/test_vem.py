@@ -709,6 +709,15 @@ class TestSquarem:
         params_far, design_far = vem._unpack(far, params, design)
         assert np.isfinite(vem._pack(params_far, design_far)).all()
 
+    @pytest.mark.parametrize("q", [1, 2, 5, 12])
+    def test_unpacked_alpha_is_scipy_softmax_bit_for_bit(self, q):
+        params = SbmParams(alpha=np.full(q, 1.0 / q), pi=np.full((q, q), 0.3))
+        rng = np.random.default_rng(q)
+        for spread in (1.0, 30.0, 700.0):
+            for _ in range(20):
+                x = np.concatenate([rng.uniform(-spread, spread, q), rng.normal(size=q * q)])
+                assert vem._unpack(x, params, None)[0].alpha.tobytes() == softmax(x[:q]).tobytes()
+
     def test_refused_extrapolations_skip_one_iteration_and_keep_the_bound(self):
         refused = 0
         for seed in range(6):
