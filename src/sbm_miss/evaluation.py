@@ -93,6 +93,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.replicates < 1:
             raise InputError("replicate count must be >= 1")
+        if self.base_seed < 0:
+            raise InputError(f"base_seed must be >= 0, got {self.base_seed}")
         lo, hi = self.rate_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise InputError("rate range must satisfy 0 <= lo <= hi <= 1")

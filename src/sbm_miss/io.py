@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .network import CovariateSet, PartialAdjacency
+from .network import CovariateSet, PartialAdjacency, check_dense_size
 
 
 def format_real(x: float) -> str:
@@ -116,6 +116,7 @@ def read_triplets(path, n: int | None = None, directed: bool = False,
         raise InputError(f"{path}: node index {max_index} exceeds declared node count {n}")
     if n == 0:
         raise InputError(f"{path}: no dyads and no node count given")
+    check_dense_size(n)
     fill = np.nan if default_missing else 0.0
     mat = np.full((n, n), fill)
     for (i, j), v in entries.items():

@@ -11,6 +11,7 @@ the one Newton loop of every logistic M step (the covariate SBM's included).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -67,11 +68,13 @@ def xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Build a generator from an int seed, a SeedSequence, or a Generator."""
+    """Build a generator from an int seed >= 0, a SeedSequence, or a Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
+    if int(seed) < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
@@ -129,13 +132,6 @@ def rate_update(obs, total, prev, directed: bool) -> tuple[np.ndarray, bool]:
     if rate.ndim == 2 and not directed:
         rate = 0.5 * (rate + rate.T)
     return np.minimum(np.maximum(rate, 0.0), 1.0), bool(np.any(total <= 0))
-
-
-def pair_mass(tau) -> np.ndarray:
-    """tau' (1 - I) tau, the block-pair mass of all ordered pairs of distinct
-    nodes, as s s' - tau' tau with s the column sums of tau."""
-    s = tau.sum(axis=0)
-    return np.outer(s, s) - tau.T @ tau
 
 
 def safe_log(p):
@@ -361,6 +357,14 @@ class PartialAdjacency:
             mi, mj = self.missing_pairs
             flat[mj * self.n + mi] = vals
 
+    def values_at(self, rows, cols) -> np.ndarray:
+        """Values of the dyads (rows[k], cols[k]): 0, 1, or NaN where missing."""
+        return self._matrix[rows, cols]
+
+    def pair_matrices(self) -> "PairMatrices":
+        """A fresh store of the pair matrices for one fit: every store is built here."""
+        return PairMatrices(self)
+
     def mask_where(self, keep: np.ndarray) -> "PartialAdjacency":
         """Copy with every dyad where ``keep`` is false turned missing."""
         out = np.array(self._matrix)
@@ -380,6 +384,56 @@ class PartialAdjacency:
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"PartialAdjacency(n={self.n}, {kind}, missing={self.n_missing}/{self.n_dyads})"
+
+
+def check_dense_size(n: int) -> None:
+    """Refuse a node count whose one n x n float matrix alone exceeds physical memory."""
+    need, budget = 8 * n * n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > budget:
+        raise InputError(f"{n} nodes need {need} bytes for one n x n float matrix, "
+                         f"over the {budget} bytes of physical memory")
+
+
+class PairMatrices:
+    """The pair matrices of the bound, stored dense: y (the observed network,
+    missing dyads at nu), the mask R and, as None, the all-ones pairs off the
+    diagonal.  The EM loop reads pair storage through these four methods only."""
+
+    def __init__(self, adj: PartialAdjacency):
+        self.adj, self.directed = adj, adj.directed
+        self._y = self._y_nu = None   # the one n x n buffer of y, and the nu array it holds
+
+    def y(self, nu) -> np.ndarray:
+        """y at ``nu``; at 0, a fresh matrix per call, for nu None (MAR fits).  The buffer is
+        rewritten at the missing dyads only for another nu array than it holds (nu arrays
+        are never written once built); a caller's y is valid until the next call."""
+        if nu is None:
+            return self.adj.filled(0.0)
+        if self._y is None:
+            self._y = self.adj.filled(nu)
+        elif self.adj.n_missing and nu is not self._y_nu:
+            self.adj.fill_missing(self._y, nu)
+        self._y_nu = nu
+        return self._y
+
+    def r(self) -> np.ndarray:
+        """The mask R, built on first use and held by the network."""
+        return self.adj.observed_mask
+
+    def times(self, m, t: np.ndarray):
+        """(m t, m' t) for a pair matrix m of the store, None for the all-ones pairs
+        (column sums less t); m' t is None when undirected, where m is symmetric."""
+        rows = t.sum(axis=0) - t if m is None else m @ t
+        return rows, ((rows if m is None else m.T @ t) if self.directed else None)
+
+    @staticmethod
+    def quad(m, tau: np.ndarray) -> np.ndarray:
+        """tau' m tau, left to right.  For None, tau' (1 - I) tau, the block-pair mass of all
+        ordered pairs of distinct nodes, as s s' - tau' tau with s the column sums of tau."""
+        if m is not None:
+            return tau.T @ m @ tau
+        s = tau.sum(axis=0)
+        return np.outer(s, s) - tau.T @ tau
 
 
 @dataclass(frozen=True)

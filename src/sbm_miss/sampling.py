@@ -58,7 +58,6 @@ from .network import (
     fit_logistic,
     logistic,
     logistic_loglik,
-    pair_mass,
     rate_loglik,
     rate_update,
     safe_log,
@@ -209,7 +208,7 @@ def _logistic_data(design, state, adj, covariates) -> tuple[np.ndarray, np.ndarr
     x = _features(design, adj, state.nu, covariates)
     if DESIGNS[design.tag].centering == "node-centered":
         return x, adj.observed_nodes
-    return x, adj.observed_mask[adj.pairs]
+    return x, 1.0 - np.isnan(adj.values_at(*adj.pairs))
 
 
 def _rate_counts(design, state, adj) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +232,8 @@ def _rate_counts(design, state, adj) -> tuple[np.ndarray, np.ndarray]:
         obs = np.array([adj.n_edges, adj.n_observed - adj.n_edges])
         nu_sum = float(state.nu.sum()) if adj.n_missing else 0.0
         return obs, obs + np.array([nu_sum, adj.n_missing - nu_sum])
-    tau, scale = state.tau, (1.0 if adj.directed else 0.5)
-    return scale * (tau.T @ adj.observed_mask @ tau), scale * pair_mass(tau)
+    tau, scale, store = state.tau, (1.0 if adj.directed else 0.5), adj.pair_matrices()
+    return scale * store.quad(store.r(), tau), scale * store.quad(None, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,11 @@ from .network import (
     PartialAdjacency,
     Partition,
     as_rng,
+    check_dense_size,
     check_nodes,
     log_sigmoid,
     logistic,
     newton_ascent,
-    pair_mass,
     rate_loglik,
     read_only,
     safe_log,
@@ -173,6 +173,7 @@ def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet]
     """Draw memberships and a fully observed network from the model."""
     if n < 1:
         raise InputError(f"node count must be >= 1, got {n}")
+    check_dense_size(n)
     rng = as_rng(rng_seed)
     z = rng.choice(params.q, size=n, p=params.alpha)
     if params.variant == "plain":
@@ -188,22 +189,16 @@ def sample_network(params: SbmParams, n: int, covariates: Optional[CovariateSet]
     return PartialAdjacency(mat, directed=params.directed), MembershipDraw(labels=z)
 
 
-def block_pair_counts(adj: PartialAdjacency, state,
-                      y: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+def block_pair_counts(adj: PartialAdjacency, state, store=None) -> tuple[np.ndarray, np.ndarray]:
     """Q x Q expected edge and dyad counts per block pair over the dyads in
-    play, with unordered pairs counted once on undirected networks.
+    play, with unordered pairs counted once on undirected networks: tau' y tau,
+    and tau' R tau, or the mass of all pairs with nu.
 
-    ``y`` is the network filled at nu (at 0 without nu), when the caller
-    already holds it."""
-    tau = state.tau
+    ``store`` is the fit's store of the pair matrices (a fresh one by default)."""
+    store = adj.pair_matrices() if store is None else store
     scale = 1.0 if adj.directed else 0.5
-    if state.nu is None:
-        dyads = tau.T @ adj.observed_mask @ tau
-    else:
-        dyads = pair_mass(tau)
-    if y is None:
-        y = adj.filled(0.0 if state.nu is None else state.nu)
-    return scale * (tau.T @ y @ tau), scale * dyads
+    dyads = store.quad(store.r() if state.nu is None else None, state.tau)
+    return scale * store.quad(store.y(state.nu), state.tau), scale * dyads
 
 
 CovariateCounts = namedtuple("CovariateCounts", "x xy wy n pairs")
@@ -259,7 +254,7 @@ def covariate_counts(adj: PartialAdjacency, state, covariates: CovariateSet,
             w *= tb.take(j, axis=1)
             if not adj.directed:   # (b, a) as well, so tb (K x n) is halved where a == b
                 w += tb.take(i, axis=1) * ta.take(j, axis=1)
-            y = adj.matrix[i, j] if nu is None else nu[order[s:s + step]]
+            y = adj.values_at(i, j) if nu is None else nu[order[s:s + step]]
             first, last = np.searchsorted(starts, (s, s + i.size - 1), side="right") - 1
             offsets, cls = np.maximum(starts[first:last + 1] - s, 0), slice(v0 + first, v0 + last + 1)
             n[:, cls] += np.add.reduceat(w, offsets, axis=1)

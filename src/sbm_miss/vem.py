@@ -26,8 +26,9 @@ share one set of block-pair counts.
 Under MAR designs the missing dyads drop from the objective: the SBM factor
 restricts to observed dyads, a MAR fit's state carries no nu
 (``_Engine.initial_nu``), and imputation predicts the missing dyads post hoc.
-Under MNAR designs the pair matrix y = A_obs + nu is one n x n buffer per
-fit, rewritten in place at the missing dyads only when nu changes.
+The pair matrices y = A_obs + nu, R and the all-ones pairs are read only
+through the fit's one ``network.PairMatrices`` store; under MNAR designs it
+holds y as one n x n buffer, rewritten at the missing dyads when nu changes.
 
 The outer loop is EM accelerated by SQUAREM (Varadhan & Roland 2008, Scand.
 J. Statist. 35:335) for every design.  The map is one EM iteration of the
@@ -152,6 +153,8 @@ class ControlOptions:
             raise InputError("threshold must be finite and positive")
         if self.max_iter < 1 or self.fix_point_iter < 1 or self.iterates < 1 or self.workers < 1:
             raise InputError("iteration counts must be positive")
+        if self.rng_seed < 0:
+            raise InputError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.exploration not in ("forward", "backward", "both", "none"):
             raise InputError("exploration must be forward, backward, both or none")
 
@@ -211,8 +214,7 @@ class _Engine:
         self._class_index = None   # use_cov: n x n index of each dyad's class, built with them
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
         self._counts = (None, None)   # (state, its block_counts)
-        self._y = None   # MNAR: the one n x n buffer y = A_obs + nu of the fit
-        self._y_nu = None   # MNAR: the nu array that _y holds
+        self.store = adj.pair_matrices()   # the fit's pair matrices y, R and the all-ones pairs
 
     # -- initialization ------------------------------------------------------
 
@@ -226,32 +228,13 @@ class _Engine:
         """Starting imputation means: the observed density under MNAR, None otherwise."""
         return np.full(self.adj.n_missing, clamp_prob(self.adj.observed_density)) if self.mnar else None
 
-    def filled(self, nu: Optional[np.ndarray]) -> np.ndarray:
-        """The pair matrix y of the SBM factor: the observed network with the
-        missing dyads at nu under MNAR, at 0 otherwise.
-
-        Under MNAR the fit holds one n x n buffer and rewrites it in place at
-        the missing dyads when given another nu array than the one it holds
-        (nu arrays are never written once built, so the same array holds the same values); a
-        caller's y is valid until the next call.  MAR fits build a fresh
-        zero-filled matrix per call rather than hold one between iterations.
-        """
-        if not self.mnar:
-            return self.adj.filled(0.0)
-        if self._y is None:
-            self._y = self.adj.filled(nu)
-        elif self.adj.n_missing and nu is not self._y_nu:
-            self.adj.fill_missing(self._y, nu)
-        self._y_nu = nu
-        return self._y
-
     def block_counts(self, state: VariationalState):
         """``block_pair_counts``, or ``covariate_counts`` under ``use_cov``, of
         the SBM factor at ``state``, kept for the last state seen: the M step
         and the bound that follows it read the same counts, built once per EM iteration."""
         if self._counts[0] is not state:
             counts = (covariate_counts(self.adj, state, self.covariates, self.classes()) if self.use_cov
-                      else block_pair_counts(self.adj, state, self.filled(state.nu)))
+                      else block_pair_counts(self.adj, state, self.store))
             self._counts = (state, counts)
         return self._counts[1]
 
@@ -291,11 +274,11 @@ class _Engine:
                 state: VariationalState, rounds: int) -> VariationalState:
         tau, nu = state.tau, state.nu
         linear, tables, cov_effect = self._ve_terms(params, design)
-        y = None if self.mnar else self.filled(None)
+        y = None if self.mnar else self.store.y(None)
         grad = None
         for _ in range(rounds):
             if self.mnar:
-                y = self.filled(nu)
+                y = self.store.y(nu)
                 grad = None
             if grad is None:
                 grad = self._coupling(params, tables, cov_effect, y, tau)
@@ -371,15 +354,12 @@ class _Engine:
         out = np.zeros(t.shape)
         # R is read (and built) only when a design weights it: MAR designs
         # and block-pair strata; other MNAR fits never hold the n x n mask
-        r = None if tables[1] is None else self.adj.observed_mask
+        r = None if tables[1] is None else self.store.r()
         for m, table in zip((y, r, None), tables):
             if table is None:
                 continue
-            rows = t.sum(axis=0) - t if m is None else m @ t
-            if self.directed:
-                out += rows @ table.T + (rows if m is None else m.T @ t) @ table
-            else:
-                out += rows @ table
+            rows, cols = self.store.times(m, t)
+            out += rows @ table.T + cols @ table if self.directed else rows @ table
         if cov_effect is not None:
             # with y * gamma, the logistic dyad term up to y * beta.x; dyads out of
             # play read the last slot, 0 (-0.0 under MAR, the sign of log sigma * R)
@@ -853,23 +833,29 @@ def estimate_miss_sbm(adj: PartialAdjacency, v_blocks: Sequence[int], sampling,
 
     ``sampling`` and ``waves`` are as for :func:`fit_single`: a design tag,
     or None for a pure SBM fit.  Each block count starts from spectral
-    clustering (or a user-supplied partition), then split/merge exploration
-    reinitializes neighbors per the control options and keeps every
-    improvement in ICL.  The spectral starts
-    share one eigendecomposition, and each equals ``fit_single``'s own start.
+    clustering, or from its partition in ``inits``: one per entry of
+    ``v_blocks``, in its order, which may then not repeat.  Split/merge
+    exploration then reinitializes neighbors per the control options and
+    keeps every improvement in ICL.  The spectral starts share one
+    eigendecomposition, and each equals ``fit_single``'s own start.
     Fits for different block counts may run in parallel workers; results are
     byte-identical regardless of the worker count because every fit seeds
     from (rng_seed, Q).
     """
     control = control or ControlOptions()
-    qs = sorted(set(int(q) for q in v_blocks))
+    blocks = [int(q) for q in v_blocks]
+    qs = sorted(set(blocks))
     if not qs:
         raise InputError("vBlocks must not be empty")
     if qs[0] < 1:
         raise InputError("block counts must be >= 1")
-    if inits is not None and len(inits) != len(qs):
-        raise InputError("one initial partition per block count is required")
-    if inits is None:
+    if inits is not None:
+        if len(qs) != len(blocks):
+            raise InputError("block counts must not repeat when initial partitions are given")
+        if len(inits) != len(blocks):
+            raise InputError("one initial partition per block count is required")
+        inits = [dict(zip(blocks, inits))[q] for q in qs]   # each start with its own block count
+    else:
         embedding = spectral_embedding(adj, qs[-1]) if qs[-1] > 1 else None
         inits = [spectral_init(adj, q, derive_seed(control.rng_seed, q, 0), embedding) for q in qs]
     models = fan_out(_fit_task, [(adj, q, sampling, covariates, init, control, waves)

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,32 @@ def test_input_errors_exit_2(tmp_path):
     assert run("sweep-auc", "--nodes", 10, "--threads", 0, "--out", tmp_path / "s.csv") == 2
     assert run("observe", "--input", net, "--sampling", "dyad", "--parameters", '{"a": 1}',
                "--out", tmp_path / "o.csv") == 2
+    # a negative seed, refused where it enters: the generator, the mask, the fit control, the sweep
+    assert run("generate", "--nodes", 10, "--blocks", 2, "--seed", -1, *generator) == 2
+    assert run("observe", "--input", net, "--sampling", "dyad", "--parameters", "0.6", "--seed", -1,
+               "--out", tmp_path / "o.csv") == 2
+    assert run("fit", "--input", obs, "--blocks", "1", "--sampling", "dyad", "--seed", -1,
+               "--out", tmp_path / "f.json") == 2
+    assert run("sweep-auc", "--nodes", 10, "--replicates", 1, "--seed", -1, "--out", tmp_path / "s.csv") == 2
+
+
+def test_oversized_node_counts_exit_2_before_allocating(tmp_path, capsys):
+    # one n x n float matrix of 2,000,000 nodes is 32 TB: refused from the node count alone
+    triplets = tmp_path / "one.txt"
+    triplets.write_text("1 2 1\n")
+    commands = [("fit", "--input", triplets, "--format", "triplet", "--nodes", 2_000_000, "--blocks", 2,
+                 "--sampling", "dyad", "--out", tmp_path / "f.json"),
+                ("generate", "--nodes", 2_000_000, "--blocks", 2, "--pi-within", 0.5, "--pi-between", 0.1,
+                 "--out", tmp_path / "g.csv")]
+    for command in commands:
+        tracemalloc.start()
+        try:
+            assert run(*command) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "2000000 nodes need 32000000000000 bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_full,n_observed", [(10, 12), (12, 10)], ids=["observed larger", "observed smaller"])

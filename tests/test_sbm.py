@@ -335,7 +335,7 @@ class TestCovariateCoupling:
         adj, cov, _, params, state = covariate_case(directed, mnar, n=30, kind=kind)
         eng = _Engine(adj, "double-standard" if mnar else "dyad", cov, use_cov=True)
         _, tables, cov_effect = eng._ve_terms(params, None)
-        y = eng.filled(state.nu)
+        y = eng.store.y(state.nu)
         step = np.random.default_rng(7).dirichlet(np.ones(params.q), size=adj.n) - state.tau
         assert (step < 0).any() and (step > 0).any()
         for t in (state.tau, step):

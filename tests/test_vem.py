@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.special import logsumexp, softmax
 
 from sbm_miss import (
@@ -30,7 +31,7 @@ from sbm_miss import (
     spectral_init,
 )
 from sbm_miss import sampling, sbm, vem
-from sbm_miss.network import log_sigmoid, safe_log, safe_logit, trusted
+from sbm_miss.network import PairMatrices, log_sigmoid, safe_log, safe_logit, trusted
 from sbm_miss.sampling import DESIGNS, make_default_design
 from sbm_miss.vem import ELBO_SLACK, ICL_TIE_TOL, _Engine, fit_from_json
 
@@ -296,7 +297,7 @@ class TestCoupling:
         # a fit's undirected tables are exactly symmetric: symmetrising keeps their bits
         raw = params.gamma if use_cov else safe_logit(params.pi)
         assert tables[0].tobytes() == raw.tobytes()
-        y = eng.filled(nu)
+        y = eng.store.y(nu)
         tau = rng.dirichlet(np.ones(params.q), size=eng.adj.n)
         step = rng.dirichlet(np.ones(params.q), size=eng.adj.n) - tau
         for t in (tau, step):
@@ -310,7 +311,7 @@ class TestCoupling:
         skewed = SbmParams(alpha=params.alpha, pi=pi)
         _, tables, _ = eng._ve_terms(skewed, design)
         raw = (safe_logit(pi), np.log1p(-pi), None)   # the dyad design's tables, as they are
-        y = eng.filled(None)
+        y = eng.store.y(None)
         tau = rng.dirichlet(np.ones(params.q), size=eng.adj.n)
         expected = two_product_coupling(eng, skewed, raw, None, y, tau)
         np.testing.assert_allclose(eng._coupling(skewed, tables, None, y, tau), expected,
@@ -346,10 +347,10 @@ class TestVeRoundWork:
         eng = _Engine(observe_network(adj, design, rng_seed=4), design.tag, None, False)
         state = eng.ve_step(params, design, eng.initial_state(Partition(labels=np.arange(20) % 2, q=2), 2), 3)
         assert not state.tau.flags.writeable and not state.nu.flags.writeable
-        y = eng.filled(state.nu)   # as the M step does
+        y = eng.store.y(state.nu)   # as the M step does
         calls = []
         monkeypatch.setattr(PartialAdjacency, "fill_missing", lambda *args: calls.append(1))
-        assert eng.filled(state.nu) is y
+        assert eng.store.y(state.nu) is y
         eng.ve_step(params, design, state, 1)   # round 1 reads y; its nu update comes after
         assert not calls
 
@@ -814,6 +815,17 @@ class TestEstimateAndExplore:
         explored = explore(coll, "forward")
         assert explored.models[2].icl < icl_before
 
+    def test_initial_partitions_pair_with_their_own_block_counts(self):
+        # each start goes with its entry of v_blocks, in the caller's order
+        adj, _ = sample_network(planted_params(3, 0.7, 0.05), 40, rng_seed=45)
+        starts = {q: spectral_init(adj, q, rng_seed=46) for q in (2, 3)}
+        control = ControlOptions(rng_seed=47)
+        ascending = estimate_miss_sbm(adj, [2, 3], "dyad", control=control, inits=[starts[2], starts[3]])
+        descending = estimate_miss_sbm(adj, [3, 2], "dyad", control=control, inits=[starts[3], starts[2]])
+        assert json.dumps(descending.to_json()) == json.dumps(ascending.to_json())
+        with pytest.raises(InputError, match="block counts must not repeat"):
+            estimate_miss_sbm(adj, [2, 3, 2], "dyad", control=control, inits=[starts[2], starts[3], starts[2]])
+
     def test_workers_do_not_change_results(self):
         adj, _ = sample_network(planted_params(2, 0.7, 0.1), 40, rng_seed=42)
         observed = observe_network(adj, SamplingDesign("node", 0.8), rng_seed=43)
@@ -1019,6 +1031,60 @@ def test_node_permutation_equivariance(tag, directed, use_cov, monkeypatch):
     assert len(moved.monitoring) == len(fit.monitoring)
     assert abs(moved.icl - fit.icl) <= 1e-10 * abs(fit.icl)
     np.testing.assert_allclose(moved.state.tau, fit.state.tau[perm], rtol=0, atol=1e-8)
+
+
+class CsrPairMatrices(PairMatrices):
+    """The pair matrices in scipy CSR storage, built from the dyad index and ``values_at``:
+    y is A_obs plus a sparse nu at the missing dyads, R holds ones at the observed dyads."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        rows, cols = adj.observed_pairs
+        self._a = self._csr(rows, cols, adj.values_at(rows, cols))
+        self._r = self._csr(rows, cols, np.ones(rows.size))
+
+    def _csr(self, rows, cols, values):
+        if not self.directed:   # both orders of an undirected dyad
+            rows, cols, values = np.r_[rows, cols], np.r_[cols, rows], np.r_[values, values]
+        return scipy.sparse.csr_array((values, (rows, cols)), shape=(self.adj.n,) * 2)
+
+    def y(self, nu):
+        return self._a if nu is None else self._a + self._csr(*self.adj.missing_pairs, nu)
+
+    def r(self):
+        return self._r
+
+
+@pytest.mark.parametrize("use_cov", [False, True], ids=["plain", "use_cov"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("tag", list(TestImpute.ROUND_TRIP_PSI))
+def test_a_sparse_pair_store_substitutes_for_the_dense_one(tag, directed, use_cov, monkeypatch):
+    # the store is the EM loop's only access to pair storage: with a CSR store in its
+    # place and the dense accessors refusing, a fit from a given start keeps its EM
+    # rows and its ICL to rounding.  Q is the planted count, as for the permutation
+    # test above: with a block more, an extrapolated step can turn the products'
+    # rounding-level differences into a moved fit
+    n, q = 30, 2
+    adj, draw = sample_network(planted_params(2, 0.7, 0.15, directed=directed), n, rng_seed=80)
+    cov = CovariateSet.from_nodal([np.random.default_rng(81).normal(size=n)])
+    observed = observe_network(adj, SamplingDesign(tag, TestImpute.ROUND_TRIP_PSI[tag]),
+                               clusters=Partition.from_labels(draw.labels, 2), covariates=cov, rng_seed=82)
+    start = spectral_init(observed, q, rng_seed=83)
+    control = ControlOptions(rng_seed=84, use_cov=use_cov)
+    dense = fit_single(observed, q, tag, covariates=cov, init=start, control=control)
+
+    def refused(*args):
+        raise AssertionError("dense pair storage read outside the store")
+
+    stores = []
+    monkeypatch.setattr(PartialAdjacency, "pair_matrices", lambda adj: stores.append(1) or CsrPairMatrices(adj))
+    monkeypatch.setattr(PartialAdjacency, "filled", refused)
+    monkeypatch.setattr(PartialAdjacency, "fill_missing", refused)
+    monkeypatch.setattr(PartialAdjacency, "observed_mask", property(refused))
+    sparse = fit_single(observed, q, tag, covariates=cov, init=start, control=control)
+    assert stores
+    assert len(sparse.monitoring) == len(dense.monitoring)
+    assert abs(sparse.icl - dense.icl) <= 1e-10 * abs(dense.icl)
 
 
 def test_monitoring_and_traces_align():
