@@ -55,10 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="SBM estimation for partially observed networks")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
-
     def add_input(p):
         p.add_argument("--input", required=True)
         p.add_argument("--format", default="dense-csv", choices=["dense-csv", "triplet", "graphml"])
@@ -72,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_covariates(p):
         p.add_argument("--covariates", default=None, help="comma-separated covariate CSV files")
-        p.add_argument("--similarity", default="l1")
 
     def add_control(p):
         p.add_argument("--use-cov", action="store_true")
@@ -83,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["forward", "backward", "both", "none"])
         p.add_argument("--iterates", type=int, default=1)
         p.add_argument("--trace", action="store_true")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("generate", help="draw a network from an SBM")
     p.add_argument("--nodes", type=int, required=True)
@@ -96,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--out-memberships", default=None)
     p.add_argument("--out-format", default="dense-csv", choices=["dense-csv", "triplet"])
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("observe", help="partially observe a network under a sampling design")
@@ -110,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_covariates(p)
     p.add_argument("--out", required=True)
     p.add_argument("--out-format", default="dense-csv", choices=["dense-csv", "triplet"])
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_observe)
 
     p = sub.add_parser("fit", help="estimate the SBM and the sampling parameters")
@@ -121,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_control(p)
     p.add_argument("--out", required=True, help="fit collection JSON")
     p.add_argument("--monitoring-csv", default=None)
-    add_common(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("impute", help="fill missing dyads from a fitted model")
@@ -129,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", required=True, help="fit JSON (collection or single model)")
     add_covariates(p)
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--threads", type=int, default=1)   # unread; perfbench/workloads.py passes it
     p.set_defaults(func=_cmd_impute)
 
     p = sub.add_parser("eval-ari", help="adjusted Rand index between two label files")
@@ -160,7 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-min", type=float, default=0.4)
     p.add_argument("--rate-max", type=float, default=0.9)
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_sweep_auc)
 
     p = sub.add_parser("compare-designs", help="ICL table across candidate sampling designs")
@@ -170,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_covariates(p)
     add_control(p)
     p.add_argument("--out", required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_compare)
 
     return parser
@@ -223,9 +219,7 @@ def _load_network(args) -> PartialAdjacency:
 
 
 def _load_covariates(args) -> CovariateSet | None:
-    if not getattr(args, "covariates", None):
-        return None
-    return io.load_covariates(args.covariates.split(","), similarity=args.similarity)
+    return io.load_covariates(args.covariates.split(",")) if args.covariates else None
 
 
 def _control(args) -> ControlOptions:

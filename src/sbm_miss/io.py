@@ -10,6 +10,13 @@ Every comma-separated reader (dense, covariate, labels, vector, float
 matrix) parses its lines in one loop, ``_read_rows``: blank lines are
 skipped, and an error names ``path:line``, lines counted from the file's
 first.
+
+GraphML: the first ``<graph>``, tags in the root's namespace (none for a bare
+``<graphml>``); nodes in document order, then undeclared nodes that edges name;
+0/1 edges (self-loops count towards ``drop_isolated``'s degree), symmetrised
+unless ``directed`` and ``edgedefault="directed"``; an edge's ``directed`` must
+agree with ``edgedefault``.  Only the label attribute is read, cast by its
+``<key>``'s ``attr.type`` before ``str()`` (a double "1" reads "1.0").
 """
 
 from __future__ import annotations
@@ -155,38 +162,54 @@ def read_network(path, fmt: str = "dense-csv", directed: bool = False,
     raise InputError(f"unknown network format {fmt!r}")
 
 
+_GRAPHML_TYPES = {"string": str, "int": int, "integer": int, "long": int, "float": float, "double": float,
+                  "boolean": lambda text: {"true": True, "false": False, "1": True, "0": False}[text.lower()]}
+
+
 def load_graphml(path, label_attribute: str | None = None,
                  drop_isolated: bool = False, directed: bool = False):
-    """Load an attributed graph; optionally extract node labels.
-
-    ``label_attribute`` names the node attribute holding reference classes
-    (returned as a list of strings in node order).  ``drop_isolated``
-    removes degree-0 nodes before building the adjacency.
-    """
-    import networkx as nx
+    """``(PartialAdjacency, labels)``, labels the ``label_attribute`` strings in node order or None."""
+    from xml.etree import ElementTree
 
     try:
-        graph = nx.read_graphml(path)
-    except Exception as exc:
-        raise InputError(f"{path}: cannot parse GraphML ({exc})") from exc
-    if directed:
-        graph = graph.to_directed()
-    else:
-        graph = graph.to_undirected()
-    if drop_isolated:
-        graph.remove_nodes_from([v for v, d in graph.degree() if d == 0])
-    nodes = list(graph.nodes())
-    if not nodes:
+        root = ElementTree.parse(path).getroot()
+    except ElementTree.ParseError as exc:
+        raise InputError(f"{path}: cannot parse GraphML ({exc})") from None
+    ns = root.tag[:-len("graphml")]   # "{uri}", or "" for a bare <graphml> header
+    graph = root.find(ns + "graph") if root.tag.endswith("graphml") else None
+    if graph is None:
+        raise InputError(f"{path}: cannot parse GraphML (no <graph> element)")
+    casts = {key.get("id"): key.get("attr.type", "string") for key in root.iterfind(ns + "key")
+             if label_attribute is not None and key.get("attr.name") == label_attribute}
+    index, labels = {}, {}
+    for node in graph.iterfind(ns + "node"):
+        k = index.setdefault(str(node.get("id")), len(index))
+        for data in node.iterfind(ns + "data"):
+            cast, text = casts.get(data.get("key")), data.text
+            if cast is not None:
+                try:
+                    labels[k] = "" if text is None else str(_GRAPHML_TYPES[cast](text))
+                except (KeyError, ValueError):
+                    raise InputError(f"{path}: cannot read {text!r} as a GraphML {cast}") from None
+    file_directed = graph.get("edgedefault") == "directed"
+    edges = list(graph.iterfind(ns + "edge"))
+    if any(edge.get("directed") == ("false" if file_directed else "true") for edge in edges):
+        raise InputError(f"{path}: an edge's directed attribute contradicts the graph's edgedefault")
+    ends = np.array([index.setdefault(str(edge.get(end)), len(index)) for edge in edges
+                     for end in ("source", "target")], dtype=np.intp)
+    keep, ends = np.unique(ends, return_inverse=True) if drop_isolated else (np.arange(len(index)), ends)
+    if keep.size == 0:
         raise InputError(f"{path}: graph has no nodes left")
-    mat = nx.to_numpy_array(graph, nodelist=nodes, weight=None)
-    mat = (mat != 0).astype(float)
-    labels = None
-    if label_attribute is not None:
-        try:
-            labels = [str(graph.nodes[v][label_attribute]) for v in nodes]
-        except KeyError:
-            raise InputError(f"{path}: node attribute {label_attribute!r} not present on every node") from None
-    return PartialAdjacency(mat, directed=directed), labels
+    check_dense_size(keep.size)
+    rows, cols = ends.reshape(-1, 2).T
+    mat = np.zeros((keep.size, keep.size))
+    mat[rows, cols] = 1.0
+    if not (directed and file_directed):
+        mat[cols, rows] = 1.0
+    names = None if label_attribute is None else [labels.get(k) for k in keep.tolist()]
+    if names is not None and None in names:
+        raise InputError(f"{path}: node attribute {label_attribute!r} not present on every node")
+    return PartialAdjacency(mat, directed=directed), names
 
 
 def read_covariate_csv(path) -> np.ndarray:
@@ -199,14 +222,14 @@ def read_covariate_csv(path) -> np.ndarray:
     return arr
 
 
-def load_covariates(paths, similarity="l1") -> CovariateSet | None:
+def load_covariates(paths) -> CovariateSet | None:
     """Build a covariate set from one CSV per covariate (all nodal or all dyadic)."""
     if not paths:
         return None
     arrays = [read_covariate_csv(p) for p in paths]
     dims = {a.ndim for a in arrays}
     if dims == {1}:
-        return CovariateSet.from_nodal(arrays, similarity=similarity)
+        return CovariateSet.from_nodal(arrays)
     if dims == {2}:
         return CovariateSet.from_dyadic(arrays)
     raise InputError("covariate files mix nodal (n x 1) and dyadic (n x n) shapes")

@@ -203,6 +203,21 @@ def test_input_errors_exit_2(tmp_path):
     assert run("sweep-auc", "--nodes", 10, "--replicates", 1, "--seed", -1, "--out", tmp_path / "s.csv") == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("generate", "--nodes", 10, "--blocks", 2, "--pi-within", 0.5, "--pi-between", 0.1, "--out", "g.csv",
+     "--threads", 2),
+    ("observe", "--input", "g.csv", "--sampling", "dyad", "--parameters", 0.6, "--out", "o.csv", "--threads", 2),
+    ("impute", "--input", "o.csv", "--fit", "f.json", "--out", "i.csv", "--seed", 1),
+    ("fit", "--input", "o.csv", "--blocks", 2, "--sampling", "dyad", "--out", "f.json", "--similarity", "l1"),
+], ids=["generate --threads", "observe --threads", "impute --seed", "fit --similarity"])
+def test_flags_a_command_does_not_read_exit_2(command, capsys):
+    # argparse refuses them before any file is opened
+    with pytest.raises(SystemExit) as exc:
+        run(*command)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {command[-2]} {command[-1]}" in capsys.readouterr().err
+
+
 def test_oversized_node_counts_exit_2_before_allocating(tmp_path, capsys):
     # one n x n float matrix of 2,000,000 nodes is 32 TB: refused from the node count alone
     triplets = tmp_path / "one.txt"

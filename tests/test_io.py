@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sbm_miss import InputError, PartialAdjacency
 from sbm_miss import io
@@ -179,3 +182,100 @@ def test_graphml_loader(tmp_path):
     assert adj.entry(1, 2) == 1
     with pytest.raises(InputError):
         io.load_graphml(path, label_attribute="nope")
+
+
+def networkx_load(path, label_attribute=None, drop_isolated=False, directed=False):
+    """The GraphML reader this package had when it read through networkx: the oracle of
+    ``io.load_graphml``."""
+    import networkx as nx
+
+    try:
+        graph = nx.read_graphml(path)
+    except Exception as exc:
+        raise InputError(f"{path}: cannot parse GraphML ({exc})") from exc
+    graph = graph.to_directed() if directed else graph.to_undirected()
+    if drop_isolated:
+        graph.remove_nodes_from([v for v, d in graph.degree() if d == 0])
+    nodes = list(graph.nodes())
+    if not nodes:
+        raise InputError(f"{path}: graph has no nodes left")
+    mat = (nx.to_numpy_array(graph, nodelist=nodes, weight=None) != 0).astype(float)
+    labels = None
+    if label_attribute is not None:
+        try:
+            labels = [str(graph.nodes[v][label_attribute]) for v in nodes]
+        except KeyError:
+            raise InputError(f"{path}: node attribute {label_attribute!r} not present on every node") from None
+    return PartialAdjacency(mat, directed=directed), labels
+
+
+# label texts valid for some attr.types and not for others ("" is written as an empty <data>),
+# and two valid for all: the reader casts only the attribute it reads, networkx every one
+LABEL_TEXTS = ["0", "1", "-2", "0.5", "true", "False", "x", "", " a"]
+ANY_TYPE_TEXTS = ["0", "1"]
+
+
+@st.composite
+def graphml_cases(draw):
+    """A hand-written GraphML file and the label attribute to read: declared nodes in any order,
+    repeated or not, labelled or not; edges with self-loops, parallel edges, undeclared nodes and,
+    now and then, a ``directed`` attribute against the ``edgedefault``; a namespaced or a bare
+    header."""
+    n = draw(st.integers(1, 6))
+    label_attribute = draw(st.sampled_from([None, "label", "label", "label", "other"]))
+    texts = LABEL_TEXTS if label_attribute == "label" else ANY_TYPE_TEXTS
+    header = draw(st.sampled_from(['<graphml xmlns="http://graphml.graphdrawing.org/xmlns">', "<graphml>"]))
+    attr_type = draw(st.sampled_from(["int", "long", "float", "double", "boolean", "string", None]))
+    key_type = "" if attr_type is None else f' attr.type="{attr_type}"'
+    default = draw(st.sampled_from(["", "<default>0</default>"]))
+    edgedefault = draw(st.sampled_from(["", ' edgedefault="directed"', ' edgedefault="undirected"']))
+    lines = [header, f'<key id="d0" for="node" attr.name="label"{key_type}>{default}</key>',
+             f"<graph{edgedefault}>"]
+    # nodes 0 .. n-1 declared in any order, some twice; node n only by the edges that name it
+    for node in draw(st.permutations(range(n))) + draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        text = draw(st.sampled_from([None, *texts, *ANY_TYPE_TEXTS]))
+        data = "" if text is None else f'<data key="d0">{text}</data>'
+        lines.append(f'<node id="n{node}">{data}</node>')
+    edges = st.tuples(st.integers(0, n), st.integers(0, n), st.sampled_from([""] * 18 + ["true", "false"]))
+    for source, target, edge_directed in draw(st.lists(edges, max_size=8)):
+        attribute = edge_directed and f' directed="{edge_directed}"'
+        lines.append(f'<edge source="n{source}" target="n{target}"{attribute}/>')
+    return "\n".join([*lines, "</graph>", "</graphml>"]) + "\n", label_attribute
+
+
+def graphml_outcome(load, path, **options):
+    try:
+        adj, labels = load(path, **options)
+    except InputError:
+        return "InputError"
+    return adj.n, np.nan_to_num(adj.matrix, nan=-1.0).tolist(), labels
+
+
+@pytest.mark.filterwarnings("ignore:No key type")   # networkx on a key without attr.type
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graphml_cases(), st.booleans(), st.booleans())
+@example(case=('<graphml><graph edgedefault="directed"><node id="a"><data key="k">x</data></node><node id="b">'
+               '<data key="k">y</data></node><edge source="a" target="b"/></graph><key id="k" attr.name="c"/>'
+               '</graphml>', "c"),
+         directed=True, drop_isolated=False)   # a bare header, whose tags have no namespace
+@example(case=('<graphml><graph><node id="a"/><edge source="a" target="b" directed="true"/></graph></graphml>',
+               None), directed=False, drop_isolated=False)   # an edge against the edgedefault
+@example(case=('<graphml><graph><edge source="a" target="b"/><edge source="b" target="a"/><edge source="a" '
+               'target="a"/><node id="c"/></graph></graphml>', None), directed=True, drop_isolated=True)
+def test_graphml_reader_agrees_with_networkx(tmp_path, case, directed, drop_isolated):
+    text, label_attribute = case
+    path = tmp_path / "g.graphml"
+    path.write_text(text)
+    options = dict(directed=directed, drop_isolated=drop_isolated, label_attribute=label_attribute)
+    assert graphml_outcome(io.load_graphml, path, **options) == graphml_outcome(networkx_load, path, **options)
+
+
+def test_graphml_refuses_an_oversized_network_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "g.graphml"
+    nodes = "".join(f'<node id="n{k}"/>' for k in range(100))
+    path.write_text(f'<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph>{nodes}</graph></graphml>')
+    assert io.load_graphml(path)[0].n == 100
+    # a budget of 64 KB: one 100 x 100 float matrix needs 80,000 bytes
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}[name])
+    with pytest.raises(InputError, match="100 nodes need 80000 bytes"):
+        io.load_graphml(path)

@@ -71,3 +71,18 @@ def test_first_calls_load_no_module(tmp_path):
     # network.py does numpy.random), rather than loosen this test
     loaded = fresh_process("-c", FIRST_CALLS, str(tmp_path)).split()
     assert loaded == [], f"the first calls loaded {loaded}; import them when the package loads"
+
+
+def test_a_graphml_fit_runs_on_numpy_alone(tmp_path):
+    # networkx and scipy are test oracles only: a None entry in sys.modules makes importing them fail
+    path = tmp_path / "g.graphml"
+    edges = "".join(f'<edge source="n{i}" target="n{j}"/>' for i in range(8) for j in range(i + 1, 8)
+                    if (i < 4) == (j < 4))
+    path.write_text('<?xml version="1.0" encoding="UTF-8"?>\n'
+                    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+                    f'<graph edgedefault="undirected">{edges}</graph>\n</graphml>\n')
+    code = ("import sys; sys.modules['networkx'] = sys.modules['scipy'] = None; import sbm_miss.cli; "
+            "sys.exit(sbm_miss.cli.main(sys.argv[1:]))")
+    fresh_process("-c", code, "fit", "--input", str(path), "--format", "graphml", "--sampling", "dyad",
+                  "--blocks", "1:2", "--out", str(tmp_path / "fit.json"))
+    assert (tmp_path / "fit.json").exists()
