@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -259,7 +258,7 @@ def _write_network(path, adj, fmt):
 def _print_or_write(value: float, out):
     text = io.format_real(value)
     if out:
-        Path(out).write_text(text + "\n")
+        io.write_pieces(out, [text + "\n"])
     print(text)
 
 
@@ -295,7 +294,7 @@ def _cmd_fit(args):
     covariates = _load_covariates(args)
     collection = estimate_miss_sbm(adj, parse_blocks(args.blocks), args.sampling,
                                    covariates=covariates, control=_control(args))
-    Path(args.out).write_text(json.dumps(collection.to_json(), indent=2, sort_keys=True) + "\n")
+    io.write_json(args.out, collection.to_json())
     if args.monitoring_csv:
         io.write_csv_rows(args.monitoring_csv, ["iter", "Q", "elbo", "delta"],
                           collection.optimization_status())

@@ -6,6 +6,13 @@ format: whitespace-separated lines ``i j v`` with 1-based indices and
 ``v`` in {0, 1, NA}; unlisted dyads default to 0, or to missing when
 requested.  Real numbers are always written with 17 significant digits.
 
+Every writer streams its file through ``write_pieces``: it opens the file once
+and writes the text a piece at a time, so no writer holds the whole file as
+text.  A piece is at most ``SLAB`` entries of a network (``max(1, SLAB // n)``
+rows, each block tokenised in one vectorised pass), one row of reals, one line
+of a CSV or label file, or one chunk of the JSON encoder.  The bytes are those
+of joining the lines with newlines and ending the file with one.
+
 Every comma-separated reader (dense, covariate, labels, vector, float
 matrix) parses its lines in one loop, ``_read_rows``: blank lines are
 skipped, and an error names ``path:line``, lines counted from the file's
@@ -22,16 +29,31 @@ agree with ``edgedefault``.  Only the label attribute is read, cast by its
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
-from .network import CovariateSet, PartialAdjacency, check_dense_size
+from .network import SLAB, CovariateSet, PartialAdjacency, check_dense_size
 
 
 def format_real(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def write_pieces(path, pieces) -> None:
+    """Write the strings ``pieces``, each of whole newline-ended lines, to ``path`` one at a
+    time; a file of no lines is one newline, as ``"\\n".join([]) + "\\n"`` is."""
+    with open(path, "w") as fh:
+        if not sum(map(fh.write, pieces)):
+            fh.write("\n")
+
+
+def _row_blocks(adj: PartialAdjacency):
+    """``(first row, rows)`` of ``adj.matrix`` in blocks of ``max(1, SLAB // n)`` rows."""
+    step = max(1, SLAB // adj.n)
+    return ((start, adj.matrix[start:start + step]) for start in range(0, adj.n, step))
 
 
 _TRISTATE = {"0": 0.0, "1": 1.0, "NA": np.nan}
@@ -59,6 +81,7 @@ def _read_rows(path, parse, error: str) -> np.ndarray:
         except (KeyError, ValueError) as exc:
             raise InputError(error.format(where=f"{path}:{k}", token=exc.args[0])) from None
         if out is None:
+            check_dense_size(len(row))
             out = np.empty((len(lines), len(row)))
         elif len(row) != out.shape[1]:
             raise InputError(f"{path}:{k}: row has {len(row)} entries, the first row {out.shape[1]}")
@@ -83,9 +106,12 @@ def read_dense_csv(path, directed: bool = False) -> PartialAdjacency:
 
 
 def write_dense_csv(path, adj: PartialAdjacency) -> None:
-    m = adj.matrix
-    tokens = np.where(np.isnan(m), "NA", np.where(m == 1, "1", "0"))
-    Path(path).write_text("\n".join(map(",".join, tokens.tolist())) + "\n")
+    def blocks():
+        for _, m in _row_blocks(adj):
+            tokens = np.where(np.isnan(m), "NA", np.where(m == 1, "1", "0"))
+            yield "".join([",".join(row) + "\n" for row in tokens.tolist()])
+
+    write_pieces(path, blocks())
 
 
 def read_triplets(path, n: int | None = None, directed: bool = False,
@@ -136,12 +162,17 @@ def read_triplets(path, n: int | None = None, directed: bool = False,
 def write_triplets(path, adj: PartialAdjacency) -> None:
     """Write edges and missing dyads, in canonical dyad order; unlisted
     dyads are absent (0)."""
-    rows, cols = adj.pairs
-    values = adj.matrix[rows, cols]
-    listed = values != 0   # edges and missing (NaN) dyads
-    lines = [f"{i + 1} {j + 1} {'1' if v == 1 else 'NA'}" for i, j, v in
-             zip(rows[listed].tolist(), cols[listed].tolist(), values[listed].tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    def blocks():
+        columns = np.arange(adj.n)
+        for start, m in _row_blocks(adj):
+            diagonal = np.arange(start, start + len(m))[:, None]
+            # edges and missing (NaN) dyads, off the diagonal; above it when undirected
+            rows, cols = np.nonzero((m != 0) & (columns != diagonal if adj.directed else columns > diagonal))
+            tokens = np.where(m[rows, cols] == 1, "1", "NA")
+            yield "".join([f"{i} {j} {v}\n" for i, j, v in
+                           zip((rows + start + 1).tolist(), (cols + 1).tolist(), tokens.tolist())])
+
+    write_pieces(path, blocks())
 
 
 def read_network(path, fmt: str = "dense-csv", directed: bool = False,
@@ -245,7 +276,7 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def write_labels_csv(path, labels: np.ndarray) -> None:
-    Path(path).write_text("\n".join(str(int(v) + 1) for v in labels) + "\n")
+    write_pieces(path, (f"{int(v) + 1}\n" for v in labels))
 
 
 def read_vector_csv(path) -> np.ndarray:
@@ -254,12 +285,18 @@ def read_vector_csv(path) -> np.ndarray:
 
 
 def write_float_matrix(path, matrix: np.ndarray) -> None:
-    lines = [",".join(format_real(v) for v in row) for row in np.asarray(matrix, dtype=float)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row at a time, each entry as ``format_real`` writes it."""
+    write_pieces(path, (",".join([format(v, ".17g") for v in row.tolist()]) + "\n"
+                        for row in np.asarray(matrix, dtype=float)))
 
 
 def read_float_matrix(path) -> np.ndarray:
     return _read_rows(path, lambda tokens: [float(t) for t in tokens], _NOT_REAL)
+
+
+def write_json(path, data) -> None:
+    """``json.dumps(data, indent=2, sort_keys=True)`` and a newline, written a chunk at a time."""
+    write_pieces(path, chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(data), ["\n"]))
 
 
 def read_json(path):
@@ -279,6 +316,5 @@ def write_csv_rows(path, fieldnames, rows) -> None:
             return format_real(v) if np.isfinite(v) else "NA"
         return str(v)
 
-    lines = [",".join(fieldnames)]
-    lines.extend(",".join(fmt(row[k]) for k in fieldnames) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = (",".join(fmt(row[k]) for k in fieldnames) + "\n" for row in rows)
+    write_pieces(path, chain([",".join(fieldnames) + "\n"], lines))

@@ -25,6 +25,7 @@ from .errors import InputError, NumericalError
 # degenerate M-steps can produce exact 0/1 entries.
 PROB_CLAMP = 1e-12
 _TINY = np.finfo(float).tiny
+SLAB = 8192   # entries per temporary array: the class count walks, and the blocks the writers emit
 
 
 def logistic(x, out=None):

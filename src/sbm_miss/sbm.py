@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .network import (
+    SLAB,
     CovariateSet,
     PartialAdjacency,
     Partition,
@@ -54,7 +55,6 @@ from .network import (
 ALPHA_TOL = 1e-10
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
-SLAB = 8192   # entries per temporary array of the class count walks
 LANCZOS_ROWS_PER_VECTOR = 50   # n >= 50 k: the truncated solver is at least as fast as the dense one
 LANCZOS_TOL = 1e-13            # Ritz residual of convergence, and Lanczos step of breakdown, relative
 

@@ -61,6 +61,17 @@ def test_fit_determinism_across_threads_and_runs(pipeline, tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_fit_writes_the_sorted_indented_json_of_the_collection(pipeline, tmp_path):
+    _, _, obs = pipeline
+    out = tmp_path / "fit.json"
+    args = ["fit", "--input", str(obs), "--blocks", "1:2", "--sampling", "block-node", "--seed", "3",
+            "--out", str(out)]
+    assert run(*args) == 0
+    collection = vem.estimate_miss_sbm(io.read_dense_csv(obs), [1, 2], "block-node",
+                                       control=cli._control(cli._PARSER.parse_args(args)))
+    assert out.read_text() == json.dumps(collection.to_json(), indent=2, sort_keys=True) + "\n"
+
+
 def test_trace_logs_fit_rows_to_stderr_only(pipeline, tmp_path, capsys):
     _, _, obs = pipeline
     plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"

@@ -1,8 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sbm_miss import InputError, PartialAdjacency
 from sbm_miss import io
@@ -114,6 +116,66 @@ def test_writers_match_dyad_loop(tmp_path, directed, seed):
     assert path.read_text() == "\n".join(triplets) + "\n"
     io.write_dense_csv(path, adj)
     assert path.read_text() == "\n".join(dense) + "\n"
+
+
+@st.composite
+def tristate_networks(draw):
+    """A network of n <= 12 nodes, directed or not, with random edges and missing dyads."""
+    n, directed = draw(st.integers(1, 12)), draw(st.booleans())
+    mat = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, np.nan]), min_size=n * n, max_size=n * n)))
+    mat = mat.reshape(n, n)
+    if not directed:
+        mat = np.triu(mat, 1) + np.triu(mat, 1).T
+    return PartialAdjacency(mat, directed=directed)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tristate_networks())
+@example(PartialAdjacency(np.zeros((2, 2))))   # no dyad listed: the triplet file is one newline
+def test_network_writers_round_trip(tmp_path, adj):
+    path = tmp_path / "net"
+    io.write_dense_csv(path, adj)
+    assert io.read_dense_csv(path, directed=adj.directed) == adj
+    io.write_triplets(path, adj)
+    assert io.read_triplets(path, n=adj.n, directed=adj.directed) == adj
+    text = path.read_text()   # one newline ends the file, and is the whole file when no dyad is listed
+    assert text.endswith("\n") and (text == "\n" or not text.endswith("\n\n"))
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_network_writers_round_trip_across_blocks(tmp_path, directed):
+    # 8192 // 100 = 81 rows per block: the second block starts inside the file
+    adj = random_partial(100, directed, 5)
+    path = tmp_path / "net"
+    io.write_dense_csv(path, adj)
+    assert len(path.read_text().splitlines()) == 100
+    assert io.read_dense_csv(path, directed=directed) == adj
+    io.write_triplets(path, adj)
+    assert io.read_triplets(path, n=100, directed=directed) == adj
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=st.floats(allow_nan=False)))
+@example(np.array([[1 / 3, 5e-324, -0.0], [0.0, 1e308, -2.2250738585072014e-308]]))
+def test_float_matrix_round_trip_is_bit_exact(tmp_path, matrix):
+    path = tmp_path / "m.csv"
+    io.write_float_matrix(path, matrix)
+    np.testing.assert_array_equal(io.read_float_matrix(path).view(np.int64), matrix.view(np.int64))
+
+
+def test_writers_hold_no_whole_file_as_text(tmp_path):
+    # one 600 x 600 float matrix is 2.88 MB, and its text several times that; a writer holds one
+    # block of at most sbm_miss.network.SLAB entries, or one row of reals, at a time
+    adj = random_partial(600, False, 3)
+    imputed = np.random.default_rng(3).random((600, 600))
+    for write, value in ((io.write_float_matrix, imputed), (io.write_dense_csv, adj), (io.write_triplets, adj)):
+        tracemalloc.start()
+        try:
+            write(tmp_path / "out", value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{write.__name__} peaked at {peak} bytes"
 
 
 def test_covariate_readers(tmp_path):
@@ -279,3 +341,13 @@ def test_graphml_refuses_an_oversized_network_before_allocating(tmp_path, monkey
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}[name])
     with pytest.raises(InputError, match="100 nodes need 80000 bytes"):
         io.load_graphml(path)
+
+
+def test_dense_csv_refuses_an_oversized_network_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "net.csv"
+    io.write_dense_csv(path, random_partial(100, False, 1))
+    assert io.read_dense_csv(path).n == 100
+    # a budget of 64 KB: one 100 x 100 float matrix needs 80,000 bytes
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}[name])
+    with pytest.raises(InputError, match="100 nodes need 80000 bytes"):
+        io.read_dense_csv(path)
