@@ -66,27 +66,29 @@ def _read_rows(path, parse, error: str) -> np.ndarray:
     matrix, ``parse(tokens)`` of each, all of the first row's length.
 
     A line that ``parse`` refuses with a KeyError or ValueError raises
-    ``error`` formatted with ``where`` (``path:line``, lines counted from
-    the file's first) and ``token`` (the exception's first argument).  The
-    matrix is filled a row at a time, so only one row's token strings are
-    alive at once.
+    ``error`` formatted with ``where`` (``path:line``, lines counted as
+    ``str.splitlines`` counts them) and ``token`` (the exception's first
+    argument).  Read and filled a row at a time (the matrix square at first,
+    doubled in rows when full), so the first row is checked before the rest is read.
     """
-    lines = Path(path).read_text().splitlines()
     out, count = None, 0
-    for k, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            row = parse(line.split(","))
-        except (KeyError, ValueError) as exc:
-            raise InputError(error.format(where=f"{path}:{k}", token=exc.args[0])) from None
-        if out is None:
-            check_dense_size(len(row))
-            out = np.empty((len(lines), len(row)))
-        elif len(row) != out.shape[1]:
-            raise InputError(f"{path}:{k}: row has {len(row)} entries, the first row {out.shape[1]}")
-        out[count] = row
-        count += 1
+    with open(path) as fh:
+        for k, line in enumerate(chain.from_iterable(map(str.splitlines, fh)), 1):
+            if not line.strip():
+                continue
+            try:
+                row = parse(line.split(","))
+            except (KeyError, ValueError) as exc:
+                raise InputError(error.format(where=f"{path}:{k}", token=exc.args[0])) from None
+            if out is None:
+                check_dense_size(len(row))
+                out = np.empty((len(row), len(row)))
+            elif len(row) != out.shape[1]:
+                raise InputError(f"{path}:{k}: row has {len(row)} entries, the first row {out.shape[1]}")
+            elif count == len(out):
+                out.resize((2 * count, out.shape[1]), refcheck=False)
+            out[count] = row
+            count += 1
     if out is None:
         raise InputError(f"{path}: empty file")
     return out[:count]

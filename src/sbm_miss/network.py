@@ -25,7 +25,7 @@ from .errors import InputError, NumericalError
 # degenerate M-steps can produce exact 0/1 entries.
 PROB_CLAMP = 1e-12
 _TINY = np.finfo(float).tiny
-SLAB = 8192   # entries per temporary array: the class count walks, and the blocks the writers emit
+SLAB = 8192   # entries per temporary array: class count walks, writers' blocks, nu's logit and entropy
 
 
 def logistic(x, out=None):
@@ -184,7 +184,9 @@ class PartialAdjacency:
     or over all ordered pairs ``i != j`` (directed).  The cached read-only
     index arrays ``pairs``, ``observed_pairs``, ``missing_pairs`` and
     ``missing_flat`` are the one dyad index of the package: every dyad set
-    is read from them.  ``dyads`` and ``entry`` are the per-dyad reference.
+    is read from them.  ``missing_flat`` comes with the mirrored indices that
+    ``fill_missing`` writes, and ``missing_pairs`` is derived from it only for
+    a caller that asks.  ``dyads`` and ``entry`` are the per-dyad reference.
     """
 
     def __init__(self, matrix, directed: bool = False):
@@ -195,16 +197,11 @@ class PartialAdjacency:
         if n < 1:
             raise InputError("network needs at least one node")
         np.fill_diagonal(m, np.nan)
-        off = ~np.eye(n, dtype=bool)
-        vals = m[off]
-        finite = vals[~np.isnan(vals)]
-        if finite.size and not np.isin(finite, (0.0, 1.0)).all():
+        nan = np.isnan(m)   # boolean masks only: the diagonal is NaN on both sides of each test
+        if not (nan | (m == 0.0) | (m == 1.0)).all():
             raise InputError("adjacency entries must be 0, 1 or missing")
-        if not directed:
-            nan = np.isnan(m)
-            ok = (nan & nan.T) | (m == m.T)
-            if not ok[off].all():
-                raise InputError("undirected adjacency must be symmetric, missing dyads included")
+        if not directed and not ((nan & nan.T) | (m == m.T)).all():
+            raise InputError("undirected adjacency must be symmetric, missing dyads included")
         m.flags.writeable = False
         self._matrix = m
         self.directed = bool(directed)
@@ -277,8 +274,10 @@ class PartialAdjacency:
 
     @cached_property
     def missing_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (rows, cols) of missing dyads in canonical order."""
-        return self._pairs_where(np.isnan(self._matrix))
+        """Index arrays (rows, cols) of missing dyads in canonical order, from ``missing_flat``."""
+        rows, cols = divmod(self.missing_flat, self.n)
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
 
     @cached_property
     def observed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -289,10 +288,13 @@ class PartialAdjacency:
     def missing_flat(self) -> np.ndarray:
         """Row-major flat indices mi * n + mj of the missing dyads, in
         canonical order: an n x n matrix's values at the missing dyads are
-        ``matrix.take(missing_flat)``."""
-        mi, mj = self.missing_pairs
-        flat = mi * self.n + mj
-        flat.flags.writeable = False
+        ``matrix.take(missing_flat)``.  Built with ``_mirror``, the indices
+        mj * n + mi (the same array when directed)."""
+        keep = np.isnan(self._matrix)
+        np.fill_diagonal(keep, False)
+        flat = np.flatnonzero(keep if self.directed else np.triu(keep))
+        self._mirror = flat if self.directed else flat % self.n * self.n + flat // self.n
+        flat.flags.writeable = self._mirror.flags.writeable = False
         return flat
 
     def missing_dyads(self) -> list[tuple[int, int]]:
@@ -301,7 +303,7 @@ class PartialAdjacency:
 
     @property
     def n_missing(self) -> int:
-        return self.missing_pairs[0].size
+        return self.missing_flat.size
 
     @property
     def n_observed(self) -> int:
@@ -350,13 +352,12 @@ class PartialAdjacency:
         """Write ``missing_values`` (a scalar or a vector aligned with
         :attr:`missing_pairs`) into the C-ordered n x n matrix ``out`` in
         place, through :attr:`missing_flat` and, on undirected networks, the
-        mirrored indices mj * n + mi as well.  Other entries are untouched."""
+        cached mirrored indices mj * n + mi as well.  Other entries are untouched."""
         vals = np.asarray(missing_values, dtype=float)
         flat = out.reshape(-1)   # a view: out is C-contiguous
         flat[self.missing_flat] = vals
         if not self.directed:
-            mi, mj = self.missing_pairs
-            flat[mj * self.n + mi] = vals
+            flat[self._mirror] = vals
 
     def values_at(self, rows, cols) -> np.ndarray:
         """Values of the dyads (rows[k], cols[k]): 0, 1, or NaN where missing."""
@@ -398,11 +399,13 @@ def check_dense_size(n: int) -> None:
 class PairMatrices:
     """The pair matrices of the bound, stored dense: y (the observed network,
     missing dyads at nu), the mask R and, as None, the all-ones pairs off the
-    diagonal.  The EM loop reads pair storage through these four methods only."""
+    diagonal.  The EM loop reads pair storage through these five methods only; with
+    ``at_missing``, an MNAR fit holds y and |M|-sized vectors, and no other n x n array."""
 
     def __init__(self, adj: PartialAdjacency):
         self.adj, self.directed = adj, adj.directed
         self._y = self._y_nu = None   # the one n x n buffer of y, and the nu array it holds
+        self._bounds = None   # at_missing's block bounds in missing_flat, on first use
 
     def y(self, nu) -> np.ndarray:
         """y at ``nu``; at 0, a fresh matrix per call, for nu None (MAR fits).  The buffer is
@@ -426,6 +429,22 @@ class PairMatrices:
         (column sums less t); m' t is None when undirected, where m is symmetric."""
         rows = t.sum(axis=0) - t if m is None else m @ t
         return rows, ((rows if m is None else m.T @ t) if self.directed else None)
+
+    def at_missing(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``(left @ right.T).take(missing_flat)``, bit for bit, into one |M| vector: one
+        product and one take per block of ``max(1, SLAB // n)`` rows holding a missing dyad."""
+        flat, n = self.adj.missing_flat, self.adj.n
+        step = max(1, SLAB // n)
+        if step >= n:   # one block, of at most SLAB entries: the per-block slicing would cost more
+            return (left @ right.T).take(flat)
+        if self._bounds is None:
+            self._bounds = np.searchsorted(flat, np.arange(0, n + step, step) * n).tolist()
+        out = np.empty(flat.size)
+        for start, lo, hi in zip(range(0, n, step), self._bounds, self._bounds[1:]):
+            if hi > lo:   # a writeable index, as numpy copies a read-only one; "clip" does not buffer out
+                np.take(left[start:start + step] @ right.T, flat[lo:hi] - start * n,
+                        out=out[lo:hi], mode="clip")
+        return out
 
     @staticmethod
     def quad(m, tau: np.ndarray) -> np.ndarray:

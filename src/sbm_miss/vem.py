@@ -12,10 +12,11 @@ proposal, halving it as needed, that does not lower the bound at fixed
 parameters and nu, so the ELBO stays monotone.  nu is then updated jointly
 (the bound separates over missing dyads for every design except those whose
 logistic features are expected degrees, whose coupled update is safeguarded
-by backtracking); the model logit of every missing dyad is gathered from the
-rank-Q product tau L tau' at the dyads' flat indices.  The covariate SBM's coupling takes
-log sigma per block pair at the V covariate classes only (``sbm.covariate_class_index``).  In
-the M step, pi and the psi of the rate
+by backtracking); the model logit of every missing dyad is read from the
+rank-Q product tau L tau' at the missing dyads only, by the store's
+``at_missing``, a block of rows at a time.  The covariate SBM's coupling
+takes log sigma per block pair at the V covariate classes only
+(``sbm.covariate_class_index``).  In the M step, pi and the psi of the rate
 designs are one rate family: expected counts per stratum, then
 ``network.rate_update``.  The logistic designs take damped Newton fits.  The
 mask R and the observed nodes V come from the network itself; R is read only
@@ -29,6 +30,7 @@ restricts to observed dyads, a MAR fit's state carries no nu
 The pair matrices y = A_obs + nu, R and the all-ones pairs are read only
 through the fit's one ``network.PairMatrices`` store; under MNAR designs it
 holds y as one n x n buffer, rewritten at the missing dyads when nu changes.
+Beside it, nu, its logits and its entropy terms are |M|-sized vectors.
 
 The outer loop is EM accelerated by SQUAREM (Varadhan & Roland 2008, Scand.
 J. Statist. 35:335) for every design.  The map is one EM iteration of the
@@ -49,6 +51,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .network import (
+    SLAB,
     CovariateSet,
     PartialAdjacency,
     Partition,
@@ -182,6 +185,15 @@ def icl_penalty(q: int, k: int, n: int, centering_kind: str,
     if centering_kind == "node-centered":
         return float(conn * math.log(n_pairs) + (k + q - 1) * math.log(n))
     raise InputError(f"unknown centering {centering_kind!r}")
+
+
+def _nu_entropy(nu: np.ndarray) -> float:
+    """Entropy of the means nu: terms SLAB at a time into one array, then numpy's pairwise sum of it."""
+    terms = np.empty(nu.size)
+    for start in range(0, nu.size, SLAB):
+        part = nu[start:start + SLAB]
+        np.add(xlogx(part), xlogx(1.0 - part), out=terms[start:start + SLAB])
+    return float(-terms.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +408,16 @@ class _Engine:
 
         The model logit of missing dyad (i, j) is tau_i' L tau_j, with L the
         ``logit`` table of ``_ve_terms`` (plus beta . x_ij, per class, for the covariate SBM).  It is
-        gathered from the rank-Q product tau L tau' at the missing dyads'
-        flat indices, one BLAS call in place of two |M| x Q row gathers.
+        gathered from the rank-Q product tau L tau' at the dyads' flat indices,
+        a block of at most SLAB entries at a time (``PairMatrices.at_missing``).
         """
-        flat = self.adj.missing_flat
-        base = (tau @ logit @ tau.T).take(flat)
+        base = self.store.at_missing(tau @ logit, tau)
         if cov_effect is not None:
-            base += cov_effect.take(self._class_index.take(flat))
-        z = base + nu_logit_correction(design, self.adj, nu)
+            base += cov_effect.take(self._class_index.take(self.adj.missing_flat))
+        coupled = DESIGNS[design.tag].psi == "expected degree"   # _nu_objective reads base below
+        z = np.add(base, nu_logit_correction(design, self.adj, nu), out=None if coupled else base)
         proposed = logistic(z, out=z)
-        if DESIGNS[design.tag].psi != "expected degree":
+        if not coupled:
             return proposed
         # Expected-degree features couple the missing dyads through the
         # degrees; accept the fixed-point proposal only if it does not lower
@@ -422,8 +434,7 @@ class _Engine:
     def _nu_objective(self, base, tau, nu, design) -> float:
         value = float(base @ nu)
         value += sampling_loglik(design, trusted(VariationalState, tau=tau, nu=nu), self.adj)
-        value += float(-(xlogx(nu) + xlogx(1.0 - nu)).sum())
-        return value
+        return value + _nu_entropy(nu)
 
     # -- objective --------------------------------------------------------------
 
@@ -437,7 +448,7 @@ class _Engine:
             s_ll = sampling_loglik(design, state, self.adj, self.covariates)
         ent = float(-xlogx(state.tau).sum())
         if state.nu is not None and state.nu.size:
-            ent += float(-(xlogx(state.nu) + xlogx(1.0 - state.nu)).sum())
+            ent += _nu_entropy(state.nu)
         return vexpec + s_ll + ent, vexpec, s_ll
 
 
@@ -692,6 +703,7 @@ def fit_single(adj: PartialAdjacency, q: int, sampling,
         state = eng.initial_state(init, q)
         params, design, flags = eng.m_step(state, None, start)
         point = _Point(params, design, state, *eng.elbo_parts(params, design, state), flags)
+        del state   # point holds the initial state only until the first kept evaluation
         monitoring = [MonitorRow(0, point.elbo, math.inf, flags)]
         _log_row(q, monitoring[0])
         # packed parameters of the current SQUAREM cycle, point's last; only

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -351,3 +352,38 @@ def test_dense_csv_refuses_an_oversized_network_before_allocating(tmp_path, monk
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}[name])
     with pytest.raises(InputError, match="100 nodes need 80000 bytes"):
         io.read_dense_csv(path)
+
+
+def test_dense_csv_refusal_reads_only_the_first_line(tmp_path, monkeypatch):
+    # a 1000-node file of 2.0 MB under a 64 KB budget: refused from its first
+    # row, at a traced peak well under the file's size
+    path = tmp_path / "net.csv"
+    path.write_text(("0," * 999 + "0\n") * 1000)
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}[name])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="1000 nodes need 8000000 bytes"):
+            io.read_dense_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_comma_separated_lines_are_numbered_as_splitlines_splits_the_text(tmp_path):
+    # a form feed ends a line for str.splitlines, not for file iteration
+    path = tmp_path / "net.csv"
+    path.write_text("NA,1\x0c1,NA\n")
+    assert io.read_dense_csv(path).entry(0, 1) == 1
+    path.write_text("NA,0\x0c\x0c0,NA\nNA,x\n")
+    with pytest.raises(InputError, match=re.escape(f"invalid token 'x' in {path}:4 ")):
+        io.read_dense_csv(path)
+
+
+def test_comma_separated_rows_past_the_first_row_count_grow_the_matrix(tmp_path):
+    # the matrix starts square at the first row's length: a column vector
+    # and a wide, short matrix read back whole
+    for values in (np.arange(37.0)[:, None], np.arange(12.0).reshape(2, 6)):
+        path = tmp_path / "m.csv"
+        io.write_float_matrix(path, values)
+        np.testing.assert_array_equal(io.read_float_matrix(path), values)

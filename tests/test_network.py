@@ -3,7 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit, log_expit, xlogy
 
 from sbm_miss import (
@@ -19,7 +20,7 @@ from sbm_miss import (
 from sbm_miss.errors import NumericalError
 from sbm_miss.network import PROB_CLAMP, clamp_prob, fit_logistic, log_sigmoid, logistic_loglik, xlogx
 
-from util import adjacency_from_edges, random_partial
+from util import adjacency_from_edges, peak_floats, random_partial
 
 
 class TestLogistic:
@@ -358,3 +359,134 @@ class TestFitLogistic:
         coef, ll = fit_logistic(x, y, weights=weights, start=start)
         assert ll == logistic_loglik(x, y, coef, weights)
         assert ll >= logistic_loglik(x, y, start, weights)
+
+
+def _reference_validation(matrix, directed):
+    """The constructor's error text for ``matrix``, or None, from copies of
+    the off-diagonal values and np.isin: the reference for its masks."""
+    m = np.array(matrix, dtype=float)
+    np.fill_diagonal(m, np.nan)
+    off = ~np.eye(len(m), dtype=bool)
+    vals = m[off]
+    finite = vals[~np.isnan(vals)]
+    if finite.size and not np.isin(finite, (0.0, 1.0)).all():
+        return "adjacency entries must be 0, 1 or missing"
+    nan = np.isnan(m)
+    if not directed and not ((nan & nan.T) | (m == m.T))[off].all():
+        return "undirected adjacency must be symmetric, missing dyads included"
+    return None
+
+
+@st.composite
+def square_matrices(draw, values=(0.0, 1.0, np.nan), symmetric=False):
+    """n x n matrices (n = 1..7) of ``values``, copied onto the lower
+    triangle when ``symmetric``."""
+    n = draw(st.integers(1, 7))
+    mat = draw(hnp.arrays(float, (n, n), elements=st.sampled_from(values)))
+    if symmetric:
+        lower = np.tril_indices(n, -1)
+        mat[lower] = mat.T[lower]
+    return mat
+
+
+# entries the constructor accepts, and ones it refuses
+ENTRY_VALUES = (0.0, 1.0, np.nan, -0.0, 0.5, 2.0, np.inf, -np.inf)
+
+
+class TestConstructorValidation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.booleans().flatmap(lambda symmetric: square_matrices(ENTRY_VALUES, symmetric)))
+    @example(False, np.array([[np.nan, np.nan], [0.0, np.nan]]))   # one side of a dyad missing
+    def test_accepts_and_refuses_as_the_reference_does(self, directed, mat):
+        expected = _reference_validation(mat, directed)
+        if expected is None:
+            adj = PartialAdjacency(mat, directed=directed)
+            np.fill_diagonal(mat, np.nan)
+            np.testing.assert_array_equal(adj.matrix, mat)
+        else:
+            with pytest.raises(InputError, match=f"^{expected}$"):
+                PartialAdjacency(mat, directed=directed)
+
+    def test_peak_at_n_300(self):
+        # Measured: 1.50 n x n floats, the held copy (1.0) and the boolean
+        # masks of the two tests; the float copies of the off-diagonal values
+        # and np.isin took 3.12.
+        n = 300
+        mat = np.array(random_partial(n, False, 4).matrix)
+        assert peak_floats(lambda: PartialAdjacency(mat), n) <= 1.55
+
+
+class TestMissingIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_equals_the_nonzero_construction(self, directed, data):
+        adj = PartialAdjacency(data.draw(square_matrices(symmetric=not directed)), directed=directed)
+        n = adj.n
+        keep = np.isnan(adj.matrix)
+        np.fill_diagonal(keep, False)
+        mi, mj = np.nonzero(keep if directed else np.triu(keep))
+        flat = adj.missing_flat
+        np.testing.assert_array_equal(flat, mi * n + mj)
+        # the mirrored indices that fill_missing writes, built with missing_flat
+        if directed:
+            assert adj._mirror is flat
+        else:
+            np.testing.assert_array_equal(adj._mirror, mj * n + mi)
+        assert adj.n_missing == mi.size
+        for got, want in zip(adj.missing_pairs, (mi, mj)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        for index in (flat, adj._mirror, *adj.missing_pairs):
+            assert not index.flags.writeable and index.flags.c_contiguous
+
+    def test_a_fit_path_read_builds_no_missing_pairs(self):
+        # n_missing, missing_flat and fill_missing read the flat indices only
+        adj = random_partial(12, False, 5)
+        adj.filled(np.zeros(adj.n_missing))
+        assert "missing_pairs" not in vars(adj)
+
+
+def _with_rows_observed(adj, rows):
+    """``adj`` with every dyad touching ``rows`` observed (absent when missing)."""
+    mat = np.array(adj.matrix)
+    for view in (mat[rows], mat[:, rows]):
+        view[np.isnan(view)] = 0.0
+    return PartialAdjacency(mat, directed=adj.directed)
+
+
+class TestAtMissing:
+    # n = 1, 30 and 90 are one block of rows (SLAB // n >= n), one product
+    # and one take; n = 200 is five blocks of 40 rows, the second of them
+    # without a missing dyad in the "gap" case
+    CASES = {"n1": (1, None), "one block": (90, None), "none missing, one block": (30, slice(None)),
+             "blocks": (200, None), "gap": (200, slice(40, 80)), "none missing": (200, slice(None))}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_equals_the_whole_product_at_missing_flat_bitwise(self, case, directed):
+        n, observed = self.CASES[case]
+        adj = random_partial(n, directed, seed=n)
+        if observed is not None:
+            adj = _with_rows_observed(adj, observed)
+        rng = np.random.default_rng(n)
+        left, right = rng.standard_normal((n, 3)), rng.random((n, 3))
+        store = adj.pair_matrices()
+        expected = (left @ right.T).take(adj.missing_flat)
+        for _ in range(2):   # the block bounds are cached by the first call
+            got = store.at_missing(left, right)
+            assert got.shape == (adj.n_missing,) and got.dtype == float
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        if case == "gap":
+            assert adj.n_missing and not np.isin(adj.missing_flat // n, np.arange(40, 80)).any()
+        if case.startswith("none missing"):
+            assert adj.n_missing == 0
+
+    def test_holds_one_block_of_the_product(self):
+        # n = 200: |M| (about 0.18 n x n), one 40-row block of the product
+        # (0.2) and its indices; the whole product would be 1.0 more
+        n = 200
+        adj = random_partial(n, False, 6)
+        store = adj.pair_matrices()
+        left, right = np.ones((n, 3)), np.ones((n, 3))
+        store.at_missing(left, right)
+        assert peak_floats(lambda: store.at_missing(left, right), n) < 0.5

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +24,7 @@ from sbm_miss.sbm import (covariate_classes, dyad_covariate_effect, fit_covariat
                           spectral_embedding)
 from sbm_miss.vem import _Engine
 
-from util import adjacency_from_edges, dyad_values, planted_params, random_partial
+from util import adjacency_from_edges, dyad_values, peak_floats, planted_params, random_partial
 
 
 def hard_state(labels, q):
@@ -394,19 +393,6 @@ def test_mnar_covariate_bound_needs_nu_at_every_missing_dyad(nu):
     with pytest.raises(InputError, match="one value per missing dyad"):
         _Engine(adj, "double-standard", cov, True).elbo_parts(
             params, SamplingDesign("double-standard", [0.8, 0.2]), state)
-
-
-def peak_floats(fn, n):
-    """Peak memory that fn allocates above what is held on entry, in n x n
-    float arrays."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return (peak - held) / (8.0 * n * n)
 
 
 class TestCovariateWorkingSet:

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from sbm_miss import PartialAdjacency, SbmParams
@@ -49,3 +51,16 @@ def dyad_values(adj, state):
 def elbo_is_monotone(fit, slack=1e-8):
     values = [row.elbo for row in fit.monitoring]
     return all(b >= a - slack for a, b in zip(values, values[1:]))
+
+
+def peak_floats(fn, n):
+    """Peak memory that fn allocates above what is held on entry, in n x n
+    float arrays."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / (8.0 * n * n)
