@@ -492,9 +492,9 @@ class CovariateSet:
     Nodal covariates are length-n vectors (one scalar per node per covariate)
     and are transferred to the dyad level by a symmetric similarity function.
     Dyadic covariates are n x n matrices; ``kind`` is "dyadic" when any are held.
-    A similarity is a name in ``SIMILARITIES`` or an elementwise callable:
-    on read-only n x n views a[i, j] = v[i], b[i, j] = v[j] of a nodal
-    covariate v it returns the n x n similarities of (a[i, j], b[i, j]).
+    A similarity is a name in ``SIMILARITIES`` or an elementwise callable: on equal-shape
+    arrays a, b of node values it returns the similarities of (a[k], b[k]).  Fits read
+    nodal sets at the pairs they need (``at_pairs``), never as n x n matrices.
     """
 
     nodal: tuple = ()
@@ -507,6 +507,8 @@ class CovariateSet:
         for v in self.nodal:
             if v.ndim != 1:
                 raise InputError("nodal covariates must be vectors")
+            if not np.isfinite(v).all():
+                raise InputError("nodal covariate entries must be finite")
         for m in self.dyadic:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise InputError("dyadic covariates must be square matrices")
@@ -552,11 +554,13 @@ class CovariateSet:
         return np.column_stack(self.nodal)
 
     def at_pairs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """m x P array of the dyad-level covariates at the P pairs
-        (rows[k], cols[k])."""
-        if not self.dyadic:
-            raise InputError("no dyadic covariates available; transfer first")
-        return np.array([x[rows, cols] for x in self.dyadic])
+        """m x P array of the dyad-level covariates at the P pairs (rows[k], cols[k]):
+        the dyadic matrices' entries, or the similarity of (v[rows], v[cols]) per
+        nodal covariate v, bit for bit ``transfer_covariates(self).at_pairs``."""
+        if self.dyadic:
+            return np.array([x[rows, cols] for x in self.dyadic])
+        sim = _resolve_similarity(self.similarity)
+        return np.array([sim(v[rows], v[cols]) for v in self.nodal], dtype=float)
 
 
 def check_nodes(what: str, given, n: int) -> None:
@@ -568,9 +572,9 @@ def check_nodes(what: str, given, n: int) -> None:
 def transfer_covariates(cov: CovariateSet) -> CovariateSet:
     """Transfer nodal covariates to the dyad level (identity on dyadic sets).
 
-    Each nodal covariate v produces one dyadic matrix, the similarity of
-    (v[i], v[j]) at (i, j) (see :class:`CovariateSet`).  Nodal vectors are
-    retained on the result for designs that act on nodes.
+    Each nodal covariate v produces one dyadic matrix, the similarity of (v[i], v[j])
+    at (i, j) (see :class:`CovariateSet`), with the nodal vectors retained.  Only n x n
+    outputs need it; fits read nodal sets at pairs (``CovariateSet.at_pairs``).
     """
     if cov.kind == "dyadic":
         return cov

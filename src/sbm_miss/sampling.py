@@ -61,7 +61,6 @@ from .network import (
     rate_loglik,
     rate_update,
     safe_log,
-    transfer_covariates,
     trusted,
 )
 
@@ -196,7 +195,7 @@ def _features(design: SamplingDesign, adj: PartialAdjacency, nu,
     elif spec.centering == "node-centered":
         x = [covariates.nodal_matrix()]
     else:
-        x = [transfer_covariates(covariates).at_pairs(*adj.pairs).T]
+        x = [covariates.at_pairs(*adj.pairs).T]
     x = np.column_stack([np.ones(x[0].shape[0])] + x)
     if x.shape[1] != design.psi.size:
         raise InputError(f"{design.tag} slope count does not match the covariates")

@@ -147,13 +147,12 @@ class MembershipDraw:
 
 
 def _dyad_covariates(params: SbmParams, covariates: Optional[CovariateSet]) -> CovariateSet:
-    """The dyad-level covariates, one per beta entry."""
+    """The caller's covariates, checked to hold one dyad-level covariate per beta entry."""
     if covariates is None:
         raise InputError("covariate variant needs dyadic covariates")
-    cov = transfer_covariates(covariates)
-    if cov.m != params.beta.size:
-        raise InputError(f"beta has {params.beta.size} entries but {cov.m} covariates given")
-    return cov
+    if covariates.m != params.beta.size:
+        raise InputError(f"beta has {params.beta.size} entries but {covariates.m} covariates given")
+    return covariates
 
 
 def covariate_effect(params: SbmParams, x) -> np.ndarray:
@@ -164,7 +163,7 @@ def covariate_effect(params: SbmParams, x) -> np.ndarray:
 
 def dyad_covariate_effect(params: SbmParams, covariates: Optional[CovariateSet]) -> np.ndarray:
     """n x n matrix of beta . x_ij; undirected, a dyad takes x_ij at i < j."""
-    c = covariate_effect(params, _dyad_covariates(params, covariates).dyadic)
+    c = covariate_effect(params, transfer_covariates(_dyad_covariates(params, covariates)).dyadic)
     return c if params.directed else np.triu(c) + np.triu(c, 1).T
 
 
@@ -207,10 +206,9 @@ CovariateCounts = namedtuple("CovariateCounts", "x xy wy n pairs")
 def covariate_classes(adj: PartialAdjacency, covariates: CovariateSet, missing: bool):
     """Distinct columns X (m x V; -0.0 == 0.0) of the dyads in play, observed then missing if ``missing``,
     and per part (rows, cols, order, starts, v0): its class order, where classes start, its first class."""
-    cov = transfer_covariates(covariates)
     columns, parts = [], []
     for rows, cols in [adj.observed_pairs] + ([adj.missing_pairs] if missing else []):
-        x = cov.at_pairs(rows, cols)
+        x = covariates.at_pairs(rows, cols)
         order = np.argsort(x[-1])   # lexicographic, so equal columns meet
         if np.any(x[-1, order[1:]] == x[-1, order[:-1]]):   # earlier rows break ties
             for row in x[-2::-1]:
@@ -227,13 +225,19 @@ def covariate_class_index(classes, n: int, directed: bool) -> np.ndarray:
     """n x n intp index of each dyad's class in ``covariate_classes`` (both orders of an
     undirected dyad); the diagonal and the dyads out of play point at the extra slot V."""
     index = np.full((n, n), classes[0].shape[1], dtype=np.intp)
-    for rows, cols, order, starts, v0 in classes[1]:
-        cls = np.empty(order.size, dtype=np.intp)
-        cls[order] = np.repeat(np.arange(v0, v0 + starts.size - 1), np.diff(starts))
+    for rows, cols, *part in classes[1]:
+        cls = class_numbers(*part)
         index[rows, cols] = cls
         if not directed:
             index[cols, rows] = cls
     return index
+
+
+def class_numbers(order, starts, v0) -> np.ndarray:
+    """The intp class of each dyad of a ``covariate_classes`` part, in the part's pair order."""
+    cls = np.empty(order.size, dtype=np.intp)
+    cls[order] = np.repeat(np.arange(v0, v0 + starts.size - 1), np.diff(starts))
+    return cls
 
 
 def covariate_counts(adj: PartialAdjacency, state, covariates: CovariateSet,
@@ -253,7 +257,10 @@ def covariate_counts(adj: PartialAdjacency, state, covariates: CovariateSet,
             w = ta.take(i, axis=1)
             w *= tb.take(j, axis=1)
             if not adj.directed:   # (b, a) as well, so tb (K x n) is halved where a == b
-                w += tb.take(i, axis=1) * ta.take(j, axis=1)
+                u = tb.take(i, axis=1)   # in place: w and two slab arrays at a time
+                u *= ta.take(j, axis=1)
+                w += u
+                del u
             y = adj.values_at(i, j) if nu is None else nu[order[s:s + step]]
             first, last = np.searchsorted(starts, (s, s + i.size - 1), side="right") - 1
             offsets, cls = np.maximum(starts[first:last + 1] - s, 0), slice(v0 + first, v0 + last + 1)
@@ -329,6 +336,26 @@ def predict_probabilities(params: SbmParams, state,
                 if not params.directed and a != b:   # eta is symmetric: pair (b, a)
                     out += eta.T
     np.fill_diagonal(out, np.nan)
+    return out
+
+
+def predict_missing(params: SbmParams, state, adj: PartialAdjacency,
+                    covariates: Optional[CovariateSet] = None) -> np.ndarray:
+    """``predict_probabilities(params, state, covariates).take(adj.missing_flat)``, bit for bit: the
+    covariate variant's operations per entry, in their order, at the missing dyads only; the plain
+    one's whole tau pi tau', as row blocks of it (``PairMatrices.at_missing``) can differ in the last bit."""
+    tau = state.tau
+    if params.variant == "plain":
+        return (tau @ params.pi @ tau.T).ravel()[adj.missing_flat]   # take would copy the read-only index
+    mi, mj = np.divmod(adj.missing_flat, adj.n)   # adj.missing_pairs, not kept on adj
+    c = covariate_effect(params, _dyad_covariates(params, covariates).at_pairs(mi, mj))
+    out, eta, weight = np.zeros(mi.size), np.empty(mi.size), np.empty(mi.size)
+    for a in range(params.q):
+        for b in range(0 if params.directed else a, params.q):
+            logistic(np.add(params.gamma[a, b], c, out=eta), out=eta)
+            out += np.multiply(np.multiply(tau[mi, a], tau[mj, b], out=weight), eta, out=weight)
+            if not params.directed and a != b:   # pair (b, a), at (j, i)
+                out += np.multiply(np.multiply(tau[mj, a], tau[mi, b], out=weight), eta, out=weight)
     return out
 
 
@@ -424,15 +451,18 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     the repair of another, is reseeded from the point farthest from its
     center among those not moved yet in that step.  Distances go a center at
     a time into one n x k buffer; both they and the centers (sum / count) are
-    the n x k x d differences and ``mean`` bit for bit.
+    the n x k x d differences and ``mean`` bit for bit.  Differences go into ``diff``, laid out
+    as ``points``, cluster rows and the inertia's terms into the C-ordered ``gather`` (``diff``
+    for C-ordered points): each reduction keeps its memory order, and bits, with no other n x d array.
     """
     n = points.shape[0]
     if k >= n:
         return np.arange(n) % k
     best_labels, best_inertia = None, np.inf
     dist, diff = np.empty((n, k)), np.empty_like(points, dtype=float)
+    gather = diff if diff.flags.c_contiguous else np.empty(points.shape)
     for _ in range(KMEANS_RESTARTS):
-        centers = _kmeans_pp(points, k, rng)
+        centers = _kmeans_pp(points, k, rng, diff)
         labels = np.zeros(n, dtype=int)
         for _ in range(KMEANS_MAX_ITER):
             for c in range(k):
@@ -445,21 +475,23 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             if (new_labels == labels).all():
                 break
             labels = new_labels
-            for c in range(k):
-                np.divide(points[labels == c].sum(axis=0), counts[c], out=centers[c])
-        inertia = float(((points - centers[labels]) ** 2).sum())
+            for c in range(k):   # a writeable index, and "clip", so take copies neither it nor out
+                rows = np.take(points, np.flatnonzero(labels == c), axis=0, out=gather[:counts[c]], mode="clip")
+                np.divide(rows.sum(axis=0), counts[c], out=centers[c])
+        np.take(centers, labels, axis=0, out=gather, mode="clip")
+        inertia = float(np.square(np.subtract(points, gather, out=gather), out=gather).sum())
         if inertia < best_inertia - 1e-12:
             best_inertia, best_labels = inertia, labels
     return best_labels
 
 
-def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator, diff: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
     d2 = np.full(n, np.inf)
     for c in range(1, k):
-        np.minimum(d2, np.square(points - centers[c - 1]).sum(axis=1), out=d2)
+        np.minimum(d2, np.square(np.subtract(points, centers[c - 1], out=diff), out=diff).sum(axis=1), out=d2)
         total = d2.sum()
         centers[c] = points[rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)]
     return centers

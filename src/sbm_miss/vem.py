@@ -26,7 +26,9 @@ share one set of block-pair counts.
 
 Under MAR designs the missing dyads drop from the objective: the SBM factor
 restricts to observed dyads, a MAR fit's state carries no nu
-(``_Engine.initial_nu``), and imputation predicts the missing dyads post hoc.
+(``_Engine.initial_nu``), and imputation predicts the missing dyads post hoc,
+at those dyads only.  Nodal covariates are read at the pairs in play
+(``CovariateSet.at_pairs``): no fit holds an n x n similarity matrix.
 The pair matrices y = A_obs + nu, R and the all-ones pairs are read only
 through the fit's one ``network.PairMatrices`` store; under MNAR designs it
 holds y as one n x n buffer, rewritten at the missing dyads when nu changes.
@@ -63,7 +65,6 @@ from .network import (
     read_only,
     safe_log,
     safe_logit,
-    transfer_covariates,
     trusted,
     xlogx,
 )
@@ -83,6 +84,7 @@ from .sbm import (
     SbmParams,
     _dyad_covariates,
     block_pair_counts,
+    class_numbers,
     covariate_class_index,
     covariate_classes,
     covariate_counts,
@@ -90,7 +92,7 @@ from .sbm import (
     expected_loglik_sbm,
     fit_covariate_connectivity,
     kmeans,
-    predict_probabilities,
+    predict_missing,
     spectral_embedding,
     spectral_init,
 )
@@ -204,7 +206,8 @@ class _Engine:
     """Per-fit precomputations and the VE/M/ELBO primitives.
 
     ``tag`` may be None for a pure SBM fit on the observed part of the data
-    (no sampling factor in the objective).
+    (no sampling factor in the objective).  Covariates are held as given, nodal
+    ones untransferred; ``use_cov`` sorts the dyads in play into classes once.
     """
 
     def __init__(self, adj: PartialAdjacency, tag: Optional[str],
@@ -219,11 +222,11 @@ class _Engine:
         # nu enters the SBM factor only under MNAR designs (see initial_nu)
         self.mnar = spec is not None and spec.mechanism == "MNAR"
         self.use_cov = use_cov
-        # transferred once per fit; nodal vectors stay on it for nodal covariate features
-        self.covariates = transfer_covariates(covariates) if covariates is not None else None
+        self.covariates = covariates   # nodal sets stay nodal: every reader takes them at pairs
         self.sbm_covariates = self.covariates if use_cov else None
         self._classes = None   # use_cov: the dyads in play by covariate class, sorted on first use
         self._class_index = None   # use_cov: n x n index of each dyad's class, built with them
+        self._missing_class = None   # use_cov, MNAR: the class of each missing dyad, canonical order
         self.damped_rounds = 0   # VE rounds whose full step was shortened or refused
         self._counts = (None, None)   # (state, its block_counts)
         self.store = adj.pair_matrices()   # the fit's pair matrices y, R and the all-ones pairs
@@ -255,6 +258,8 @@ class _Engine:
         if self._classes is None:
             self._classes = covariate_classes(self.adj, self.covariates, self.mnar)
             self._class_index = covariate_class_index(self._classes, self.adj.n, self.directed)
+            if self.mnar:
+                self._missing_class = class_numbers(*self._classes[1][1][2:])
         return self._classes
 
     # -- M step ---------------------------------------------------------------
@@ -413,7 +418,7 @@ class _Engine:
         """
         base = self.store.at_missing(tau @ logit, tau)
         if cov_effect is not None:
-            base += cov_effect.take(self._class_index.take(self.adj.missing_flat))
+            base += cov_effect.take(self._missing_class)
         coupled = DESIGNS[design.tag].psi == "expected degree"   # _nu_objective reads base below
         z = np.add(base, nu_logit_correction(design, self.adj, nu), out=None if coupled else base)
         proposed = logistic(z, out=z)
@@ -806,13 +811,12 @@ def impute(fit: FitResult) -> np.ndarray:
     """Dense real matrix: observed dyads copied, missing ones imputed.
 
     MNAR fits carry the imputation means directly; MAR fits fill in the
-    model's predicted connection probabilities post hoc.  Diagonal is 0.
+    model's predicted connection probabilities post hoc, computed at the
+    missing dyads only (``sbm.predict_missing``).  Diagonal is 0.
     """
     values = fit.state.nu
     if values is None and fit.adj.n_missing:
-        pred = predict_probabilities(fit.params, fit.state,
-                                     fit.covariates if fit.use_cov else None)
-        values = pred.take(fit.adj.missing_flat)
+        values = predict_missing(fit.params, fit.state, fit.adj, fit.covariates if fit.use_cov else None)
     return fit.adj.filled(values)
 
 
@@ -935,16 +939,19 @@ def _start_key(q: int, labels: np.ndarray) -> bytes:
     return np.append(labels, q).astype(np.min_scalar_type(q)).tobytes()
 
 
-def _split_candidates(base: FitResult, q_target: int, control: ControlOptions):
+def _split_candidates(base: FitResult, q_target: int, control: ControlOptions) -> list[np.ndarray]:
     """Split each block of the (q_target-1)-fit in two, by 2-means on the
-    block's rows of the imputed adjacency restricted to the block's columns."""
+    block's rows of the imputed adjacency restricted to the block's columns.  The
+    imputed matrix goes once sliced, and each slice once clustered, before any
+    candidate fit runs; each block draws from its own seed."""
     z = base.memberships
     imputed = impute(base)
-    for block in range(base.q):
-        members = np.nonzero(z == block)[0]
-        if members.size < 2:
-            continue
-        sub = imputed[np.ix_(members, members)]
+    blocks = [(block, members, imputed[np.ix_(members, members)]) for block in range(base.q)
+              if (members := np.nonzero(z == block)[0]).size >= 2]
+    del imputed
+    labellings = []
+    while blocks:
+        block, members, sub = blocks.pop(0)
         if np.allclose(sub, sub[0]):
             halves = np.arange(members.size) % 2
         else:
@@ -952,7 +959,8 @@ def _split_candidates(base: FitResult, q_target: int, control: ControlOptions):
             halves = kmeans(sub, 2, rng)   # both clusters non-empty
         labels = np.array(z)
         labels[members[halves == 1]] = q_target - 1
-        yield labels
+        labellings.append(labels)
+    return labellings
 
 
 def _merge_candidates(base: FitResult, q_target: int):

@@ -117,6 +117,10 @@ class TestL1Similarity:
         np.testing.assert_array_equal(l1_similarity(values, other), l1_similarity(other, values))
 
 
+# node values with both zeros, so -0.0 and 0.0 similarities must keep their sign
+NODE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3, width=16))
+
+
 class TestTransferCovariates:
     def test_nodal_transfer(self):
         cov = transfer_covariates(CovariateSet.from_nodal([[0.0, 1.0, 1.0]]))
@@ -151,6 +155,23 @@ class TestTransferCovariates:
         cov = transfer_covariates(CovariateSet.from_nodal([vec], similarity=lambda a, b: -(a - b) ** 2))
         expected = [[-(vec[i] - vec[j]) ** 2 for j in range(4)] for i in range(4)]
         np.testing.assert_array_equal(cov.dyadic[0], expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(NODE_VALUES, min_size=n, max_size=n), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))),
+        st.sampled_from(["l1", lambda a, b: a * b - np.abs(a), lambda a, b: np.minimum(a, b)]))
+    def test_nodal_sets_read_at_pairs_as_their_transfer(self, data, similarity):
+        vectors, pairs = data
+        rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+        cov = CovariateSet.from_nodal(vectors, similarity=similarity)
+        direct, transferred = cov.at_pairs(rows, cols), transfer_covariates(cov).at_pairs(rows, cols)
+        assert direct.shape == (len(vectors), len(pairs))
+        assert direct.tobytes() == transferred.tobytes()
+
+    def test_nodal_entries_must_be_finite(self):
+        with pytest.raises(InputError, match="nodal covariate entries must be finite"):
+            CovariateSet.from_nodal([[0.0, np.nan, 1.0]])
 
 
 class TestPartialAdjacency:

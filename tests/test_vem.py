@@ -31,7 +31,7 @@ from sbm_miss import (
     spectral_init,
 )
 from sbm_miss import sampling, sbm, vem
-from sbm_miss.network import SLAB, PairMatrices, log_sigmoid, safe_log, safe_logit, trusted
+from sbm_miss.network import SLAB, PairMatrices, log_sigmoid, logistic, safe_log, safe_logit, trusted
 from sbm_miss.sampling import DESIGNS, make_default_design
 from sbm_miss.vem import ELBO_SLACK, ICL_TIE_TOL, _Engine, fit_from_json
 
@@ -161,6 +161,31 @@ class TestNuUpdate:
         update = lambda: eng._nu_update(design, tau, nu, tables[0], None)   # noqa: E731
         update()   # the block bounds are built once per store
         bound = (8 * adj.n_missing + 2 * 8 * SLAB + 8 * n * q) / (8.0 * n * n)
+        assert peak_floats(update, n) <= bound
+
+    def test_covariate_logit_reads_the_class_of_each_missing_dyad_once_gathered(self):
+        # directed, n = 200, 30 % of the dyads missing: nu is bit for bit the update
+        # that gathered each missing dyad's class from the n x n class index.  The
+        # update allocates nu and one |M| gather of beta . x (measured 2.01 |M|
+        # floats), where that gather copied the read-only missing_flat and built
+        # |M| class numbers on each call (3.01)
+        n, q = 200, 3
+        rng = np.random.default_rng(14)
+        cov = CovariateSet.from_dyadic([rng.normal(size=(n, n))])
+        params = SbmParams(alpha=np.full(q, 1 / q), gamma=rng.normal(size=(q, q)), beta=np.array([0.8]),
+                           directed=True)
+        adj, _ = sample_network(params, n, covariates=cov, rng_seed=14)
+        observed = observe_network(adj, SamplingDesign("dyad", 0.7), rng_seed=15)
+        design = SamplingDesign("double-standard", [0.8, 0.2])
+        eng = _Engine(observed, design.tag, cov, True)
+        tau, nu = rng.dirichlet(np.ones(q), size=n), rng.random(observed.n_missing)
+        _, tables, cov_effect = eng._ve_terms(params, design)
+        update = lambda: eng._nu_update(design, tau, nu, tables[0], cov_effect)   # noqa: E731
+        base = eng.store.at_missing(tau @ tables[0], tau)
+        base += cov_effect.take(eng._class_index.take(observed.missing_flat))
+        expected = logistic(base + sampling.nu_logit_correction(design, observed, nu))
+        assert update().tobytes() == expected.tobytes()
+        bound = (2 * observed.n_missing + 2 * n * q) / (n * n)
         assert peak_floats(update, n) <= bound
 
 
@@ -576,23 +601,27 @@ class TestFitSingle:
         assert value == _Engine(observed, "double-standard", None, False).elbo_parts(params, design, state)[0]
         assert len(calls) == 2
 
-    def test_covar_dyad_fit_transfers_covariates_once(self):
-        # every nodal-to-dyadic transfer calls the similarity once per covariate
-        vec = np.random.default_rng(27).normal(size=30)
-        adj, _ = sample_network(planted_params(2, 0.7, 0.1), 30, rng_seed=27)
+    def test_covar_dyad_fit_reads_nodal_covariates_at_pairs(self):
+        # the similarity sees the node values of the pairs read, never an n x n view:
+        # the fit holds no transferred matrix (measured peak 7.08 n x n floats; 8.09
+        # with one n x n transfer held for the fit)
+        n = 100
+        vec = np.random.default_rng(27).normal(size=n)
+        adj, _ = sample_network(planted_params(2, 0.7, 0.1), n, rng_seed=27)
         design = SamplingDesign("covar-dyad", [0.5, 1.0])
         observed = observe_network(adj, design, covariates=CovariateSet.from_nodal([vec]), rng_seed=28)
-        calls = []
+        shapes = []
 
         def counting_l1(a, b):
-            calls.append(a.shape)
+            shapes.append((a.shape, b.shape))
             return -np.abs(a - b)
 
         cov = CovariateSet.from_nodal([vec], similarity=counting_l1)
-        fit = fit_single(observed, 2, "covar-dyad", covariates=cov,
-                         control=ControlOptions(rng_seed=29, max_iter=3, use_cov=True))
-        assert len(fit.monitoring) > 2
-        assert calls == [(30, 30)]
+        fit = lambda: fit_single(observed, 2, "covar-dyad", covariates=cov,   # noqa: E731
+                                 control=ControlOptions(rng_seed=29, max_iter=3, use_cov=True))
+        assert len(fit().monitoring) > 2
+        assert shapes and all(len(a) == 1 and a == b for a, b in shapes)
+        assert peak_floats(fit, n) <= 7.13
 
     def test_invalid_inputs(self):
         adj, _ = sample_network(planted_params(2, 0.6, 0.1), 10, rng_seed=22)
@@ -1130,3 +1159,39 @@ def test_mnar_fit_working_set():
 
     call()   # warm-up: numpy's first-use allocations are not the fit's
     assert peak_floats(call, n) <= 3.68
+
+
+def covar_node_case(n):
+    """A covar-node network of 3 planted blocks with a binary nodal covariate, and the
+    control of a collection over Q = 1..3 with exploration "both" and use_cov."""
+    adj, _ = sample_network(planted_params(3, 0.35, 0.05), n, rng_seed=11)
+    cov = CovariateSet.from_nodal([np.random.default_rng(11).integers(0, 2, size=n).astype(float)])
+    observed = observe_network(adj, SamplingDesign("covar-node", (0.5, 1.0)), covariates=cov, rng_seed=12)
+    return observed, cov, ControlOptions(rng_seed=5, max_iter=3, exploration="both", use_cov=True)
+
+
+def test_covar_node_collection_working_set():
+    # The collection, then impute, at n = 200: measured 3.76 n x n floats, against 6.12
+    # when each fit held the covariate transferred to an n x n matrix, MAR imputation
+    # built n x n predictions, a forward pass held the imputed matrix beside its
+    # candidate fits and k-means allocated two n x d differences.  The peak is a
+    # forward candidate's VE coupling.  The bound allows 0.05 for rounding.
+    n = 200
+    observed, cov, control = covar_node_case(n)
+    call = lambda: impute(estimate_miss_sbm(observed, [1, 2, 3], "covar-node", covariates=cov,   # noqa: E731
+                                            control=control).best_model)
+    call()   # warm-up: numpy's first-use allocations and the network's cached indices
+    assert peak_floats(call, n) <= 3.81
+
+
+def test_split_candidates_release_the_imputed_matrix_before_clustering():
+    # a one-block base at n = 200, whose one sub-matrix is all of the imputed matrix:
+    # measured 2.42 n x n floats (the sub-matrix, k-means' buffer and numpy's ufunc
+    # buffer of 8192 entries), 5.07 when the imputed matrix stayed through k-means
+    # and k-means allocated n x d differences
+    n = 200
+    observed, cov, control = covar_node_case(n)
+    base = fit_single(observed, 1, "covar-node", covariates=cov, control=control)
+    split = lambda: vem._split_candidates(base, 2, control)   # noqa: E731
+    assert len(split()) == 1
+    assert peak_floats(split, n) <= 2.47
